@@ -38,13 +38,11 @@ from .symmetric import (
     symmetric_group,
 )
 from .trees import (
-    KERNEL_BACKEND,
     PlaneTree,
     TreeData,
     catalan,
     enumerate_trees,
     generalized_transform,
-    numerator_via_trees,
     polynomial_via_trees,
     tree_data,
 )

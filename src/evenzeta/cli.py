@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import trees, verify, zeta
-from .rationals import double_factorial_product
 from .recursion import numerator_polynomial, translated_polynomial, zeta_numerator
 from .sequences import ODD_NUMBERS, SequenceSpec
 
@@ -79,12 +76,8 @@ def _cmd_bernoulli(args) -> int:
     if args.method == "classical":
         value = zeta.bernoulli_classical(2 * args.k)
     elif args.method == "tree":
-        # same inversion as bernoulli_even, numerator taken from the tree sum
-        # (the single one-vertex tree contributes the k=1 numerator directly)
-        numer = trees.numerator_via_trees(args.k) if args.k >= 2 else 1
-        coeff = Fraction(numer, 2 * double_factorial_product(args.k))
-        sign = 1 if args.k % 2 else -1
-        value = sign * 2 * math.factorial(2 * args.k) * coeff / 2 ** (2 * args.k)
+        # the odd-sequence transform is 2*zeta(2k)/pi^(2k)
+        value = zeta.bernoulli_from_zeta(args.k, trees.generalized_transform(args.k) / 2)
     else:
         value = zeta.bernoulli_even(args.k)
     record = OutputRecord("bernoulli", inputs, {"value": str(value)})
@@ -233,8 +226,32 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _UsageError(Exception):
+    def __init__(self, prog: str, message: str):
+        super().__init__(message)
+        self.command = prog.rsplit(" ", 1)[-1]
+
+
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Raises usage errors for main to print as a JSON error record."""
+
+    def error(self, message):
+        raise _UsageError(self.prog, message)
+
+
+def _json_requested(argv: list[str]) -> bool:
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--format")
+    try:
+        known, _ = probe.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return False
+    return known.format == "json"
+
+
+def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
+    parser_class = _JsonErrorParser if json_errors else argparse.ArgumentParser
+    parser = parser_class(
         prog="evenzeta",
         description="Exact Bernoulli numbers and even zeta values, three independent ways.",
     )
@@ -301,7 +318,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # A_75 and beyond pass the default 4300-digit int-to-str limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _build_parser(_json_requested(argv)).parse_args(argv)
+    except _UsageError as exc:
+        record = OutputRecord(exc.command, {}, status="error", error_detail=str(exc))
+        print(record.to_json())
+        return 2
     return args.run(args)
 
 

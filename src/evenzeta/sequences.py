@@ -24,7 +24,9 @@ class SequenceSpec:
     """Supplies the value R_n for each position n >= 1.
 
     Backed either by a callable n -> value or by a finite list of values
-    (position n at list index n-1).  Every accessed value must be nonzero.
+    (position n at list index n-1).  Every accessed value must be a nonzero
+    int or Fraction; floats and bools are rejected, so no inexact value
+    enters the computation.
     """
 
     __slots__ = ("_fn", "_values")
@@ -72,6 +74,10 @@ class SequenceSpec:
             v = self._values[n - 1]
         else:
             v = self._fn(n)
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValueError(
+                f"sequence value at position {n} is {v!r}; only int and Fraction are exact"
+            )
         if v == 0:
             raise ValueError(f"sequence value at position {n} is zero")
         return v

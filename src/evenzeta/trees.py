@@ -22,15 +22,15 @@ shifted low set) over all k-vertex trees yields the zeta numerator;
 keeping the low sets as polynomial factors instead reproduces the k-th
 recursion polynomial term by term.
 
-The Catalan-sized walk is the hot loop of the package, so it lives in a
-small kernel with a compiled (Cython) and a pure-Python implementation;
-the compiled one is used when available unless EVENZETA_PURE is set.
+The future of the replay depends only on the level of the last vertex and
+the current low set, so whole families are aggregated by folding weights
+per (level, low set) state one vertex at a time (the generating-tree /
+transfer-matrix method) instead of walking the C_{k-1} trees one by one.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -39,18 +39,8 @@ from .polynomials import Polynomial
 from .recursion import IndexSet, factor_product
 from .sequences import ODD_NUMBERS, SequenceSpec
 
-if os.environ.get("EVENZETA_PURE"):
-    from . import _treewalk_py as _kernel
-else:
-    try:
-        from . import _treewalk as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _treewalk_py as _kernel  # type: ignore[no-redef]
-
-KERNEL_BACKEND: str = _kernel.BACKEND
-
 ENUMERATION_MAX = 16  # Catalan growth guard for tree streams
-TREE_SUM_MAX = 14  # guard for whole-family aggregations
+TREE_SUM_MAX = 15  # guard for whole-family aggregations
 
 Weight = Union[int, Fraction]
 
@@ -61,9 +51,7 @@ __all__ = [
     "enumerate_trees",
     "tree_data",
     "polynomial_via_trees",
-    "numerator_via_trees",
     "generalized_transform",
-    "KERNEL_BACKEND",
     "ENUMERATION_MAX",
     "TREE_SUM_MAX",
 ]
@@ -133,8 +121,8 @@ def enumerate_trees(k: int, *, max_k: int = ENUMERATION_MAX) -> Iterator[PlaneTr
 def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
     """Replay the attachment history of one tree (reference implementation).
 
-    The kernels aggregate the same recursion over whole families; this
-    per-tree version is what they are validated against.
+    The state fold aggregates the same recursion over whole families; this
+    per-tree version is what it is validated against.
     """
     low: set[int] = set()
     high: set[int] = set()
@@ -152,6 +140,45 @@ def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
     return TreeData(low=IndexSet(low), high=IndexSet(high), weight=weight)
 
 
+def _low_weight_table(k: int, values: list) -> dict:
+    """Map each low mask reachable on k vertices to the summed weight of its trees.
+
+    Sets of positions are bitmasks (bit n-1 marks position n) and values[n-1]
+    is the value at position n.  The replay of tree_data is folded by state:
+    states maps (level of the last vertex, low mask) to the summed weight of
+    the trees reaching it, and grows by one vertex per step, so step t holds
+    at most (levels x 2^(t-2)) states rather than C_{t-2} trees.
+
+    After a last vertex at level top, with s1 the shifted low mask, exactly
+    top + 1 positions of {1..t-1} are outside s1.  A new vertex at level i
+    puts the i-1 greatest of them into high (with s1) and the top+1-i
+    smallest into low (with s1), and multiplies the weight by the values
+    over the high mask.
+    """
+    states: dict = {(1, 0): 1}  # the one tree on 2 vertices
+    for t in range(3, k + 1):
+        nxt: dict = {}
+        for (top, low), wt in states.items():
+            s1 = low << 1
+            free = [n for n in range(t - 1) if not s1 >> n & 1]
+            for n in range(1, t - 1):
+                if s1 >> n & 1:
+                    wt = wt * values[n]
+            highs = [wt]  # highs[j]: weight with the j greatest free positions high
+            for n in reversed(free[1:]):
+                highs.append(highs[-1] * values[n])
+            mask = s1
+            for i in range(top + 1, 0, -1):
+                key = (i, mask)
+                nxt[key] = nxt.get(key, 0) + highs[i - 1]
+                mask |= 1 << free[top + 1 - i]
+        states = nxt
+    table: dict = {}
+    for (_, mask), wt in states.items():
+        table[mask] = table.get(mask, 0) + wt
+    return table
+
+
 def _check_sum_bound(k: int, lo: int = 2) -> None:
     if not lo <= k <= TREE_SUM_MAX:
         raise ValueError(
@@ -164,24 +191,14 @@ def polynomial_via_trees(k: int) -> Polynomial:
     """The k-th recursion polynomial assembled as a tree sum.
 
     Sums weight * factor_product(low, k-1) over all k-vertex trees, after
-    folding the walk by low set so each distinct factor is expanded once.
+    folding the trees by low set so each distinct factor is expanded once.
     """
     _check_sum_bound(k)
-    table = _kernel.low_weight_table(k, ODD_NUMBERS.values_upto(k))
+    table = _low_weight_table(k, ODD_NUMBERS.values_upto(k))
     out = Polynomial()
     for mask in sorted(table):
         out = out + table[mask] * factor_product(IndexSet.from_mask(mask), k - 1)
     return out
-
-
-def numerator_via_trees(k: int) -> int:
-    """The zeta numerator as the positive tree sum weight * product(low shifted)."""
-    _check_sum_bound(k)
-    table = _kernel.low_weight_table(k, ODD_NUMBERS.values_upto(k))
-    total = 0
-    for mask, wt in table.items():
-        total += wt * ODD_NUMBERS.product(IndexSet.from_mask(mask << 1))
-    return total
 
 
 def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
@@ -193,7 +210,8 @@ def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
         -----------------------------------------------------------
         prod_{j=1}^{k} (product of the values at positions 1..j)
 
-    For the default odd sequence this equals 2*zeta(2k)/pi^(2k).
+    For the default odd sequence this equals 2*zeta(2k)/pi^(2k), and the
+    value times double_factorial_product(k) is the zeta numerator A_k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -202,10 +220,12 @@ def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
             f"k={k} outside 1..{TREE_SUM_MAX} (k={k} means {catalan(k - 1)} trees)"
         )
     values = seq.values_upto(k)  # validates presence and nonzero-ness
-    table = _kernel.low_weight_table(k, values)
     numerator: Weight = 0
-    for mask, wt in table.items():
-        numerator += wt * seq.product(IndexSet.from_mask(mask << 1))
+    for mask, wt in _low_weight_table(k, values).items():
+        for n in range(mask.bit_length()):
+            if mask >> n & 1:
+                wt = wt * values[n + 1]  # bit n is position n+1, shifted to n+2
+        numerator += wt
     denominator: Weight = 1
     running: Weight = 1
     for j in range(1, k + 1):

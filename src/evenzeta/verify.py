@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import recursion, symmetric, trees, zeta
+from .rationals import double_factorial_product
 
 __all__ = ["CheckResult", "SuiteReport", "SUITES", "run_suite", "suite_names"]
 
@@ -139,8 +140,8 @@ def _suite_trees(max_k: int) -> list[CheckResult]:
         checks.append(
             _equal(
                 f"numerator via trees k={k}",
-                trees.numerator_via_trees(k),
-                recursion.zeta_numerator(k),
+                trees.generalized_transform(k),
+                Fraction(recursion.zeta_numerator(k), double_factorial_product(k)),
             )
         )
     return checks

@@ -25,6 +25,7 @@ __all__ = [
     "elementary_zeta",
     "zeta_even_rational",
     "bernoulli_even",
+    "bernoulli_from_zeta",
     "bernoulli_classical",
     "newton_partial_sum",
     "newton_partial_closed",
@@ -109,13 +110,18 @@ def zeta_even_rational(k: int) -> PiMultiple:
     return PiMultiple(coeff, 2 * k)
 
 
-def bernoulli_even(k: int) -> Fraction:
-    """B_{2k}, inverted from the even zeta value:
-    B_{2k} = (-1)^(k-1) * 2 * (2k)! * coeff(zeta(2k)) / 2^(2k)."""
+def bernoulli_from_zeta(k: int, coeff: Fraction) -> Fraction:
+    """B_{2k} from coeff = zeta(2k)/pi^(2k), by whichever route it was computed:
+    B_{2k} = (-1)^(k-1) * 2 * (2k)! * coeff / 2^(2k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     sign = 1 if k % 2 else -1
-    return sign * 2 * math.factorial(2 * k) * zeta_even_rational(k).coeff / 2 ** (2 * k)
+    return sign * 2 * math.factorial(2 * k) * coeff / 2 ** (2 * k)
+
+
+def bernoulli_even(k: int) -> Fraction:
+    """B_{2k}, inverted from the even zeta value of the operator recursion."""
+    return bernoulli_from_zeta(k, zeta_even_rational(k).coeff)
 
 
 @lru_cache(maxsize=None)

@@ -76,9 +76,9 @@ def test_bernoulli_methods(capsys, k, method, expected):
 
 
 def test_bernoulli_tree_bound(capsys):
-    code, _, err = run(capsys, "bernoulli", "--k", "15", "--method", "tree")
+    code, _, err = run(capsys, "bernoulli", "--k", "16", "--method", "tree")
     assert code == 2
-    assert "14" in err
+    assert "15" in err
 
 
 def test_trees_listing(capsys):
@@ -132,6 +132,12 @@ def test_json_output_shape_and_determinism(capsys):
     assert record["result"]["pi_power"] == 8
 
 
+def test_ak_past_int_str_digit_limit(capsys):
+    code, out, _ = run(capsys, "ak", "--max", "75", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["result"]["values"][-1]) == 4424
+
+
 def test_json_error_record(capsys):
     code, out, _ = run(capsys, "zeta-even", "--k", "0", "--format", "json")
     assert code == 2
@@ -181,6 +187,15 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bernoulli"])  # missing required --k
     assert exc.value.code == 2
+
+
+def test_usage_error_json_record(capsys):
+    code, out, _ = run(capsys, "zeta-even", "--format", "json")  # missing --k
+    assert code == 2
+    record = json.loads(out)
+    assert record["command"] == "zeta-even"
+    assert record["status"] == "error"
+    assert "--k" in record["error_detail"]
 
 
 def test_trees_bound(capsys):

@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evenzeta import _treewalk_py
 from evenzeta.polynomials import ONE
+from evenzeta.rationals import double_factorial_product
 from evenzeta.recursion import IndexSet, numerator_polynomial, zeta_numerator
 from evenzeta.sequences import ODD_NUMBERS, SequenceSpec
 from evenzeta.trees import (
     PlaneTree,
+    _low_weight_table,
     catalan,
     enumerate_trees,
     generalized_transform,
-    numerator_via_trees,
     polynomial_via_trees,
     tree_data,
 )
@@ -93,14 +95,16 @@ def test_weighted_low_products_sum_to_numerator(k, expected):
 @pytest.mark.parametrize("k", range(2, 10))
 def test_tree_sums_match_recursion(k):
     assert polynomial_via_trees(k) == numerator_polynomial(k)
-    assert numerator_via_trees(k) == zeta_numerator(k)
+    assert generalized_transform(k) * double_factorial_product(k) == zeta_numerator(k)
 
 
 def test_tree_sum_bounds():
+    with pytest.raises(ValueError, match="15"):
+        polynomial_via_trees(16)
+    with pytest.raises(ValueError, match="15"):
+        generalized_transform(16)
     with pytest.raises(ValueError):
-        polynomial_via_trees(15)
-    with pytest.raises(ValueError):
-        numerator_via_trees(1)
+        polynomial_via_trees(1)
     with pytest.raises(ValueError):
         generalized_transform(0)
 
@@ -117,27 +121,29 @@ def test_leading_coefficient_comes_from_level_one_trees(k):
     assert restricted * 2 ** (k - 2) == numerator_polynomial(k).coeffs[-1]
 
 
-@pytest.mark.parametrize("k", range(1, 9))
-def test_kernel_table_matches_per_tree_replay(k):
-    # dual route: the aggregated kernel vs the reference per-tree replay
+def replayed_table(k, seq=ODD_NUMBERS):
     table = {}
     for tree in enumerate_trees(k):
-        data = tree_data(tree)
+        data = tree_data(tree, seq)
         mask = data.low.mask
         table[mask] = table.get(mask, 0) + data.weight
-    assert table == _treewalk_py.low_weight_table(k, ODD_NUMBERS.values_upto(k))
+    return table
 
 
-def test_compiled_kernel_matches_pure():
-    compiled = pytest.importorskip("evenzeta._treewalk")
-    odd = ODD_NUMBERS.values_upto(11)
-    for k in range(1, 12):
-        assert compiled.low_weight_table(k, odd) == _treewalk_py.low_weight_table(k, odd)
-    halves = [Fraction(1, n + 1) for n in range(1, 9)]
-    for k in range(1, 9):
-        assert compiled.low_weight_table(k, halves) == _treewalk_py.low_weight_table(
-            k, halves
-        )
+@pytest.mark.parametrize("k", range(1, 9))
+def test_kernel_table_matches_per_tree_replay(k):
+    # dual route: the state fold vs the reference per-tree replay
+    assert replayed_table(k) == _low_weight_table(k, ODD_NUMBERS.values_upto(k))
+
+
+nonzero_fractions = st.fractions(max_denominator=50).filter(lambda v: v != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 7), values=st.lists(nonzero_fractions, min_size=7, max_size=7))
+def test_fold_matches_per_tree_replay_on_rational_sequences(k, values):
+    seq = SequenceSpec(values)
+    assert _low_weight_table(k, seq.values_upto(k)) == replayed_table(k, seq)
 
 
 def test_generalized_transform_default_values():
@@ -178,6 +184,19 @@ def test_sequence_spec_errors():
         generalized_transform(3, short)
     with pytest.raises(ValueError):
         ODD_NUMBERS.value(0)
+
+
+@pytest.mark.parametrize(
+    "seq,position",
+    [
+        (SequenceSpec(lambda n: n + 0.5), 1),
+        (SequenceSpec([True, 2, 3]), 1),
+        (SequenceSpec([3, 5, 7.0]), 3),
+    ],
+)
+def test_sequence_spec_rejects_inexact_values(seq, position):
+    with pytest.raises(ValueError, match=f"position {position}"):
+        generalized_transform(3, seq)
 
 
 def test_sequence_spec_from_file(tmp_path):
