@@ -1,9 +1,12 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials with exact rational coefficients.
 
 Coefficients are stored ascending (index i holds the coefficient of x^i)
 with trailing zeros trimmed; the zero polynomial is the empty tuple and its
-degree is None rather than a numeric sentinel.  Values are immutable, so
-they are safe to share between threads and to use as dict keys.
+degree is None rather than a numeric sentinel.  Coefficients are exact:
+an integral one is stored as an ``int`` (integer polynomials run on integer
+arithmetic), any other as a reduced ``Fraction``, and a float, bool or string
+raises TypeError.  Values are immutable, so they are safe to share between
+threads and to use as dict keys.
 
 Division is provided only for the exact linear case the recursion needs:
 dividing by (2x - 2c) when c is a root, with a nonzero remainder treated as
@@ -14,6 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .rationals import is_exact
 
 Scalar = Union[int, Fraction]
 
@@ -28,7 +33,11 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = []
+        for c in coeffs:
+            if not is_exact(c):
+                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+            cs.append(c.numerator if c.denominator == 1 else c)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -43,8 +52,8 @@ class Polynomial:
         """Degree, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def coefficient(self, i: int) -> Scalar:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -85,7 +94,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if not self.coeffs or not other.coeffs:
                 return ZERO
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
@@ -96,9 +105,11 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def evaluate(self, x0: Scalar) -> Fraction:
+    def evaluate(self, x0: Scalar) -> Scalar:
         """Exact value at x0, by Horner's rule."""
-        acc = Fraction(0)
+        if not is_exact(x0):
+            raise TypeError(f"evaluation point {x0!r} is not an int or a Fraction")
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x0 + c
         return acc
@@ -118,11 +129,12 @@ class Polynomial:
         nonzero remainder means the caller fed a polynomial that does not
         vanish at c, which in this package is always a bug upstream.
         """
+        if not is_exact(c):
+            raise TypeError(f"root {c!r} is not an int or a Fraction")
         if not self.coeffs:
             return ZERO
-        c = Fraction(c)
         n = len(self.coeffs) - 1
-        quot = [Fraction(0)] * n
+        quot = [0] * n
         acc = self.coeffs[n]
         for i in range(n - 1, -1, -1):
             quot[i] = acc
@@ -131,7 +143,7 @@ class Polynomial:
             raise InexactDivisionError(
                 f"remainder {acc} dividing by (2x - 2*{c}); expected exact division"
             )
-        return Polynomial(q / 2 for q in quot)
+        return Polynomial(Fraction(q) / 2 for q in quot)
 
     # -- canonical text / JSON forms -----------------------------------------
 

@@ -4,8 +4,8 @@ Python's built-in ``int`` is the arbitrary-precision integer type and
 ``fractions.Fraction`` is the rational type: always reduced, denominator
 positive, zero stored as 0/1.  ``str(Fraction)`` already produces the
 canonical text form ("num/den", denominator omitted when 1), so this module
-only adds strict parsing, a validity check usable by tests, and the odd
-double factorials that show up in all the zeta denominators.
+only adds strict parsing, the exactness test for incoming values, a validity
+check usable by tests, and the odd double factorials of the zeta denominators.
 
 No floating-point value appears anywhere on the computation path.
 """
@@ -23,6 +23,7 @@ __all__ = [
     "Rational",
     "parse_rational",
     "format_rational",
+    "is_exact",
     "is_canonical",
     "double_factorial_odd",
     "double_factorial_product",
@@ -46,6 +47,11 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Canonical text form, e.g. "-1/30" or "945"."""
     return str(Fraction(q))
+
+
+def is_exact(v) -> bool:
+    """True for an int or a Fraction; bools, floats and strings are not exact values."""
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
 def is_canonical(q: Fraction) -> bool:

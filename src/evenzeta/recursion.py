@@ -80,9 +80,6 @@ class IndexSet:
         """Position shift n -> n+1 (the value shift by two for the odd sequence)."""
         return IndexSet(n + 1 for n in self.indices)
 
-    def union(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(set(self.indices) | set(other.indices))
-
     def values(self, seq: SequenceSpec = ODD_NUMBERS) -> tuple:
         return tuple(seq.value(n) for n in self.indices)
 

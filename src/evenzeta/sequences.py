@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .rationals import parse_rational
+from .rationals import is_exact, parse_rational
 
 Value = Union[int, Fraction]
 
@@ -74,7 +74,7 @@ class SequenceSpec:
             v = self._values[n - 1]
         else:
             v = self._fn(n)
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        if not is_exact(v):
             raise ValueError(
                 f"sequence value at position {n} is {v!r}; only int and Fraction are exact"
             )

@@ -118,20 +118,15 @@ def symmetric_group(k: int) -> Iterator[Permutation]:
         yield Permutation(image)
 
 
-def elementary_symmetric(
-    vars: VariableSet, k: int, *, allow_truncated: bool = False
-) -> Fraction:
+def elementary_symmetric(vars: VariableSet, k: int) -> Fraction:
     """e_k over the variables, by the stable product recurrence on prod(1 + z_i t).
 
-    k larger than the variable count is an error unless allow_truncated is
-    set, in which case the conventional value 0 is returned.
+    k larger than the variable count is an error.
     """
     n = vars.size
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > n:
-        if allow_truncated:
-            return Fraction(0)
         raise ValueError(f"e_{k} needs at least {k} variables, got {n}")
     row = [Fraction(0)] * (k + 1)
     row[0] = Fraction(1)
@@ -161,11 +156,7 @@ def _partitions(n: int, largest: int | None = None):
 
 
 def cycle_index_elementary(
-    vars: VariableSet,
-    k: int,
-    *,
-    mode: str = "cycle-types",
-    max_k: int = CYCLE_INDEX_MAX,
+    vars: VariableSet, k: int, *, mode: str = "cycle-types"
 ) -> Fraction:
     """e_k recovered as (1/k!) sum over S_k of sgn(sigma) * prod p_{cycle length}.
 
@@ -175,9 +166,10 @@ def cycle_index_elementary(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > max_k:
+    if k > CYCLE_INDEX_MAX:
         raise ValueError(
-            f"k={k} exceeds the enumeration bound {max_k}; use elementary_symmetric"
+            f"k={k} exceeds the enumeration bound {CYCLE_INDEX_MAX}; "
+            "use elementary_symmetric"
         )
     psums = {j: power_sum(vars, j) for j in range(1, k + 1)}
     if mode == "permutations":

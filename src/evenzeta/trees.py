@@ -22,9 +22,9 @@ shifted low set) over all k-vertex trees yields the zeta numerator;
 keeping the low sets as polynomial factors instead reproduces the k-th
 recursion polynomial term by term.
 
-The future of the replay depends only on the level of the last vertex and
-the current low set, so whole families are aggregated by folding weights
-per (level, low set) state one vertex at a time (the generating-tree /
+The future of the replay depends only on the current low set (its size
+fixes the level of the last vertex), so whole families are aggregated by
+folding weights per low set one vertex at a time (the generating-tree /
 transfer-matrix method) instead of walking the C_{k-1} trees one by one.
 """
 
@@ -33,16 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
 from .polynomials import Polynomial
 from .recursion import IndexSet, factor_product
-from .sequences import ODD_NUMBERS, SequenceSpec
+from .sequences import ODD_NUMBERS, SequenceSpec, Value
 
 ENUMERATION_MAX = 16  # Catalan growth guard for tree streams
 TREE_SUM_MAX = 15  # guard for whole-family aggregations
-
-Weight = Union[int, Fraction]
 
 __all__ = [
     "PlaneTree",
@@ -91,16 +89,17 @@ class TreeData:
 
     low: IndexSet
     high: IndexSet
-    weight: Weight
+    weight: Value
 
 
-def enumerate_trees(k: int, *, max_k: int = ENUMERATION_MAX) -> Iterator[PlaneTree]:
+def enumerate_trees(k: int) -> Iterator[PlaneTree]:
     """All plane trees on k vertices, lazily, in lexicographic level order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > max_k:
+    if k > ENUMERATION_MAX:
         raise ValueError(
-            f"k={k} would enumerate {catalan(k - 1)} trees, beyond the bound max_k={max_k}"
+            f"k={k} would enumerate {catalan(k - 1)} trees, "
+            f"beyond the bound {ENUMERATION_MAX}"
         )
 
     def rec(prefix: list[int]) -> Iterator[PlaneTree]:
@@ -126,7 +125,7 @@ def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
     """
     low: set[int] = set()
     high: set[int] = set()
-    weight: Weight = 1
+    weight: Value = 1
     levels = tree.levels
     for t in range(3, tree.vertex_count + 1):
         i = levels[t - 2]
@@ -145,20 +144,22 @@ def _low_weight_table(k: int, values: list) -> dict:
 
     Sets of positions are bitmasks (bit n-1 marks position n) and values[n-1]
     is the value at position n.  The replay of tree_data is folded by state:
-    states maps (level of the last vertex, low mask) to the summed weight of
-    the trees reaching it, and grows by one vertex per step, so step t holds
-    at most (levels x 2^(t-2)) states rather than C_{t-2} trees.
+    states maps a low mask to the summed weight of the trees reaching it,
+    and grows by one vertex per step, so step t holds at most 2^(t-2)
+    states rather than C_{t-1} trees.
 
-    After a last vertex at level top, with s1 the shifted low mask, exactly
-    top + 1 positions of {1..t-1} are outside s1.  A new vertex at level i
-    puts the i-1 greatest of them into high (with s1) and the top+1-i
-    smallest into low (with s1), and multiplies the weight by the values
-    over the high mask.
+    With s1 the shifted low mask of a tree on t-1 vertices, the positions
+    of {1..t-1} outside s1 are free.  A new vertex at level i puts the i-1
+    greatest free positions into high (with s1) and all but the i greatest
+    into low (with s1), and multiplies the weight by the values over the
+    high mask.  The low set then has t-1-i members, so its size fixes the
+    level of the last vertex and the mask alone is the state: its free
+    positions number one more than that level, and bound the next one.
     """
-    states: dict = {(1, 0): 1}  # the one tree on 2 vertices
+    states: dict = {0: 1}  # the one tree on 2 vertices
     for t in range(3, k + 1):
         nxt: dict = {}
-        for (top, low), wt in states.items():
+        for low, wt in states.items():
             s1 = low << 1
             free = [n for n in range(t - 1) if not s1 >> n & 1]
             for n in range(1, t - 1):
@@ -168,23 +169,17 @@ def _low_weight_table(k: int, values: list) -> dict:
             for n in reversed(free[1:]):
                 highs.append(highs[-1] * values[n])
             mask = s1
-            for i in range(top + 1, 0, -1):
-                key = (i, mask)
-                nxt[key] = nxt.get(key, 0) + highs[i - 1]
-                mask |= 1 << free[top + 1 - i]
+            for i in range(len(free), 0, -1):
+                nxt[mask] = nxt.get(mask, 0) + highs[i - 1]
+                mask |= 1 << free[len(free) - i]
         states = nxt
-    table: dict = {}
-    for (_, mask), wt in states.items():
-        table[mask] = table.get(mask, 0) + wt
-    return table
+    return states
 
 
 def _check_sum_bound(k: int, lo: int = 2) -> None:
     if not lo <= k <= TREE_SUM_MAX:
-        raise ValueError(
-            f"k={k} outside {lo}..{TREE_SUM_MAX} "
-            f"(k={k} means {catalan(k - 1)} trees)"
-        )
+        count = f" (k={k} means {catalan(k - 1)} trees)" if k >= 1 else ""
+        raise ValueError(f"k={k} outside {lo}..{TREE_SUM_MAX}{count}")
 
 
 def polynomial_via_trees(k: int) -> Polynomial:
@@ -213,21 +208,16 @@ def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
     For the default odd sequence this equals 2*zeta(2k)/pi^(2k), and the
     value times double_factorial_product(k) is the zeta numerator A_k.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > TREE_SUM_MAX:
-        raise ValueError(
-            f"k={k} outside 1..{TREE_SUM_MAX} (k={k} means {catalan(k - 1)} trees)"
-        )
+    _check_sum_bound(k, 1)
     values = seq.values_upto(k)  # validates presence and nonzero-ness
-    numerator: Weight = 0
+    numerator: Value = 0
     for mask, wt in _low_weight_table(k, values).items():
         for n in range(mask.bit_length()):
             if mask >> n & 1:
                 wt = wt * values[n + 1]  # bit n is position n+1, shifted to n+2
         numerator += wt
-    denominator: Weight = 1
-    running: Weight = 1
+    denominator: Value = 1
+    running: Value = 1
     for j in range(1, k + 1):
         running = running * values[j - 1]
         denominator = denominator * running

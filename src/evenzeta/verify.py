@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 from . import recursion, symmetric, trees, zeta
 from .rationals import double_factorial_product
+from .sequences import SequenceSpec
 
 __all__ = ["CheckResult", "SuiteReport", "SUITES", "run_suite", "suite_names"]
 
@@ -128,7 +129,8 @@ def _suite_cycle_index(max_k: int) -> list[CheckResult]:
 def _suite_trees(max_k: int) -> list[CheckResult]:
     checks = []
     for k in range(2, max_k + 1):
-        count = sum(1 for _ in trees.enumerate_trees(k))
+        # with every value 1 each tree weighs 1, so the transform counts the trees
+        count = trees.generalized_transform(k, SequenceSpec([1] * k))
         checks.append(_equal(f"tree count k={k}", count, trees.catalan(k - 1)))
         checks.append(
             _equal(

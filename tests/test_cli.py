@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -202,3 +203,26 @@ def test_trees_bound(capsys):
     code, _, err = run(capsys, "trees", "--k", "40")
     assert code == 2
     assert "16" in err
+
+
+# sha256 of the --format json stdout, pinned from the output of the code before
+# Polynomial stored integral coefficients as int
+GOLDEN_JSON_SHA256 = {
+    "pk --k 30": "e2b99daf8e3dc1d9a6be40d95bde5ca649ab9d1adafee1c0cc9756615c7be908",
+    "pk --k 30 --translated --half-scale": (
+        "9c4b0f232d1ce5dc932491e7349c9d4160be550eaa238168885c0920e98919bb"
+    ),
+    "ak --max 60": "d4e23af013ce602be2d0607d82b793963b6ddc159141c2e5e89c1284843088b7",
+    "transform --k 13": "5f4ca2438fa3dc56e71362ef3e6a4037dbbf1227b90b1b1b662bf8030b891ad7",
+    "bernoulli --k 15 --method tree": (
+        "abdde435615b3e08a39e25e7d5b133f4d694c6e3eb22a81ae7b7f9db4b5c7a1e"
+    ),
+    "verify --suite all": "24c5c1ebb9400f62f7d2a665a8ac79c39f3412e613fec4ca4cf69ee09f6bcc1c",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_JSON_SHA256))
+def test_json_output_matches_golden_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256[command]

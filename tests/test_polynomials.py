@@ -8,11 +8,21 @@ from evenzeta.polynomials import ONE, X, ZERO, InexactDivisionError, Polynomial
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 polys = st.lists(small_rationals, max_size=6).map(Polynomial)
+# ints and Fractions mixed, integral Fractions such as 3/1 included
+mixed_coeffs = st.lists(st.one_of(st.integers(-30, 30), small_rationals), max_size=6)
 
 
-def naive_eval(p, x):
-    # independent power-sum evaluation oracle
-    return sum((c * x**i for i, c in enumerate(p.coeffs)), Fraction(0))
+def naive_eval(coeffs, x):
+    # independent power-sum evaluation oracle, over Fractions only
+    return sum((Fraction(c) * Fraction(x) ** i for i, c in enumerate(coeffs)), Fraction(0))
+
+
+def assert_stored_form(p):
+    for c in p.coeffs:
+        if Fraction(c).denominator == 1:
+            assert type(c) is int
+        else:
+            assert type(c) is Fraction and c.denominator > 1
 
 
 def test_addition_trims_and_cancels():
@@ -41,7 +51,45 @@ def test_zero_degree_sentinel():
 
 @given(polys, small_rationals)
 def test_horner_matches_naive(p, x):
-    assert p.evaluate(x) == naive_eval(p, x)
+    assert p.evaluate(x) == naive_eval(p.coeffs, x)
+
+
+@given(mixed_coeffs, mixed_coeffs, small_rationals, small_rationals, small_rationals)
+def test_mixed_coefficients_match_fraction_reference(cs, ds, a, b, x):
+    p, q = Polynomial(cs), Polynomial(ds)
+    for r in (p, q, p + q, p * q, p.compose_affine(a, b)):
+        assert_stored_form(r)
+    assert p.evaluate(x) == naive_eval(cs, x)
+    assert (p + q).evaluate(x) == naive_eval(cs, x) + naive_eval(ds, x)
+    assert (p * q).evaluate(x) == naive_eval(cs, x) * naive_eval(ds, x)
+    assert p.compose_affine(a, b).evaluate(x) == naive_eval(cs, a * x + b)
+
+
+def test_stored_form_examples():
+    p = Polynomial((Fraction(65, 1), 60, Fraction(80, 2), Fraction(0)))
+    assert p.coeffs == (65, 60, 40)
+    assert all(type(c) is int for c in p.coeffs)
+    assert repr(p) == "Polynomial([65, 60, 40])"
+    assert type(p.coefficient(7)) is int and p.coefficient(7) == 0
+    assert type(p.evaluate(2)) is int
+    assert Polynomial((-16, 0, 4)).divide_linear_exact(2).coeffs == (4, 2)
+    assert Polynomial((1, 2)).divide_linear_exact(Fraction(-1, 2)).coeffs == (1,)
+    assert Polynomial((-1, 1)).divide_linear_exact(1).coeffs == (Fraction(1, 2),)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Polynomial((0.5,)),
+        lambda: Polynomial(("1/3",)),
+        lambda: Polynomial((True, 1)),
+        lambda: Polynomial((1, 2)).evaluate(0.5),
+        lambda: Polynomial((1, 2)).divide_linear_exact(0.5),
+    ],
+)
+def test_inexact_values_are_rejected(make):
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_compose_affine_linear_case():

@@ -83,6 +83,11 @@ def test_published_sequence():
         assert zeta_numerator(k) == expected
 
 
+def test_numerator_polynomials_keep_integer_coefficients():
+    for k in range(1, 41):
+        assert all(type(c) is int for c in numerator_polynomial(k).coeffs)
+
+
 def test_degree_and_leading_coefficient():
     for k in range(2, 13):
         poly = numerator_polynomial(k)

@@ -41,7 +41,6 @@ def test_elementary_symmetric_bounds():
     vs = VariableSet([1, 2])
     with pytest.raises(ValueError):
         elementary_symmetric(vs, 3)
-    assert elementary_symmetric(vs, 3, allow_truncated=True) == 0
 
 
 @given(var_sets)

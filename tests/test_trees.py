@@ -105,12 +105,20 @@ def test_tree_sum_bounds():
         generalized_transform(16)
     with pytest.raises(ValueError):
         polynomial_via_trees(1)
-    with pytest.raises(ValueError):
-        generalized_transform(0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"k={k} outside 2..15"):
+            polynomial_via_trees(k)
+        with pytest.raises(ValueError, match=f"k={k} outside 1..15"):
+            generalized_transform(k)
 
 
 def test_polynomial_via_trees_base_case():
     assert polynomial_via_trees(2) == ONE
+
+
+def test_polynomial_via_trees_keeps_integer_coefficients():
+    for k in range(2, 13):
+        assert all(type(c) is int for c in polynomial_via_trees(k).coeffs)
 
 
 @pytest.mark.parametrize("k", range(3, 10))
