@@ -4,7 +4,9 @@ Commands emit either human-oriented text (default) or a machine-readable
 JSON record with the fields command / inputs / result / status /
 error_detail.  All numbers are exact: rationals use the canonical "num/den"
 text form and integers are decimal strings in JSON.  Exit codes: 0 success,
-1 verification failure, 2 usage or input error.
+1 verification failure, 2 usage or input error (k past a command's bound
+included), 3 internal error (an unexpected exception, reported as the same
+error record instead of a traceback).
 """
 
 from __future__ import annotations
@@ -20,6 +22,15 @@ from .recursion import numerator_polynomial, translated_polynomial, zeta_numerat
 from .sequences import ODD_NUMBERS, SequenceSpec
 
 __all__ = ["main", "OutputRecord"]
+
+# Largest k each command accepts.  Each bound keeps the command's slowest
+# form within about 4.5 s end to end (2-vCPU host, Python 3.11.7): ak 3.9 s,
+# pk --translated --half-scale 4.1 s, zeta-even 3.4 s, bernoulli 2.7 s
+# (recursion) and 4.1 s (classical).  The library functions stay unbounded.
+AK_MAX = 160
+PK_MAX = 130
+ZETA_EVEN_MAX = 160
+BERNOULLI_MAX = {"recursion": 160, "tree": trees.TREE_SUM_MAX, "classical": 350}
 
 
 @dataclass
@@ -51,7 +62,7 @@ def _emit(record: OutputRecord, text_lines: list[str], fmt: str) -> None:
             print(line)
 
 
-def _fail(args, command: str, inputs: dict, message: str) -> int:
+def _fail(args, command: str, inputs: dict, message: str, code: int = 2) -> int:
     record = OutputRecord(
         command=command, inputs=inputs, status="error", error_detail=message
     )
@@ -59,20 +70,15 @@ def _fail(args, command: str, inputs: dict, message: str) -> int:
         print(record.to_json())
     else:
         print(f"error: {message}", file=sys.stderr)
-    return 2
+    return code
 
 
 def _cmd_bernoulli(args) -> int:
     inputs = {"k": args.k, "method": args.method}
-    if args.k < 1:
-        return _fail(args, "bernoulli", inputs, "--k must be >= 1")
-    if args.method == "tree" and args.k > trees.TREE_SUM_MAX:
-        return _fail(
-            args,
-            "bernoulli",
-            inputs,
-            f"tree method supports k up to {trees.TREE_SUM_MAX}",
-        )
+    bound = BERNOULLI_MAX[args.method]
+    if not 1 <= args.k <= bound:
+        message = f"--k must be within 1..{bound} for --method {args.method}"
+        return _fail(args, "bernoulli", inputs, message)
     if args.method == "classical":
         value = zeta.bernoulli_classical(2 * args.k)
     elif args.method == "tree":
@@ -91,8 +97,8 @@ def _cmd_bernoulli(args) -> int:
 
 def _cmd_ak(args) -> int:
     inputs = {"max": args.max_k}
-    if args.max_k < 1:
-        return _fail(args, "ak", inputs, "--max must be >= 1")
+    if not 1 <= args.max_k <= AK_MAX:
+        return _fail(args, "ak", inputs, f"--max must be within 1..{AK_MAX}")
     values = [zeta_numerator(k) for k in range(1, args.max_k + 1)]
     record = OutputRecord("ak", inputs, {"values": [str(v) for v in values]})
     _emit(record, [str(v) for v in values], args.format)
@@ -105,8 +111,8 @@ def _cmd_pk(args) -> int:
         "translated": args.translated,
         "half_scale": args.half_scale,
     }
-    if args.k < 1:
-        return _fail(args, "pk", inputs, "--k must be >= 1")
+    if not 1 <= args.k <= PK_MAX:
+        return _fail(args, "pk", inputs, f"--k must be within 1..{PK_MAX}")
     if args.half_scale and not args.translated:
         return _fail(args, "pk", inputs, "--half-scale requires --translated")
     if args.translated:
@@ -124,8 +130,9 @@ def _cmd_pk(args) -> int:
 
 def _cmd_zeta_even(args) -> int:
     inputs = {"k": args.k}
-    if args.k < 1:
-        return _fail(args, "zeta-even", inputs, "--k must be >= 1")
+    if not 1 <= args.k <= ZETA_EVEN_MAX:
+        message = f"--k must be within 1..{ZETA_EVEN_MAX}"
+        return _fail(args, "zeta-even", inputs, message)
     value = zeta.zeta_even_rational(args.k)
     record = OutputRecord(
         "zeta-even",
@@ -263,10 +270,13 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("bernoulli", help="Bernoulli number B_{2k}")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument(
+        "--k", type=int, required=True,
+        help=", ".join(f"1..{b} ({m})" for m, b in BERNOULLI_MAX.items()),
+    )
     p.add_argument(
         "--method",
-        choices=("recursion", "tree", "classical"),
+        choices=tuple(BERNOULLI_MAX),
         default="recursion",
         help="computation route (all agree)",
     )
@@ -276,12 +286,12 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
 
     p = sub.add_parser("ak", help="the integer numerators of 2*zeta(2k)/pi^(2k)")
     p.add_argument("--max", "--max-k", dest="max_k", type=int, required=True,
-                   help="emit values for k = 1..MAX")
+                   help=f"emit values for k = 1..MAX, MAX within 1..{AK_MAX}")
     add_common(p)
     p.set_defaults(run=_cmd_ak)
 
     p = sub.add_parser("pk", help="the k-th recursion polynomial")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"1..{PK_MAX}")
     p.add_argument("--translated", action="store_true",
                    help="shift to x + k - 3/2 (all-positive coefficients)")
     p.add_argument("--half-scale", action="store_true",
@@ -290,7 +300,7 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_pk)
 
     p = sub.add_parser("zeta-even", help="zeta(2k) as an exact multiple of pi^(2k)")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"1..{ZETA_EVEN_MAX}")
     p.add_argument("--approx", action="store_true", help="also print a float approximation")
     add_common(p)
     p.set_defaults(run=_cmd_zeta_even)
@@ -328,7 +338,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         record = OutputRecord(exc.command, {}, status="error", error_detail=str(exc))
         print(record.to_json())
         return 2
-    return args.run(args)
+    try:
+        return args.run(args)
+    except Exception as exc:  # a fault of the program, not of its input
+        message = f"internal error: {type(exc).__name__}: {exc}"
+        return _fail(args, args.command, {}, message, 3)
 
 
 if __name__ == "__main__":

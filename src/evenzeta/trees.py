@@ -26,6 +26,13 @@ The future of the replay depends only on the current low set (its size
 fixes the level of the last vertex), so whole families are aggregated by
 folding weights per low set one vertex at a time (the generating-tree /
 transfer-matrix method) instead of walking the C_{k-1} trees one by one.
+
+Each tree's term, its weight times the product over its shifted low set,
+is a product of (k-1)(k-2)/2 values, and the transform's denominator is
+a product of k(k+1)/2.  Scaling every value by d therefore scales the transform by
+d^-(2k-1), so a rational sequence is folded as the integers d*R_n (d the
+least common multiple of the denominators) and divided back once at the
+end: the fold never builds a Fraction.
 """
 
 from __future__ import annotations
@@ -207,18 +214,27 @@ def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
 
     For the default odd sequence this equals 2*zeta(2k)/pi^(2k), and the
     value times double_factorial_product(k) is the zeta numerator A_k.
+
+    Every numerator term has degree (k-1)(k-2)/2 in the values and the
+    denominator has degree k(k+1)/2, so the transform of d*R is d^-(2k-1)
+    times that of R.  The fold runs on the integers d*R_1..d*R_k, with d
+    the least common multiple of their denominators (1 for an integer
+    sequence), and the one factor d^(2k-1) restores the transform of R as
+    a reduced Fraction.
     """
     _check_sum_bound(k, 1)
     values = seq.values_upto(k)  # validates presence and nonzero-ness
-    numerator: Value = 0
+    scale = math.lcm(*(v.denominator for v in values))
+    values = [v.numerator * (scale // v.denominator) for v in values]
+    numerator = 0
     for mask, wt in _low_weight_table(k, values).items():
         for n in range(mask.bit_length()):
             if mask >> n & 1:
-                wt = wt * values[n + 1]  # bit n is position n+1, shifted to n+2
+                wt *= values[n + 1]  # bit n is position n+1, shifted to n+2
         numerator += wt
-    denominator: Value = 1
-    running: Value = 1
-    for j in range(1, k + 1):
-        running = running * values[j - 1]
-        denominator = denominator * running
-    return Fraction(numerator) / Fraction(denominator)
+    denominator = 1
+    running = 1
+    for v in values:
+        running *= v
+        denominator *= running
+    return Fraction(numerator * scale ** (2 * k - 1), denominator)

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from evenzeta.cli import main
+from evenzeta.cli import AK_MAX, BERNOULLI_MAX, PK_MAX, ZETA_EVEN_MAX, main
+from evenzeta.polynomials import InexactDivisionError
+from evenzeta.recursion import ConsistencyError
 
 PUBLISHED_SEQUENCE = [
     "1",
@@ -80,6 +82,48 @@ def test_bernoulli_tree_bound(capsys):
     code, _, err = run(capsys, "bernoulli", "--k", "16", "--method", "tree")
     assert code == 2
     assert "15" in err
+
+
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        (["ak", "--max"], AK_MAX),
+        (["pk", "--k"], PK_MAX),
+        (["zeta-even", "--k"], ZETA_EVEN_MAX),
+        (["bernoulli", "--method", "recursion", "--k"], BERNOULLI_MAX["recursion"]),
+        (["bernoulli", "--method", "classical", "--k"], BERNOULLI_MAX["classical"]),
+    ],
+)
+def test_k_past_command_bound_is_rejected(capsys, argv, bound):
+    assert bound >= 120
+    code, out, _ = run(capsys, *argv, str(bound + 1), "--format", "json")
+    assert code == 2
+    record = json.loads(out)
+    assert record["status"] == "error"
+    assert f"1..{bound}" in record["error_detail"]
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert f"1..{bound}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("error", [ConsistencyError, InexactDivisionError])
+def test_internal_error_exits_three(capsys, monkeypatch, error):
+    from evenzeta import zeta as zeta_mod
+
+    def broken(k):
+        raise error("forced fault")
+
+    monkeypatch.setattr(zeta_mod, "zeta_even_rational", broken)
+    code, out, _ = run(capsys, "zeta-even", "--k", "3", "--format", "json")
+    assert code == 3
+    record = json.loads(out)
+    assert record["command"] == "zeta-even"
+    assert record["status"] == "error"
+    assert record["error_detail"] == f"internal error: {error.__name__}: forced fault"
+    code, out, err = run(capsys, "zeta-even", "--k", "3")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: internal error: {error.__name__}: forced fault\n"
 
 
 def test_trees_listing(capsys):
@@ -205,8 +249,15 @@ def test_trees_bound(capsys):
     assert "16" in err
 
 
+# signed rationals with denominators up to 1000, read from the working directory
+SIGNED_RATIONALS = [
+    "-3/7", "5", "911/997", "-2", "13/4", "-101/999", "7/2",
+    "-1", "640/873", "9", "-17/12", "1/1000", "-250/3",
+]
+
 # sha256 of the --format json stdout, pinned from the output of the code before
-# Polynomial stored integral coefficients as int
+# Polynomial stored integral coefficients as int, and before rational transforms
+# ran on an integer fold
 GOLDEN_JSON_SHA256 = {
     "pk --k 30": "e2b99daf8e3dc1d9a6be40d95bde5ca649ab9d1adafee1c0cc9756615c7be908",
     "pk --k 30 --translated --half-scale": (
@@ -218,11 +269,16 @@ GOLDEN_JSON_SHA256 = {
         "abdde435615b3e08a39e25e7d5b133f4d694c6e3eb22a81ae7b7f9db4b5c7a1e"
     ),
     "verify --suite all": "24c5c1ebb9400f62f7d2a665a8ac79c39f3412e613fec4ca4cf69ee09f6bcc1c",
+    "transform --k 13 --sequence signed.txt": (
+        "c0064b0408a49dfe24152a6725c348912d13f5541209d11d1fe19a502984ea72"
+    ),
 }
 
 
 @pytest.mark.parametrize("command", list(GOLDEN_JSON_SHA256))
-def test_json_output_matches_golden_digest(capsys, command):
+def test_json_output_matches_golden_digest(capsys, monkeypatch, tmp_path, command):
+    (tmp_path / "signed.txt").write_text("\n".join(SIGNED_RATIONALS) + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, *command.split(), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256[command]

@@ -172,16 +172,62 @@ def test_generalized_transform_all_ones_regression():
     assert generalized_transform(5, ones) == catalan_oracle(4)
 
 
+def tree_term(tree, seq):
+    data = tree_data(tree, seq)
+    return Fraction(data.weight) * data.low.shifted().product(seq)
+
+
+def replayed_transform(k, seq):
+    # the route's reference: per-tree replay over the whole family, in Fractions
+    total = sum((tree_term(t, seq) for t in enumerate_trees(k)), Fraction(0))
+    denominator = Fraction(1)
+    for j in range(1, k + 1):
+        denominator *= seq.product(range(1, j + 1))
+    return total / denominator
+
+
 def test_generalized_transform_rational_sequence_routes_agree():
     seq = SequenceSpec([Fraction(1, 2), Fraction(3, 4), Fraction(-2, 5), 7, 9])
-    total = Fraction(0)
-    for tree in enumerate_trees(4):
-        data = tree_data(tree, seq)
-        total += data.weight * data.low.shifted().product(seq)
-    denominator = Fraction(1)
-    for j in range(1, 5):
-        denominator *= seq.product(range(1, j + 1))
-    assert generalized_transform(4, seq) == total / denominator
+    assert generalized_transform(4, seq) == replayed_transform(4, seq)
+
+
+nonzero_values = st.one_of(
+    st.integers(-1000, 1000), st.fractions(max_denominator=1000)
+).filter(lambda v: v != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 7), values=st.lists(nonzero_values, min_size=7, max_size=7))
+def test_generalized_transform_matches_per_tree_replay(k, values):
+    seq = SequenceSpec(values)
+    value = generalized_transform(k, seq)
+    assert type(value) is Fraction
+    assert value == replayed_transform(k, seq)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_tree_terms_have_degree_of_the_scaling(k):
+    # each term is a product of (k-1)(k-2)/2 values, so with every value 2
+    # it is that power of 2; the denominator has k(k+1)/2 values, whence
+    # the d^-(2k-1) scaling of the transform
+    twos = SequenceSpec([2] * k)
+    for tree in enumerate_trees(k):
+        assert tree_term(tree, twos) == 2 ** ((k - 1) * (k - 2) // 2)
+
+
+SCALING_BASE = [Fraction(1, 2), 3, Fraction(-2, 5), 7, Fraction(9, 11), -4,
+                Fraction(13, 6), 1, Fraction(-8, 3), 5, Fraction(17, 10), -2]
+
+
+@pytest.mark.parametrize("c", [-3, Fraction(5, 7)])
+def test_transform_scales_by_inverse_power(c):
+    seq = SequenceSpec(SCALING_BASE)
+    scaled = SequenceSpec([c * v for v in SCALING_BASE])
+    for k in range(1, 13):
+        factor = Fraction(c) ** -(2 * k - 1)
+        assert generalized_transform(k, scaled) == factor * generalized_transform(k, seq)
+        if k <= 7:
+            assert replayed_transform(k, scaled) == factor * replayed_transform(k, seq)
 
 
 def test_sequence_spec_errors():
