@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import trees, verify, zeta
+from .polynomials import polynomial_text
 from .recursion import numerator_polynomial, translated_polynomial, zeta_numerator
 from .sequences import ODD_NUMBERS, SequenceSpec
 
@@ -25,12 +26,14 @@ __all__ = ["main", "OutputRecord"]
 
 # Largest k each command accepts.  Each bound keeps the command's slowest
 # form within about 4.5 s end to end (2-vCPU host, Python 3.11.7): ak 3.9 s,
-# pk --translated --half-scale 4.1 s, zeta-even 3.4 s, bernoulli 2.7 s
-# (recursion) and 4.1 s (classical).  The library functions stay unbounded.
+# pk --translated --half-scale 2.6 s, zeta-even 3.4 s, bernoulli 2.7 s
+# (recursion) and 4.1 s (classical).  The tree route's bound is the
+# library's TRANSFORM_MAX, set by `transform` over 3-digit rationals.  The
+# recursion and classical library functions stay unbounded.
 AK_MAX = 160
 PK_MAX = 130
 ZETA_EVEN_MAX = 160
-BERNOULLI_MAX = {"recursion": 160, "tree": trees.TREE_SUM_MAX, "classical": 350}
+BERNOULLI_MAX = {"recursion": 160, "tree": trees.TRANSFORM_MAX, "classical": 350}
 
 
 @dataclass
@@ -119,12 +122,11 @@ def _cmd_pk(args) -> int:
         poly = translated_polynomial(args.k, half_scale=args.half_scale)
     else:
         poly = numerator_polynomial(args.k)
-    record = OutputRecord(
-        "pk",
-        inputs,
-        {"coefficients": poly.coefficient_strings(), "text": str(poly)},
-    )
-    _emit(record, [str(poly)], args.format)
+    # decimal conversion of the coefficients dominates at large k: do it once
+    strings = poly.coefficient_strings()
+    text = polynomial_text(strings)
+    record = OutputRecord("pk", inputs, {"coefficients": strings, "text": text})
+    _emit(record, [text], args.format)
     return 0
 
 
@@ -187,9 +189,9 @@ def _cmd_trees(args) -> int:
 
 def _cmd_transform(args) -> int:
     inputs = {"k": args.k, "sequence": args.sequence}
-    if not 1 <= args.k <= trees.TREE_SUM_MAX:
+    if not 1 <= args.k <= trees.TRANSFORM_MAX:
         return _fail(
-            args, "transform", inputs, f"--k must be within 1..{trees.TREE_SUM_MAX}"
+            args, "transform", inputs, f"--k must be within 1..{trees.TRANSFORM_MAX}"
         )
     seq = ODD_NUMBERS
     if args.sequence is not None:
@@ -312,7 +314,7 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_trees)
 
     p = sub.add_parser("transform", help="tree-sum transform of a value sequence")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"1..{trees.TRANSFORM_MAX}")
     p.add_argument("--sequence", metavar="FILE", default=None,
                    help="text file, one rational per line (default: odd numbers)")
     add_common(p)
@@ -320,7 +322,12 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=verify.suite_names(), default="all")
-    p.add_argument("--max-k", dest="max_k", type=int, default=None)
+    p.add_argument(
+        "--max-k", dest="max_k", type=int, default=None,
+        help="largest k checked, within the suite's bound: " + ", ".join(
+            f"{name} 1..{suite.hard_max_k}" for name, suite in verify.SUITES.items()
+        ),
+    )
     add_common(p)
     p.set_defaults(run=_cmd_verify)
 

@@ -22,7 +22,7 @@ from .rationals import is_exact
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["Polynomial", "InexactDivisionError", "X", "ONE", "ZERO"]
+__all__ = ["Polynomial", "InexactDivisionError", "polynomial_text", "X", "ONE", "ZERO"]
 
 
 class InexactDivisionError(ArithmeticError):
@@ -148,28 +148,32 @@ class Polynomial:
     # -- canonical text / JSON forms -----------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = "x" if i == 1 else f"x^{i}"
-            else:
-                body = f"{mag}*x" if i == 1 else f"{mag}*x^{i}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return polynomial_text(self.coefficient_strings())
 
     def coefficient_strings(self) -> list[str]:
         """Ascending coefficients as canonical rational strings (JSON form)."""
         return [str(c) for c in self.coeffs]
+
+
+def polynomial_text(strings: list[str]) -> str:
+    """The text form, e.g. "65 + 60*x + 40*x^2", from the ascending coefficient strings."""
+    parts: list[str] = []
+    for i, text in enumerate(strings):
+        if text == "0":
+            continue
+        negative = text.startswith("-")
+        mag = text[1:] if negative else text
+        if i == 0:
+            body = mag
+        elif mag == "1":
+            body = "x" if i == 1 else f"x^{i}"
+        else:
+            body = f"{mag}*x" if i == 1 else f"{mag}*x^{i}"
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(parts) or "0"
 
 
 ZERO = Polynomial()

@@ -86,18 +86,6 @@ class IndexSet:
     def product(self, seq: SequenceSpec = ODD_NUMBERS):
         return seq.product(self.indices)
 
-    @property
-    def mask(self) -> int:
-        """Bitmask with bit n-1 set for each position n (kernel interchange form)."""
-        m = 0
-        for n in self.indices:
-            m |= 1 << (n - 1)
-        return m
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "IndexSet":
-        return cls(n + 1 for n in range(mask.bit_length()) if (mask >> n) & 1)
-
 
 def first_indices(k: int) -> IndexSet:
     """Positions {1..k}, i.e. the odd values {3, 5, ..., 2k+1}; empty for k = 0."""

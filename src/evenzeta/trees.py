@@ -22,17 +22,27 @@ shifted low set) over all k-vertex trees yields the zeta numerator;
 keeping the low sets as polynomial factors instead reproduces the k-th
 recursion polynomial term by term.
 
-The future of the replay depends only on the current low set (its size
-fixes the level of the last vertex), so whole families are aggregated by
-folding weights per low set one vertex at a time (the generating-tree /
-transfer-matrix method) instead of walking the C_{k-1} trees one by one.
+Summed over a whole family, the replay regroups by first return.  The
+positions outside the low set (the holes) behave as a stack: each step
+ages every hole by one and pushes a new one, then drops some of the
+newest, and a history's weight is a constant times factors over the
+(hole, time) pairs, which nest like parentheses.  Splitting each history
+at its first return therefore gives the weighted Catalan convolution
 
-Each tree's term, its weight times the product over its shifted low set,
-is a product of (k-1)(k-2)/2 values, and the transform's denominator is
-a product of k(k+1)/2.  Scaling every value by d therefore scales the transform by
-d^-(2k-1), so a rational sequence is folded as the integers d*R_n (d the
-least common multiple of the denominators) and divided back once at the
-end: the fold never builds a Fraction.
+    c_0 = 1,   c_d = (1/R_{d+1}) * sum_{m=0}^{d-1} c_m * c_{d-1-m},   T_k = c_{k-1} / R_1^k
+
+for the transform T_k: O(k^2) operations in place of C_{k-1} trees
+(Flajolet, "Combinatorial aspects of continued fractions", Discrete Math.
+32 (1980): path weights that factor over nested steps give convolution
+and continued-fraction forms).  With every R_n = 1 it is the Catalan
+recurrence, so T_k counts the trees; for the odd sequence it is Euler's
+identity (n + 1/2) zeta(2n) = sum_{j=1}^{n-1} zeta(2j) zeta(2n-2j).  For
+the polynomial, the holes still open at the end carry linear factors in
+place of values (see polynomial_via_trees).
+
+This is still the tree route, the same sum over the same trees, only
+regrouped.  It shares no code with the operator recursion or with the
+classical Bernoulli recursion, so their agreement stays a check.
 """
 
 from __future__ import annotations
@@ -42,12 +52,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .polynomials import Polynomial
-from .recursion import IndexSet, factor_product
+from .polynomials import ONE, Polynomial
+from .recursion import IndexSet
 from .sequences import ODD_NUMBERS, SequenceSpec, Value
 
-ENUMERATION_MAX = 16  # Catalan growth guard for tree streams
-TREE_SUM_MAX = 15  # guard for whole-family aggregations
+# Largest k of each route.  ENUMERATION_MAX guards the Catalan growth of
+# tree streams; the other two keep one call within about 4.5 s end to end
+# in a fresh process (2-vCPU host, Python 3.11.7): `transform --k 240 --format
+# json` over 3-digit rationals 3.4-4.0 s, polynomial_via_trees(85) 3.4-4.2 s.
+ENUMERATION_MAX = 16
+TRANSFORM_MAX = 240
+TREE_SUM_MAX = 85
 
 __all__ = [
     "PlaneTree",
@@ -58,12 +73,19 @@ __all__ = [
     "polynomial_via_trees",
     "generalized_transform",
     "ENUMERATION_MAX",
+    "TRANSFORM_MAX",
     "TREE_SUM_MAX",
 ]
 
 
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
+
+
+def _check_bound(k: int, lo: int, hi: int) -> None:
+    # no tree count in the message: C(k-1) of an unbounded k is unbounded too
+    if not lo <= k <= hi:
+        raise ValueError(f"k={k} outside {lo}..{hi}")
 
 
 @dataclass(frozen=True)
@@ -101,13 +123,7 @@ class TreeData:
 
 def enumerate_trees(k: int) -> Iterator[PlaneTree]:
     """All plane trees on k vertices, lazily, in lexicographic level order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > ENUMERATION_MAX:
-        raise ValueError(
-            f"k={k} would enumerate {catalan(k - 1)} trees, "
-            f"beyond the bound {ENUMERATION_MAX}"
-        )
+    _check_bound(k, 1, ENUMERATION_MAX)
 
     def rec(prefix: list[int]) -> Iterator[PlaneTree]:
         if len(prefix) == k - 1:
@@ -127,8 +143,8 @@ def enumerate_trees(k: int) -> Iterator[PlaneTree]:
 def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
     """Replay the attachment history of one tree (reference implementation).
 
-    The state fold aggregates the same recursion over whole families; this
-    per-tree version is what it is validated against.
+    The first-return recurrence sums the same replay over whole families;
+    this per-tree version is what it is validated against.
     """
     low: set[int] = set()
     high: set[int] = set()
@@ -146,61 +162,43 @@ def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
     return TreeData(low=IndexSet(low), high=IndexSet(high), weight=weight)
 
 
-def _low_weight_table(k: int, values: list) -> dict:
-    """Map each low mask reachable on k vertices to the summed weight of its trees.
+def _first_return_weights(values: list) -> list[Fraction]:
+    """c_0..c_{len(values)-1} of the first-return recurrence over R_1, R_2, ...
 
-    Sets of positions are bitmasks (bit n-1 marks position n) and values[n-1]
-    is the value at position n.  The replay of tree_data is folded by state:
-    states maps a low mask to the summed weight of the trees reaching it,
-    and grows by one vertex per step, so step t holds at most 2^(t-2)
-    states rather than C_{t-1} trees.
-
-    With s1 the shifted low mask of a tree on t-1 vertices, the positions
-    of {1..t-1} outside s1 are free.  A new vertex at level i puts the i-1
-    greatest free positions into high (with s1) and all but the i greatest
-    into low (with s1), and multiplies the weight by the values over the
-    high mask.  The low set then has t-1-i members, so its size fixes the
-    level of the last vertex and the mask alone is the state: its free
-    positions number one more than that level, and bound the next one.
+    c_0 = 1 and c_d = (1/R_{d+1}) * sum_{m<d} c_m * c_{d-1-m}; R_1 is not read.
     """
-    states: dict = {0: 1}  # the one tree on 2 vertices
-    for t in range(3, k + 1):
-        nxt: dict = {}
-        for low, wt in states.items():
-            s1 = low << 1
-            free = [n for n in range(t - 1) if not s1 >> n & 1]
-            for n in range(1, t - 1):
-                if s1 >> n & 1:
-                    wt = wt * values[n]
-            highs = [wt]  # highs[j]: weight with the j greatest free positions high
-            for n in reversed(free[1:]):
-                highs.append(highs[-1] * values[n])
-            mask = s1
-            for i in range(len(free), 0, -1):
-                nxt[mask] = nxt.get(mask, 0) + highs[i - 1]
-                mask |= 1 << free[len(free) - i]
-        states = nxt
-    return states
-
-
-def _check_sum_bound(k: int, lo: int = 2) -> None:
-    if not lo <= k <= TREE_SUM_MAX:
-        count = f" (k={k} means {catalan(k - 1)} trees)" if k >= 1 else ""
-        raise ValueError(f"k={k} outside {lo}..{TREE_SUM_MAX}{count}")
+    c = [Fraction(1)]
+    for d in range(1, len(values)):
+        c.append(sum(c[m] * c[d - 1 - m] for m in range(d)) / values[d])
+    return c
 
 
 def polynomial_via_trees(k: int) -> Polynomial:
     """The k-th recursion polynomial assembled as a tree sum.
 
-    Sums weight * factor_product(low, k-1) over all k-vertex trees, after
-    folding the trees by low set so each distinct factor is expanded once.
+    The holes left open by the first-return decomposition carry the linear
+    factors w_a(x) = 2x - 2(k-1) + R_a instead of values, so
+
+        G_0 = 1,   G_d = sum_{i<d} c_{d-1-i} * G_i * prod_{j=i+1}^{d-1} w_j
+
+    (by Horner in i), and P_k is G_{k-1} times prod_{m=1}^{k-2} R_2...R_{m+1}.
     """
-    _check_sum_bound(k)
-    table = _low_weight_table(k, ODD_NUMBERS.values_upto(k))
-    out = Polynomial()
-    for mask in sorted(table):
-        out = out + table[mask] * factor_product(IndexSet.from_mask(mask), k - 1)
-    return out
+    _check_bound(k, 2, TREE_SUM_MAX)
+    values = ODD_NUMBERS.values_upto(k)
+    c = _first_return_weights(values)
+    w = [Polynomial((r - 2 * (k - 1), 2)) for r in values]  # w[a-1] is w_a
+    g = [ONE]
+    for d in range(1, k):
+        acc = c[d - 1] * g[0]
+        for i in range(1, d):
+            acc = acc * w[i - 1] + c[d - 1 - i] * g[i]
+        g.append(acc)
+    scale = 1
+    running = 1
+    for r in values[1 : k - 1]:
+        running *= r
+        scale *= running
+    return scale * g[k - 1]
 
 
 def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
@@ -212,29 +210,11 @@ def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
         -----------------------------------------------------------
         prod_{j=1}^{k} (product of the values at positions 1..j)
 
-    For the default odd sequence this equals 2*zeta(2k)/pi^(2k), and the
-    value times double_factorial_product(k) is the zeta numerator A_k.
-
-    Every numerator term has degree (k-1)(k-2)/2 in the values and the
-    denominator has degree k(k+1)/2, so the transform of d*R is d^-(2k-1)
-    times that of R.  The fold runs on the integers d*R_1..d*R_k, with d
-    the least common multiple of their denominators (1 for an integer
-    sequence), and the one factor d^(2k-1) restores the transform of R as
-    a reduced Fraction.
+    as c_{k-1} / R_1^k, the trees regrouped by first return (see the module
+    docstring).  For the default odd sequence this equals
+    2*zeta(2k)/pi^(2k), and the value times double_factorial_product(k) is
+    the zeta numerator A_k.
     """
-    _check_sum_bound(k, 1)
+    _check_bound(k, 1, TRANSFORM_MAX)
     values = seq.values_upto(k)  # validates presence and nonzero-ness
-    scale = math.lcm(*(v.denominator for v in values))
-    values = [v.numerator * (scale // v.denominator) for v in values]
-    numerator = 0
-    for mask, wt in _low_weight_table(k, values).items():
-        for n in range(mask.bit_length()):
-            if mask >> n & 1:
-                wt *= values[n + 1]  # bit n is position n+1, shifted to n+2
-        numerator += wt
-    denominator = 1
-    running = 1
-    for v in values:
-        running *= v
-        denominator *= running
-    return Fraction(numerator * scale ** (2 * k - 1), denominator)
+    return _first_return_weights(values)[k - 1] / values[0] ** k

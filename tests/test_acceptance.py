@@ -104,11 +104,12 @@ def test_criterion_3_bernoulli_oracle_agreement():
 
 def test_criterion_4_tree_sum_equivalence():
     def body():
-        for k in range(2, 13):
+        for k in range(2, 31):
             assert polynomial_via_trees(k) == numerator_polynomial(k)
+        for k in range(1, 101):
             assert generalized_transform(k) * double_factorial_product(k) == zeta_numerator(k)
 
-    _criterion("criterion 4: tree-sum equivalence k<=12", 30, body)
+    _criterion("criterion 4: tree polynomial k<=30, tree numerator k<=100", 30, body)
 
 
 def test_criterion_5_coefficient_recursion_equivalence():

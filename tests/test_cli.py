@@ -6,6 +6,8 @@ import pytest
 from evenzeta.cli import AK_MAX, BERNOULLI_MAX, PK_MAX, ZETA_EVEN_MAX, main
 from evenzeta.polynomials import InexactDivisionError
 from evenzeta.recursion import ConsistencyError
+from evenzeta.trees import TRANSFORM_MAX
+from evenzeta.verify import SUITES
 
 PUBLISHED_SEQUENCE = [
     "1",
@@ -78,12 +80,6 @@ def test_bernoulli_methods(capsys, k, method, expected):
     assert out.strip() == expected
 
 
-def test_bernoulli_tree_bound(capsys):
-    code, _, err = run(capsys, "bernoulli", "--k", "16", "--method", "tree")
-    assert code == 2
-    assert "15" in err
-
-
 @pytest.mark.parametrize(
     "argv,bound",
     [
@@ -92,6 +88,8 @@ def test_bernoulli_tree_bound(capsys):
         (["zeta-even", "--k"], ZETA_EVEN_MAX),
         (["bernoulli", "--method", "recursion", "--k"], BERNOULLI_MAX["recursion"]),
         (["bernoulli", "--method", "classical", "--k"], BERNOULLI_MAX["classical"]),
+        (["bernoulli", "--method", "tree", "--k"], BERNOULLI_MAX["tree"]),
+        (["transform", "--k"], TRANSFORM_MAX),
     ],
 )
 def test_k_past_command_bound_is_rejected(capsys, argv, bound):
@@ -223,9 +221,13 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_verify_bad_bound(capsys):
-    code, _, err = run(capsys, "verify", "--suite", "trees", "--max-k", "99")
+    bound = SUITES["trees"].hard_max_k
+    code, _, err = run(capsys, "verify", "--suite", "trees", "--max-k", str(bound + 1))
     assert code == 2
-    assert "max_k" in err
+    assert f"between 1 and {bound}" in err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert f"trees 1..{bound}" in capsys.readouterr().out
 
 
 def test_usage_error_exit_code():

@@ -38,7 +38,6 @@ def test_index_set_basics():
     assert s.values() == (3, 7)
     assert s.product() == 21
     assert IndexSet().product() == 1
-    assert IndexSet.from_mask(s.mask) == s
     with pytest.raises(ValueError):
         IndexSet([0, 1])
     with pytest.raises(ValueError):

@@ -9,8 +9,10 @@ from evenzeta.rationals import double_factorial_product
 from evenzeta.recursion import IndexSet, numerator_polynomial, zeta_numerator
 from evenzeta.sequences import ODD_NUMBERS, SequenceSpec
 from evenzeta.trees import (
+    ENUMERATION_MAX,
+    TRANSFORM_MAX,
+    TREE_SUM_MAX,
     PlaneTree,
-    _low_weight_table,
     catalan,
     enumerate_trees,
     generalized_transform,
@@ -42,7 +44,7 @@ def test_enumeration_order_and_bounds():
     seqs = [t.levels for t in enumerate_trees(4)]
     assert seqs == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
     assert seqs == sorted(seqs)
-    with pytest.raises(ValueError, match=str(catalan(16))):
+    with pytest.raises(ValueError, match=r"^k=17 outside 1\.\.16$"):
         list(enumerate_trees(17))
 
 
@@ -99,17 +101,32 @@ def test_tree_sums_match_recursion(k):
 
 
 def test_tree_sum_bounds():
-    with pytest.raises(ValueError, match="15"):
-        polynomial_via_trees(16)
-    with pytest.raises(ValueError, match="15"):
-        generalized_transform(16)
+    with pytest.raises(ValueError, match=f"k={TREE_SUM_MAX + 1} outside 2..{TREE_SUM_MAX}"):
+        polynomial_via_trees(TREE_SUM_MAX + 1)
+    with pytest.raises(ValueError, match=f"k={TRANSFORM_MAX + 1} outside 1..{TRANSFORM_MAX}"):
+        generalized_transform(TRANSFORM_MAX + 1)
     with pytest.raises(ValueError):
         polynomial_via_trees(1)
     for k in (0, -1):
-        with pytest.raises(ValueError, match=f"k={k} outside 2..15"):
+        with pytest.raises(ValueError, match=f"k={k} outside 2..{TREE_SUM_MAX}"):
             polynomial_via_trees(k)
-        with pytest.raises(ValueError, match=f"k={k} outside 1..15"):
+        with pytest.raises(ValueError, match=f"k={k} outside 1..{TRANSFORM_MAX}"):
             generalized_transform(k)
+
+
+@pytest.mark.parametrize(
+    "call,lo,hi",
+    [
+        (polynomial_via_trees, 2, TREE_SUM_MAX),
+        (generalized_transform, 1, TRANSFORM_MAX),
+        (lambda k: list(enumerate_trees(k)), 1, ENUMERATION_MAX),
+    ],
+    ids=["polynomial_via_trees", "generalized_transform", "enumerate_trees"],
+)
+def test_bound_message_counts_no_trees(call, lo, hi):
+    # C(k-1) of k = 10**4 has 6000 digits: the message states the bound only
+    with pytest.raises(ValueError, match=rf"^k=10000 outside {lo}\.\.{hi}$"):
+        call(10**4)
 
 
 def test_polynomial_via_trees_base_case():
@@ -129,19 +146,68 @@ def test_leading_coefficient_comes_from_level_one_trees(k):
     assert restricted * 2 ** (k - 2) == numerator_polynomial(k).coeffs[-1]
 
 
+def low_weight_table(k, values):
+    """Reference fold: map each low mask on k vertices to the summed weight of its trees.
+
+    Sets of positions are bitmasks (bit n-1 marks position n) and values[n-1]
+    is the value at position n.  The replay of tree_data is folded by state:
+    states maps a low mask to the summed weight of the trees reaching it,
+    and grows by one vertex per step, so step t holds at most 2^(t-2)
+    states rather than C_{t-1} trees.
+
+    With s1 the shifted low mask of a tree on t-1 vertices, the positions
+    of {1..t-1} outside s1 are free.  A new vertex at level i puts the i-1
+    greatest free positions into high (with s1) and all but the i greatest
+    into low (with s1), and multiplies the weight by the values over the
+    high mask.  The low set then has t-1-i members, so its size fixes the
+    level of the last vertex and the mask alone is the state: its free
+    positions number one more than that level, and bound the next one.
+    """
+    states = {0: 1}  # the one tree on 2 vertices
+    for t in range(3, k + 1):
+        nxt = {}
+        for low, wt in states.items():
+            s1 = low << 1
+            free = [n for n in range(t - 1) if not s1 >> n & 1]
+            for n in range(1, t - 1):
+                if s1 >> n & 1:
+                    wt = wt * values[n]
+            highs = [wt]  # highs[j]: weight with the j greatest free positions high
+            for n in reversed(free[1:]):
+                highs.append(highs[-1] * values[n])
+            mask = s1
+            for i in range(len(free), 0, -1):
+                nxt[mask] = nxt.get(mask, 0) + highs[i - 1]
+                mask |= 1 << free[len(free) - i]
+        states = nxt
+    return states
+
+
+def folded_transform(k, seq):
+    # the transform from the reference fold, in Fractions
+    values = seq.values_upto(k)
+    numerator = Fraction(0)
+    for mask, wt in low_weight_table(k, values).items():
+        for n in range(mask.bit_length()):
+            if mask >> n & 1:
+                wt *= values[n + 1]  # bit n is position n+1, shifted to n+2
+        numerator += wt
+    return numerator / value_tower(k, seq)
+
+
 def replayed_table(k, seq=ODD_NUMBERS):
     table = {}
     for tree in enumerate_trees(k):
         data = tree_data(tree, seq)
-        mask = data.low.mask
+        mask = sum(1 << (n - 1) for n in data.low)
         table[mask] = table.get(mask, 0) + data.weight
     return table
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_kernel_table_matches_per_tree_replay(k):
-    # dual route: the state fold vs the reference per-tree replay
-    assert replayed_table(k) == _low_weight_table(k, ODD_NUMBERS.values_upto(k))
+    # dual reference: the state fold vs the per-tree replay
+    assert replayed_table(k) == low_weight_table(k, ODD_NUMBERS.values_upto(k))
 
 
 nonzero_fractions = st.fractions(max_denominator=50).filter(lambda v: v != 0)
@@ -151,7 +217,7 @@ nonzero_fractions = st.fractions(max_denominator=50).filter(lambda v: v != 0)
 @given(k=st.integers(1, 7), values=st.lists(nonzero_fractions, min_size=7, max_size=7))
 def test_fold_matches_per_tree_replay_on_rational_sequences(k, values):
     seq = SequenceSpec(values)
-    assert _low_weight_table(k, seq.values_upto(k)) == replayed_table(k, seq)
+    assert low_weight_table(k, seq.values_upto(k)) == replayed_table(k, seq)
 
 
 def test_generalized_transform_default_values():
@@ -177,13 +243,18 @@ def tree_term(tree, seq):
     return Fraction(data.weight) * data.low.shifted().product(seq)
 
 
-def replayed_transform(k, seq):
-    # the route's reference: per-tree replay over the whole family, in Fractions
-    total = sum((tree_term(t, seq) for t in enumerate_trees(k)), Fraction(0))
+def value_tower(k, seq):
+    # the transform's denominator: prod_{j=1}^{k} (product of the values at 1..j)
     denominator = Fraction(1)
     for j in range(1, k + 1):
         denominator *= seq.product(range(1, j + 1))
-    return total / denominator
+    return denominator
+
+
+def replayed_transform(k, seq):
+    # the route's reference: per-tree replay over the whole family, in Fractions
+    total = sum((tree_term(t, seq) for t in enumerate_trees(k)), Fraction(0))
+    return total / value_tower(k, seq)
 
 
 def test_generalized_transform_rational_sequence_routes_agree():
@@ -203,6 +274,14 @@ def test_generalized_transform_matches_per_tree_replay(k, values):
     value = generalized_transform(k, seq)
     assert type(value) is Fraction
     assert value == replayed_transform(k, seq)
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(8, 12), values=st.lists(nonzero_values, min_size=12, max_size=12))
+def test_generalized_transform_matches_reference_fold(k, values):
+    # the band above the per-tree replay's k <= 7
+    seq = SequenceSpec(values)
+    assert generalized_transform(k, seq) == folded_transform(k, seq)
 
 
 @pytest.mark.parametrize("k", range(1, 10))
