@@ -15,13 +15,10 @@ from .rationals import (
 )
 from .recursion import (
     ConsistencyError,
-    IndexSet,
     apply_step,
     basis_coefficients,
     expand_basis,
-    expand_step,
     factor_product,
-    first_indices,
     numerator_polynomial,
     shifted_product_identity,
     translated_polynomial,
@@ -38,10 +35,12 @@ from .symmetric import (
     symmetric_group,
 )
 from .trees import (
+    IndexSet,
     PlaneTree,
     TreeData,
     catalan,
     enumerate_trees,
+    expand_step,
     generalized_transform,
     polynomial_via_trees,
     tree_data,

@@ -308,7 +308,8 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_zeta_even)
 
     p = sub.add_parser("trees", help="plane trees with their low/high/weight data")
-    p.add_argument("--k", type=int, required=True, help="vertex count")
+    p.add_argument("--k", type=int, required=True,
+                   help=f"vertex count, 1..{trees.ENUMERATION_MAX}")
     p.add_argument("--list", action="store_true", help="list every tree")
     add_common(p)
     p.set_defaults(run=_cmd_trees)

@@ -10,36 +10,25 @@ The k-th step operator maps f to
     [ f(k) * prod_{i=1}^{k} (2x - 2k + 2i+1)  -  f(x) * prod_{i=1}^{k} (2i+1) ] / (2x - 2k)
 
 and the numerator always vanishes at x = k, so the division is exact.
-
-Index-set conventions: a set S of positions into the odd sequence (position
-n holds 2n+1) names the product f_{S}(x) = prod_{n in S} (2x - 2k + R_n)
-at a given offset k; shifting every member value by two is the position
-shift n -> n+1.  That convention is what lets the same combinatorics run
-over arbitrary sequences (see trees.generalized_transform).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .polynomials import ONE, Polynomial
 from .rationals import double_factorial_odd
-from .sequences import ODD_NUMBERS, SequenceSpec
 
 __all__ = [
-    "IndexSet",
     "ConsistencyError",
-    "first_indices",
     "factor_product",
     "apply_step",
     "numerator_polynomial",
     "zeta_numerator",
     "translated_polynomial",
-    "expand_step",
     "basis_coefficients",
     "expand_basis",
     "shifted_product_identity",
@@ -50,63 +39,23 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed (e.g. a value that must be a positive integer is not)."""
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """A strictly increasing set of positions (>= 1) into a value sequence."""
-
-    indices: tuple[int, ...]
-
-    def __init__(self, indices: Iterable[int] = ()):
-        idx = tuple(sorted(indices))
-        if any(n < 1 for n in idx):
-            raise ValueError(f"positions must be >= 1: {idx}")
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"duplicate positions: {idx}")
-        object.__setattr__(self, "indices", idx)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __contains__(self, n):
-        return n in self.indices
-
-    def __str__(self):
-        return "{" + ",".join(str(n) for n in self.indices) + "}"
-
-    def shifted(self) -> "IndexSet":
-        """Position shift n -> n+1 (the value shift by two for the odd sequence)."""
-        return IndexSet(n + 1 for n in self.indices)
-
-    def values(self, seq: SequenceSpec = ODD_NUMBERS) -> tuple:
-        return tuple(seq.value(n) for n in self.indices)
-
-    def product(self, seq: SequenceSpec = ODD_NUMBERS):
-        return seq.product(self.indices)
-
-
-def first_indices(k: int) -> IndexSet:
-    """Positions {1..k}, i.e. the odd values {3, 5, ..., 2k+1}; empty for k = 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return IndexSet(range(1, k + 1))
-
-
-def factor_product(s: IndexSet, k: int, seq: SequenceSpec = ODD_NUMBERS) -> Polynomial:
-    """prod_{n in s} (2x - 2k + R_n), the constant 1 for an empty set."""
-    out = ONE
-    for n in s:
-        out = out * Polynomial((seq.value(n) - 2 * k, 2))
-    return out
+def factor_product(positions: Iterable[int], k: int) -> Polynomial:
+    """prod_{n in positions} (2x - 2k + 2n+1), the constant 1 for no positions."""
+    coeffs = [1]
+    for n in positions:
+        c = 2 * n + 1 - 2 * k
+        nxt = [c * a for a in coeffs] + [0]  # times (c + 2x)
+        for i, a in enumerate(coeffs):
+            nxt[i + 1] += 2 * a
+        coeffs = nxt
+    return Polynomial(coeffs)
 
 
 def apply_step(f: Polynomial, k: int) -> Polynomial:
     """Apply the k-th step operator to f (see module docstring for the formula)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rising = factor_product(first_indices(k), k)
+    rising = factor_product(range(1, k + 1), k)
     numerator = f.evaluate(k) * rising - double_factorial_odd(k) * f
     return numerator.divide_linear_exact(k)
 
@@ -144,78 +93,45 @@ def translated_polynomial(k: int, *, half_scale: bool = False) -> Polynomial:
     return numerator_polynomial(k).compose_affine(a, k - Fraction(3, 2))
 
 
-def expand_step(s: IndexSet, k: int) -> list[tuple[int, IndexSet]]:
-    """Expand the k-th step operator applied to factor_product(s, k-1).
-
-    Requires s within positions {1..k-2}.  Returns (weight, low-set) terms,
-    one per j in 0..k-1-|s|: the low set is the shift of s plus the j
-    smallest unused positions in {1..k-1}, and the weight is the odd-value
-    product over the shift of s plus the (k-1-|s|-j) greatest unused
-    positions in {2..k}.  Assembling weight * factor_product(low, k) over
-    all terms reproduces apply_step exactly.
-
-    The two candidate pools {1..k-1} and {1..k} (resp. {2..k} and {1..k})
-    give identical selections for every j in range, because position 1 is
-    never among the greatest picks and position k never among the smallest;
-    the smaller pools are used here.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    allowed = set(range(1, k - 1))
-    if not set(s.indices) <= allowed:
-        raise ValueError(f"set {s} not within positions 1..{k - 2}")
-    shifted = set(s.shifted())
-    low_pool = [n for n in range(1, k) if n not in shifted]
-    high_pool = [n for n in range(2, k + 1) if n not in shifted]
-    m = k - 1 - len(s)
-    terms = []
-    for j in range(m + 1):
-        low = IndexSet(shifted | set(low_pool[:j]))
-        high_count = m - j
-        high = shifted | set(high_pool[len(high_pool) - high_count :] if high_count else [])
-        weight = 1
-        for n in high:
-            weight *= 2 * n + 1
-        terms.append((weight, low))
-    return terms
-
-
-def basis_coefficients(k: int) -> tuple[Fraction, ...]:
+def basis_coefficients(k: int) -> tuple[int, ...]:
     """Coefficients (c_0..c_{k-2}) of the k-th polynomial in its nested-product basis.
 
     The basis element for index i is prod_{j=1}^{i} (2x - 2(k-1) + 2j+1),
-    i.e. factor_product(first_indices(i), k-1).  Computed by the linear
+    i.e. factor_product(range(1, i + 1), k-1).  Computed by the linear
     recurrence
 
-        c_{i,k+1} = ( prod_{j=i+1}^{k-1} (2j+3) )
-                    * sum_{n=0}^{i} (2n+1)!! * sum_{m=n}^{k-2} c_{m,k} * 2^(m-n) * m!/n!
+        c_{i,k+1} = ( prod_{j=i+1}^{k-1} (2j+3) ) * sum_{n=0}^{i} (2n+1)!! * S_n,
+        S_n = sum_{m=n}^{k-2} c_{m,k} * 2^(m-n) * m!/n! = c_{n,k} + 2(n+1) * S_{n+1},
 
-    seeded with c_{0,2} = 1.  Observed to produce positive integers; kept
-    as exact rationals so nothing relies on that observation.
+    seeded with c_{0,2} = 1.  S_n does not depend on i, so each step is one
+    backward pass for S, a prefix sum over n and a suffix product over j:
+    O(k) integer operations per step, and the coefficients are positive
+    integers by construction.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    coeffs: list[Fraction] = [Fraction(1)]
+    coeffs = [1]
     for cur in range(2, k):
-        nxt: list[Fraction] = []
-        for i in range(cur):
-            prefactor = math.prod(2 * j + 3 for j in range(i + 1, cur))
-            total = Fraction(0)
-            for n in range(i + 1):
-                inner = Fraction(0)
-                for m in range(n, cur - 1):
-                    inner += (
-                        coeffs[m]
-                        * 2 ** (m - n)
-                        * Fraction(math.factorial(m), math.factorial(n))
-                    )
-                total += double_factorial_odd(n) * inner
-            nxt.append(prefactor * total)
+        s = [0] * cur  # s[cur-1] = 0: the sum over m in n..cur-2 is empty
+        for n in range(cur - 2, -1, -1):
+            s[n] = coeffs[n] + 2 * (n + 1) * s[n + 1]
+        prefix = []
+        total = 0
+        odd_df = 1
+        for n in range(cur):
+            odd_df *= 2 * n + 1  # (2n+1)!!
+            total += odd_df * s[n]
+            prefix.append(total)
+        nxt = [0] * cur
+        suffix = 1
+        for i in range(cur - 1, -1, -1):
+            nxt[i] = suffix * prefix[i]
+            suffix *= 2 * i + 3
         coeffs = nxt
     return tuple(coeffs)
 
 
-def expand_basis(coeffs: Iterable[Fraction], k: int) -> Polynomial:
+def expand_basis(coeffs: Iterable[int], k: int) -> Polynomial:
     """Assemble nested-product basis coefficients back into a polynomial."""
     out = Polynomial()
     basis = ONE

@@ -20,7 +20,7 @@ k-th vertex.  Then
 For the default odd sequence, summing weight * (value product over the
 shifted low set) over all k-vertex trees yields the zeta numerator;
 keeping the low sets as polynomial factors instead reproduces the k-th
-recursion polynomial term by term.
+recursion polynomial term by term (see expand_step).
 
 Summed over a whole family, the replay regroups by first return.  The
 positions outside the low set (the holes) behave as a stack: each step
@@ -50,10 +50,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .polynomials import ONE, Polynomial
-from .recursion import IndexSet
 from .sequences import ODD_NUMBERS, SequenceSpec, Value
 
 # Largest k of each route.  ENUMERATION_MAX guards the Catalan growth of
@@ -65,11 +64,13 @@ TRANSFORM_MAX = 240
 TREE_SUM_MAX = 85
 
 __all__ = [
+    "IndexSet",
     "PlaneTree",
     "TreeData",
     "catalan",
     "enumerate_trees",
     "tree_data",
+    "expand_step",
     "polynomial_via_trees",
     "generalized_transform",
     "ENUMERATION_MAX",
@@ -86,6 +87,40 @@ def _check_bound(k: int, lo: int, hi: int) -> None:
     # no tree count in the message: C(k-1) of an unbounded k is unbounded too
     if not lo <= k <= hi:
         raise ValueError(f"k={k} outside {lo}..{hi}")
+
+
+@dataclass(frozen=True)
+class IndexSet:
+    """A strictly increasing set of positions (>= 1) into a value sequence."""
+
+    indices: tuple[int, ...]
+
+    def __init__(self, indices: Iterable[int] = ()):
+        idx = tuple(sorted(indices))
+        if any(n < 1 for n in idx):
+            raise ValueError(f"positions must be >= 1: {idx}")
+        if len(set(idx)) != len(idx):
+            raise ValueError(f"duplicate positions: {idx}")
+        object.__setattr__(self, "indices", idx)
+
+    def __iter__(self):
+        return iter(self.indices)
+
+    def __len__(self):
+        return len(self.indices)
+
+    def __contains__(self, n):
+        return n in self.indices
+
+    def __str__(self):
+        return "{" + ",".join(str(n) for n in self.indices) + "}"
+
+    def shifted(self) -> "IndexSet":
+        """Position shift n -> n+1 (the value shift by two for the odd sequence)."""
+        return IndexSet(n + 1 for n in self.indices)
+
+    def values(self, seq: SequenceSpec = ODD_NUMBERS) -> tuple:
+        return tuple(seq.value(n) for n in self.indices)
 
 
 @dataclass(frozen=True)
@@ -140,6 +175,23 @@ def enumerate_trees(k: int) -> Iterator[PlaneTree]:
         yield from rec([1])
 
 
+def _replay_step(s1: set[int], k: int, j: int) -> tuple[set[int], set[int]]:
+    """The low and high sets of one replay step, for the k-th step operator.
+
+    s1 is the shifted low set.  low is s1 plus the j smallest positions of
+    {1..k-1} outside s1; high is s1 plus the k-1-|s1|-j greatest positions
+    of {2..k} outside s1.  The pools {1..k} would give the same picks for
+    every j in 0..k-1-|s1|: position 1 is never among the greatest and
+    position k never among the smallest.
+    """
+    low_pool = [n for n in range(1, k) if n not in s1]
+    high_pool = [n for n in range(2, k + 1) if n not in s1]
+    high_count = k - 1 - len(s1) - j
+    low = s1 | set(low_pool[:j])
+    high = s1 | set(high_pool[len(high_pool) - high_count :] if high_count else [])
+    return low, high
+
+
 def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
     """Replay the attachment history of one tree (reference implementation).
 
@@ -151,15 +203,32 @@ def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
     weight: Value = 1
     levels = tree.levels
     for t in range(3, tree.vertex_count + 1):
-        i = levels[t - 2]
         s1 = {n + 1 for n in low}
-        low_pool = [n for n in range(1, t - 1) if n not in s1]
-        high_pool = [n for n in range(2, t) if n not in s1]
-        need = (t - 1 - i) - len(s1)
-        high = s1 | set(high_pool[len(high_pool) - (i - 1) :] if i > 1 else [])
-        low = s1 | set(low_pool[:need])
+        # vertex t at level i is step t-1 of the operator, with i-1 high picks
+        low, high = _replay_step(s1, t - 1, t - 1 - levels[t - 2] - len(s1))
         weight = weight * seq.product(high)
     return TreeData(low=IndexSet(low), high=IndexSet(high), weight=weight)
+
+
+def expand_step(s: IndexSet, k: int) -> list[tuple[int, IndexSet]]:
+    """Expand the k-th step operator applied to prod_{n in s} (2x - 2(k-1) + 2n+1).
+
+    Requires s within positions {1..k-2}.  Returns (weight, low-set) terms,
+    one per j in 0..k-1-|s|, from the replay step with j smallest picks;
+    the weight is the odd-value product over the high set.  Assembling
+    weight * prod_{n in low} (2x - 2k + 2n+1) over all terms reproduces the
+    operator's action exactly, so the replay is checked against it.
+    """
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if not set(s.indices) <= set(range(1, k - 1)):
+        raise ValueError(f"set {s} not within positions 1..{k - 2}")
+    s1 = set(s.shifted())
+    terms = []
+    for j in range(k - len(s)):
+        low, high = _replay_step(s1, k, j)
+        terms.append((ODD_NUMBERS.product(high), IndexSet(low)))
+    return terms
 
 
 def _first_return_weights(values: list) -> list[Fraction]:

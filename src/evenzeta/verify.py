@@ -242,19 +242,24 @@ class _Suite:
     hard_max_k: int
 
 
-# The trees suite's hard bound keeps `verify --suite trees --max-k 44`
-# within about 4.5 s end to end (3.9-4.4 s on a 2-vCPU host, Python 3.11.7;
-# 45 took 4.1-5.6 s): it builds P_k by both routes for every k up to the bound.
+# Each hard bound keeps `verify --suite NAME --max-k BOUND --format json`
+# within about 4.5 s end to end in a fresh process (2-vCPU host, Python
+# 3.11.7; the host's speed drifted by up to 1.5x between runs): trees 44
+# 3.9-4.9 s (45 took 4.1-5.6 s), coeffs 100 2.3-4.1 s, bernoulli 175
+# 3.5-4.5 s, fn 800 3.6-3.9 s, positivity 96 3.8-4.1 s, leading 180
+# 4.1-4.3 s, lemma-2ni 145 3.2-4.0 s.  Each suite checks every k up to its
+# bound.  newton-girard and cycle-index keep 8: their random variable sets
+# have at most 8 variables, and symmetric.CYCLE_INDEX_MAX is 8.
 SUITES: dict[str, _Suite] = {
     "newton-girard": _Suite(_suite_newton_girard, 8, 8),
     "cycle-index": _Suite(_suite_cycle_index, 8, 8),
     "trees": _Suite(_suite_trees, 10, 44),
-    "coeffs": _Suite(_suite_coeffs, 12, 14),
-    "bernoulli": _Suite(_suite_bernoulli, 20, 64),
-    "fn": _Suite(_suite_fn, 10, 12),
-    "positivity": _Suite(_suite_positivity, 15, 20),
-    "leading": _Suite(_suite_leading, 12, 14),
-    "lemma-2ni": _Suite(_suite_lemma_2ni, 6, 12),
+    "coeffs": _Suite(_suite_coeffs, 12, 100),
+    "bernoulli": _Suite(_suite_bernoulli, 20, 175),
+    "fn": _Suite(_suite_fn, 10, 800),
+    "positivity": _Suite(_suite_positivity, 15, 96),
+    "leading": _Suite(_suite_leading, 12, 180),
+    "lemma-2ni": _Suite(_suite_lemma_2ni, 6, 145),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from evenzeta.cli import AK_MAX, BERNOULLI_MAX, PK_MAX, ZETA_EVEN_MAX, main
 from evenzeta.polynomials import InexactDivisionError
 from evenzeta.recursion import ConsistencyError
-from evenzeta.trees import TRANSFORM_MAX
+from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX
 from evenzeta.verify import SUITES
 
 PUBLISHED_SEQUENCE = [
@@ -248,7 +248,10 @@ def test_usage_error_json_record(capsys):
 def test_trees_bound(capsys):
     code, _, err = run(capsys, "trees", "--k", "40")
     assert code == 2
-    assert "16" in err
+    assert f"1..{ENUMERATION_MAX}" in err
+    with pytest.raises(SystemExit):
+        main(["trees", "--help"])
+    assert f"1..{ENUMERATION_MAX}" in capsys.readouterr().out
 
 
 # signed rationals with denominators up to 1000, read from the working directory

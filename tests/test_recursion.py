@@ -5,18 +5,17 @@ import pytest
 
 from evenzeta.polynomials import ONE, Polynomial
 from evenzeta.recursion import (
-    IndexSet,
     apply_step,
     basis_coefficients,
     expand_basis,
-    expand_step,
     factor_product,
-    first_indices,
     numerator_polynomial,
     shifted_product_identity,
     translated_polynomial,
     zeta_numerator,
 )
+from evenzeta.sequences import ODD_NUMBERS
+from evenzeta.trees import IndexSet, expand_step
 
 # the published opening of the integer sequence
 SEQUENCE = [
@@ -36,18 +35,12 @@ def test_index_set_basics():
     assert s.indices == (1, 3)
     assert s.shifted().indices == (2, 4)
     assert s.values() == (3, 7)
-    assert s.product() == 21
-    assert IndexSet().product() == 1
+    assert ODD_NUMBERS.product(s) == 21
+    assert ODD_NUMBERS.product(IndexSet()) == 1
     with pytest.raises(ValueError):
         IndexSet([0, 1])
     with pytest.raises(ValueError):
         IndexSet([2, 2])
-
-
-def test_first_indices():
-    assert first_indices(0) == IndexSet()
-    assert first_indices(1).values() == (3,)
-    assert first_indices(4).values() == (3, 5, 7, 9)
 
 
 def test_factor_product_examples():
@@ -145,11 +138,10 @@ def test_basis_expansion_matches_recursion(k):
 
 
 def test_basis_coefficients_observed_integrality():
-    # observation, not a library guarantee: the coefficients come out as
-    # positive integers throughout the tested range
-    for k in range(2, 13):
+    # the recurrence runs on ints, so every coefficient is a positive int
+    for k in range(2, 41):
         for c in basis_coefficients(k):
-            assert c.denominator == 1 and c > 0
+            assert type(c) is int and c > 0
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -162,5 +154,3 @@ def test_bounds():
         numerator_polynomial(0)
     with pytest.raises(ValueError):
         basis_coefficients(1)
-    with pytest.raises(ValueError):
-        first_indices(-1)

@@ -1,0 +1,61 @@
+"""The routes share no code: their agreement is a check only while each stands alone."""
+
+import ast
+from pathlib import Path
+
+import evenzeta
+
+SRC = Path(evenzeta.__file__).parent
+
+
+def _parse(module):
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _package_imports(module):
+    """Short names of the evenzeta modules that a module imports from."""
+    names = set()
+    for node in ast.walk(_parse(module)):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0 and not source.startswith("evenzeta"):
+                continue
+            source = source.removeprefix("evenzeta").lstrip(".")
+            if source:
+                names.add(source.split(".")[0])
+            else:  # from . import x
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("evenzeta."):
+                    names.add(alias.name.split(".")[1])
+    return names
+
+
+def _top_level_definitions(module):
+    return {
+        node.name
+        for node in _parse(module).body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+
+
+def test_trees_imports_no_other_route():
+    imports = _package_imports("trees")
+    assert "polynomials" in imports  # the scan sees the module's own imports
+    assert not imports & {"recursion", "zeta"}
+
+
+def test_recursion_imports_neither_trees_nor_sequences():
+    imports = _package_imports("recursion")
+    assert "polynomials" in imports
+    assert not imports & {"trees", "sequences"}
+
+
+REPLAY = {"IndexSet", "expand_step"}
+
+
+def test_replay_is_defined_only_in_trees():
+    assert REPLAY <= _top_level_definitions("trees")
+    owners = {path.stem for path in SRC.glob("*.py") if REPLAY & _top_level_definitions(path.stem)}
+    assert owners == {"trees"}

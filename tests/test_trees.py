@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from evenzeta.polynomials import ONE
 from evenzeta.rationals import double_factorial_product
-from evenzeta.recursion import IndexSet, numerator_polynomial, zeta_numerator
+from evenzeta.recursion import numerator_polynomial, zeta_numerator
 from evenzeta.sequences import ODD_NUMBERS, SequenceSpec
 from evenzeta.trees import (
     ENUMERATION_MAX,
     TRANSFORM_MAX,
     TREE_SUM_MAX,
+    IndexSet,
     PlaneTree,
     catalan,
     enumerate_trees,
@@ -90,7 +91,7 @@ def test_weighted_low_products_sum_to_numerator(k, expected):
     total = 0
     for tree in enumerate_trees(k):
         data = tree_data(tree)
-        total += data.weight * data.low.shifted().product()
+        total += data.weight * ODD_NUMBERS.product(data.low.shifted())
     assert total == expected
 
 
@@ -240,7 +241,7 @@ def test_generalized_transform_all_ones_regression():
 
 def tree_term(tree, seq):
     data = tree_data(tree, seq)
-    return Fraction(data.weight) * data.low.shifted().product(seq)
+    return Fraction(data.weight) * seq.product(data.low.shifted())
 
 
 def value_tower(k, seq):
