@@ -35,7 +35,6 @@ from .symmetric import (
     symmetric_group,
 )
 from .trees import (
-    IndexSet,
     PlaneTree,
     TreeData,
     catalan,

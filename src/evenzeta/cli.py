@@ -27,13 +27,15 @@ __all__ = ["main", "OutputRecord"]
 # Largest k each command accepts.  Each bound keeps the command's slowest
 # form within about 4.5 s end to end (2-vCPU host, Python 3.11.7): ak 3.9 s,
 # pk --translated --half-scale 2.6 s, zeta-even 3.4 s, bernoulli 2.7 s
-# (recursion) and 4.1 s (classical).  The tree route's bound is the
-# library's TRANSFORM_MAX, set by `transform` over 3-digit rationals.  The
-# recursion and classical library functions stay unbounded.
+# (recursion) and 4.1 s (classical), trees --list --format json 2.5 s (k = 12
+# took 10.7 s).  The tree route's bound is the library's TRANSFORM_MAX, set
+# by `transform` over 3-digit rationals.  The recursion and classical
+# library functions stay unbounded.
 AK_MAX = 160
 PK_MAX = 130
 ZETA_EVEN_MAX = 160
 BERNOULLI_MAX = {"recursion": 160, "tree": trees.TRANSFORM_MAX, "classical": 350}
+TREES_LIST_MAX = 11
 
 
 @dataclass
@@ -155,10 +157,11 @@ def _cmd_zeta_even(args) -> int:
 
 def _cmd_trees(args) -> int:
     inputs = {"k": args.k, "list": args.list}
-    if not 1 <= args.k <= trees.ENUMERATION_MAX:
-        return _fail(
-            args, "trees", inputs, f"--k must be within 1..{trees.ENUMERATION_MAX}"
-        )
+    # the count is a closed form; the listing holds every tree's record
+    bound = TREES_LIST_MAX if args.list else trees.ENUMERATION_MAX
+    if not 1 <= args.k <= bound:
+        form = " with --list" if args.list else ""
+        return _fail(args, "trees", inputs, f"--k must be within 1..{bound}{form}")
     count = trees.catalan(args.k - 1)
     result: dict = {"count": count}
     lines: list[str] = []
@@ -166,18 +169,14 @@ def _cmd_trees(args) -> int:
         listing = []
         for tree in trees.enumerate_trees(args.k):
             data = trees.tree_data(tree)
+            low = [str(ODD_NUMBERS.value(n)) for n in data.low]
+            high = [str(ODD_NUMBERS.value(n)) for n in data.high]
+            weight = str(data.weight)
             listing.append(
-                {
-                    "levels": list(tree.levels),
-                    "low": [str(v) for v in data.low.values(ODD_NUMBERS)],
-                    "high": [str(v) for v in data.high.values(ODD_NUMBERS)],
-                    "weight": str(data.weight),
-                }
+                {"levels": list(tree.levels), "low": low, "high": high, "weight": weight}
             )
-            low = ",".join(str(v) for v in data.low.values(ODD_NUMBERS))
-            high = ",".join(str(v) for v in data.high.values(ODD_NUMBERS))
             lines.append(
-                f"levels={tree} low={{{low}}} high={{{high}}} wt={data.weight}"
+                f"levels={tree} low={{{','.join(low)}}} high={{{','.join(high)}}} wt={weight}"
             )
         result["trees"] = listing
     else:
@@ -309,7 +308,8 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
 
     p = sub.add_parser("trees", help="plane trees with their low/high/weight data")
     p.add_argument("--k", type=int, required=True,
-                   help=f"vertex count, 1..{trees.ENUMERATION_MAX}")
+                   help=f"vertex count, 1..{trees.ENUMERATION_MAX} "
+                   f"(1..{TREES_LIST_MAX} with --list)")
     p.add_argument("--list", action="store_true", help="list every tree")
     add_common(p)
     p.set_defaults(run=_cmd_trees)
@@ -327,7 +327,7 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
         "--max-k", dest="max_k", type=int, default=None,
         help="largest k checked, within the suite's bound: " + ", ".join(
             f"{name} 1..{suite.hard_max_k}" for name, suite in verify.SUITES.items()
-        ),
+        ) + f", all 1..{verify.ALL_MAX_K}",
     )
     add_common(p)
     p.set_defaults(run=_cmd_verify)
@@ -336,9 +336,19 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # A_75 and beyond pass the default 4300-digit int-to-str limit.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # A_75 and beyond pass the default 4300-digit int-to-str limit: lift it
+    # for this call only, so that a calling process keeps its own limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: Optional[list[str]]) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _build_parser(_json_requested(argv)).parse_args(argv)

@@ -72,6 +72,4 @@ def double_factorial_product(k: int) -> int:
     """prod_{i=1}^{k} (2i+1)!!, the denominator tower of the even zeta values."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return 1
-    return double_factorial_product(k - 1) * double_factorial_odd(k)
+    return math.prod(double_factorial_odd(i) for i in range(1, k + 1))

@@ -1,11 +1,11 @@
-"""Value sequences feeding the index-set combinatorics.
+"""Value sequences for the tree route.
 
-Index sets store positions n = 1, 2, 3, ... into an abstract sequence of
-nonzero values; a SequenceSpec supplies the value at each position.  The
-default sequence is the odd numbers 3, 5, 7, ... (value 2n+1 at position n),
-and the "shift by two" operation on a set of odd values is then exactly the
-position shift n -> n+1, which is how the shift generalizes to arbitrary
-sequences.
+The tree replay works on positions n = 1, 2, 3, ... into an abstract
+sequence of nonzero values; a SequenceSpec supplies the value at each
+position.  The default sequence is the odd numbers 3, 5, 7, ... (value 2n+1
+at position n), and the "shift by two" operation on a set of odd values is
+then exactly the position shift n -> n+1, which is how the shift
+generalizes to arbitrary sequences.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .rationals import is_exact
+
 __all__ = [
     "VariableSet",
     "Permutation",
@@ -31,12 +33,16 @@ CYCLE_INDEX_MAX = 8  # factorial enumeration guard
 
 @dataclass(frozen=True)
 class VariableSet:
-    """A finite tuple of rational variable values z_1..z_N."""
+    """A finite tuple of rational variable values z_1..z_N (ints or Fractions)."""
 
     values: tuple[Fraction, ...]
 
     def __init__(self, values):
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(values)
+        for v in vals:
+            if not is_exact(v):
+                raise TypeError(f"variable {v!r} is not an int or a Fraction")
+        vals = tuple(Fraction(v) for v in vals)
         if not vals:
             raise ValueError("a variable set needs at least one variable")
         object.__setattr__(self, "values", vals)

@@ -9,9 +9,9 @@ C_{k-1}.  Deleting the last preorder vertex truncates the sequence by one,
 which turns the deletion recursion for the low/high sets into a
 left-to-right replay.
 
-Replay step, in index-set form (positions into the value sequence): let s1
-be the shifted low set of the k-1 vertex tree and i the level of the new
-k-th vertex.  Then
+Replay step, on sets of positions into the value sequence: let s1 be the
+shifted low set of the k-1 vertex tree and i the level of the new k-th
+vertex.  Then
 
     low  = s1 + enough smallest positions of {1..k-2} - s1 to reach k-1-i members
     high = s1 + the i-1 greatest positions of {2..k-1} - s1
@@ -64,7 +64,6 @@ TRANSFORM_MAX = 240
 TREE_SUM_MAX = 85
 
 __all__ = [
-    "IndexSet",
     "PlaneTree",
     "TreeData",
     "catalan",
@@ -87,40 +86,6 @@ def _check_bound(k: int, lo: int, hi: int) -> None:
     # no tree count in the message: C(k-1) of an unbounded k is unbounded too
     if not lo <= k <= hi:
         raise ValueError(f"k={k} outside {lo}..{hi}")
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """A strictly increasing set of positions (>= 1) into a value sequence."""
-
-    indices: tuple[int, ...]
-
-    def __init__(self, indices: Iterable[int] = ()):
-        idx = tuple(sorted(indices))
-        if any(n < 1 for n in idx):
-            raise ValueError(f"positions must be >= 1: {idx}")
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"duplicate positions: {idx}")
-        object.__setattr__(self, "indices", idx)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __contains__(self, n):
-        return n in self.indices
-
-    def __str__(self):
-        return "{" + ",".join(str(n) for n in self.indices) + "}"
-
-    def shifted(self) -> "IndexSet":
-        """Position shift n -> n+1 (the value shift by two for the odd sequence)."""
-        return IndexSet(n + 1 for n in self.indices)
-
-    def values(self, seq: SequenceSpec = ODD_NUMBERS) -> tuple:
-        return tuple(seq.value(n) for n in self.indices)
 
 
 @dataclass(frozen=True)
@@ -149,10 +114,10 @@ class PlaneTree:
 
 @dataclass(frozen=True)
 class TreeData:
-    """Low/high sets and the accumulated weight of one plane tree."""
+    """Low/high positions (sorted) and the accumulated weight of one plane tree."""
 
-    low: IndexSet
-    high: IndexSet
+    low: tuple[int, ...]
+    high: tuple[int, ...]
     weight: Value
 
 
@@ -207,27 +172,29 @@ def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
         # vertex t at level i is step t-1 of the operator, with i-1 high picks
         low, high = _replay_step(s1, t - 1, t - 1 - levels[t - 2] - len(s1))
         weight = weight * seq.product(high)
-    return TreeData(low=IndexSet(low), high=IndexSet(high), weight=weight)
+    return TreeData(low=tuple(sorted(low)), high=tuple(sorted(high)), weight=weight)
 
 
-def expand_step(s: IndexSet, k: int) -> list[tuple[int, IndexSet]]:
+def expand_step(s: Iterable[int], k: int) -> list[tuple[int, tuple[int, ...]]]:
     """Expand the k-th step operator applied to prod_{n in s} (2x - 2(k-1) + 2n+1).
 
-    Requires s within positions {1..k-2}.  Returns (weight, low-set) terms,
-    one per j in 0..k-1-|s|, from the replay step with j smallest picks;
-    the weight is the odd-value product over the high set.  Assembling
+    s is any iterable of distinct positions within {1..k-2}.  Returns
+    (weight, low positions) terms, the positions sorted, one per j in
+    0..k-1-|s|, from the replay step with j smallest picks; the weight is
+    the odd-value product over the high set.  Assembling
     weight * prod_{n in low} (2x - 2k + 2n+1) over all terms reproduces the
     operator's action exactly, so the replay is checked against it.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if not set(s.indices) <= set(range(1, k - 1)):
-        raise ValueError(f"set {s} not within positions 1..{k - 2}")
-    s1 = set(s.shifted())
+    positions = sorted(s)
+    if len(set(positions)) != len(positions) or not set(positions) <= set(range(1, k - 1)):
+        raise ValueError(f"positions {positions} must be distinct and within 1..{k - 2}")
+    s1 = {n + 1 for n in positions}
     terms = []
-    for j in range(k - len(s)):
+    for j in range(k - len(positions)):
         low, high = _replay_step(s1, k, j)
-        terms.append((ODD_NUMBERS.product(high), IndexSet(low)))
+        terms.append((ODD_NUMBERS.product(high), tuple(sorted(low))))
     return terms
 
 

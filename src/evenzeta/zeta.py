@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rationals import double_factorial_product
+from .rationals import double_factorial_product, is_exact
 from .recursion import numerator_polynomial, zeta_numerator
 
 __all__ = [
@@ -45,6 +45,8 @@ class PiMultiple:
     power: int
 
     def __init__(self, coeff, power: int = 0):
+        if not is_exact(coeff):
+            raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
         coeff = Fraction(coeff)
         if power < 0 or power % 2:
             raise ValueError(f"pi power must be even and >= 0, got {power}")
@@ -75,7 +77,7 @@ class PiMultiple:
     def __mul__(self, other) -> "PiMultiple":
         if isinstance(other, PiMultiple):
             return PiMultiple(self.coeff * other.coeff, self.power + other.power)
-        if isinstance(other, (int, Fraction)):
+        if is_exact(other):
             return PiMultiple(self.coeff * other, self.power)
         return NotImplemented
 

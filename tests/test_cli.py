@@ -1,13 +1,14 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
-from evenzeta.cli import AK_MAX, BERNOULLI_MAX, PK_MAX, ZETA_EVEN_MAX, main
+from evenzeta.cli import AK_MAX, BERNOULLI_MAX, PK_MAX, TREES_LIST_MAX, ZETA_EVEN_MAX, main
 from evenzeta.polynomials import InexactDivisionError
 from evenzeta.recursion import ConsistencyError
 from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX
-from evenzeta.verify import SUITES
+from evenzeta.verify import ALL_MAX_K, SUITES
 
 PUBLISHED_SEQUENCE = [
     "1",
@@ -181,6 +182,18 @@ def test_ak_past_int_str_digit_limit(capsys):
     assert len(json.loads(out)["result"]["values"][-1]) == 4424
 
 
+def test_main_restores_int_str_digit_limit(capsys):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        code, out, _ = run(capsys, "ak", "--max", "75")
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 0
+    assert len(out.splitlines()[-1]) == 4424
+
+
 def test_json_error_record(capsys):
     code, out, _ = run(capsys, "zeta-even", "--k", "0", "--format", "json")
     assert code == 2
@@ -230,6 +243,15 @@ def test_verify_bad_bound(capsys):
     assert f"trees 1..{bound}" in capsys.readouterr().out
 
 
+def test_verify_all_bound(capsys):
+    code, _, err = run(capsys, "verify", "--suite", "all", "--max-k", str(ALL_MAX_K + 1))
+    assert code == 2
+    assert f"between 1 and {ALL_MAX_K}" in err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert f"all 1..{ALL_MAX_K}" in capsys.readouterr().out
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bernoulli"])  # missing required --k
@@ -252,6 +274,16 @@ def test_trees_bound(capsys):
     with pytest.raises(SystemExit):
         main(["trees", "--help"])
     assert f"1..{ENUMERATION_MAX}" in capsys.readouterr().out
+
+
+def test_trees_list_bound(capsys):
+    # the listing holds every tree's record, so it stops short of the count's bound
+    code, _, err = run(capsys, "trees", "--k", str(TREES_LIST_MAX + 1), "--list")
+    assert code == 2
+    assert f"1..{TREES_LIST_MAX} with --list" in err
+    with pytest.raises(SystemExit):
+        main(["trees", "--help"])
+    assert f"1..{TREES_LIST_MAX} with --list" in capsys.readouterr().out
 
 
 # signed rationals with denominators up to 1000, read from the working directory

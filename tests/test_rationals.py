@@ -84,6 +84,13 @@ def test_double_factorial_product():
         )
 
 
+def test_double_factorial_product_past_recursion_limit():
+    # one product, so a cold call needs no call depth per k; a recursion
+    # through the cache ran out of stack at k = 500
+    double_factorial_product.cache_clear()
+    assert double_factorial_product(500) % double_factorial_odd(500) == 0
+
+
 def test_double_factorial_rejects_negative():
     with pytest.raises(ValueError):
         double_factorial_odd(-1)

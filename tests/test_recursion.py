@@ -14,8 +14,7 @@ from evenzeta.recursion import (
     translated_polynomial,
     zeta_numerator,
 )
-from evenzeta.sequences import ODD_NUMBERS
-from evenzeta.trees import IndexSet, expand_step
+from evenzeta.trees import expand_step
 
 # the published opening of the integer sequence
 SEQUENCE = [
@@ -30,23 +29,10 @@ SEQUENCE = [
 ]
 
 
-def test_index_set_basics():
-    s = IndexSet([3, 1])
-    assert s.indices == (1, 3)
-    assert s.shifted().indices == (2, 4)
-    assert s.values() == (3, 7)
-    assert ODD_NUMBERS.product(s) == 21
-    assert ODD_NUMBERS.product(IndexSet()) == 1
-    with pytest.raises(ValueError):
-        IndexSet([0, 1])
-    with pytest.raises(ValueError):
-        IndexSet([2, 2])
-
-
 def test_factor_product_examples():
-    assert factor_product(IndexSet(), 5) == ONE
-    assert factor_product(IndexSet([1]), 2) == Polynomial((-1, 2))
-    assert factor_product(IndexSet([1, 2]), 3) == Polynomial((3, -8, 4))
+    assert factor_product((), 5) == ONE
+    assert factor_product((1,), 2) == Polynomial((-1, 2))
+    assert factor_product((1, 2), 3) == Polynomial((3, -8, 4))
 
 
 def test_apply_step_base_case():
@@ -101,14 +87,13 @@ def test_expand_step_first_term_is_shift():
             terms = expand_step(s, k)
             assert len(terms) == k - len(s)
             _, low0 = terms[0]
-            assert low0 == s.shifted()
+            assert low0 == tuple(n + 1 for n in s)
 
 
 def _subsets(k):
     base = range(1, k - 1)
     for r in range(len(base) + 1):
-        for combo in itertools.combinations(base, r):
-            yield IndexSet(combo)
+        yield from itertools.combinations(base, r)
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -122,8 +107,10 @@ def test_expand_step_matches_operator(k):
 
 
 def test_expand_step_domain_error():
-    with pytest.raises(ValueError):
-        expand_step(IndexSet([3]), 4)  # positions must lie in 1..2
+    # positions must be distinct and lie in 1..k-2
+    for s in ([3], [2, 2], [0, 1]):
+        with pytest.raises(ValueError):
+            expand_step(s, 4)
 
 
 def test_basis_coefficients_seed():

@@ -37,6 +37,12 @@ def test_elementary_symmetric_examples():
     assert elementary_symmetric(inv_squares, 3) == Fraction(1, 36)
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/3", True])
+def test_variable_set_rejects_inexact_values(bad):
+    with pytest.raises(TypeError, match=repr(bad)):
+        VariableSet((bad, 2))
+
+
 def test_elementary_symmetric_bounds():
     vs = VariableSet([1, 2])
     with pytest.raises(ValueError):

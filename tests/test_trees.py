@@ -12,7 +12,6 @@ from evenzeta.trees import (
     ENUMERATION_MAX,
     TRANSFORM_MAX,
     TREE_SUM_MAX,
-    IndexSet,
     PlaneTree,
     catalan,
     enumerate_trees,
@@ -62,7 +61,7 @@ def test_tree_data_base_cases():
     for k in (1, 2):
         (tree,) = list(enumerate_trees(k))
         data = tree_data(tree)
-        assert data.low == IndexSet() and data.high == IndexSet()
+        assert data.low == () and data.high == ()
         assert data.weight == 1
 
 
@@ -81,8 +80,8 @@ FROZEN_DATA = {
 def test_tree_data_frozen_values():
     for levels, (low, high, wt) in FROZEN_DATA.items():
         data = tree_data(PlaneTree(levels))
-        assert data.low.values() == low
-        assert data.high.values() == high
+        assert tuple(2 * n + 1 for n in data.low) == low
+        assert tuple(2 * n + 1 for n in data.high) == high
         assert data.weight == wt
 
 
@@ -91,7 +90,7 @@ def test_weighted_low_products_sum_to_numerator(k, expected):
     total = 0
     for tree in enumerate_trees(k):
         data = tree_data(tree)
-        total += data.weight * ODD_NUMBERS.product(data.low.shifted())
+        total += data.weight * ODD_NUMBERS.product(n + 1 for n in data.low)
     assert total == expected
 
 
@@ -241,7 +240,7 @@ def test_generalized_transform_all_ones_regression():
 
 def tree_term(tree, seq):
     data = tree_data(tree, seq)
-    return Fraction(data.weight) * seq.product(data.low.shifted())
+    return Fraction(data.weight) * seq.product(n + 1 for n in data.low)
 
 
 def value_tower(k, seq):

@@ -66,6 +66,14 @@ def test_pi_multiple_power_mismatch():
         PiMultiple(1, -2)
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/3", True])
+def test_pi_multiple_rejects_inexact_values(bad):
+    with pytest.raises(TypeError, match=repr(bad)):
+        PiMultiple(bad, 2)
+    with pytest.raises(TypeError):
+        PiMultiple(1, 2) * bad
+
+
 def test_pi_multiple_zero_is_neutral():
     zero = PiMultiple(0, 6)
     assert zero.power == 0
