@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import trees, verify, zeta
@@ -22,57 +21,38 @@ from .polynomials import polynomial_text
 from .recursion import numerator_polynomial, translated_polynomial, zeta_numerator
 from .sequences import ODD_NUMBERS, SequenceSpec
 
-__all__ = ["main", "OutputRecord"]
+__all__ = ["main"]
 
 # Largest k each command accepts.  Each bound keeps the command's slowest
 # form within about 4.5 s end to end (2-vCPU host, Python 3.11.7): ak 3.9 s,
 # pk --translated --half-scale 2.6 s, zeta-even 3.4 s, bernoulli 2.7 s
 # (recursion) and 4.1 s (classical), trees --list --format json 2.5 s (k = 12
 # took 10.7 s).  The tree route's bound is the library's TRANSFORM_MAX, set
-# by `transform` over 3-digit rationals.  The recursion and classical
-# library functions stay unbounded.
+# by `transform` over 3-digit rationals.  `bernoulli --approx` stops at 129
+# under every method: |B_260| is past the largest float.
 AK_MAX = 160
 PK_MAX = 130
 ZETA_EVEN_MAX = 160
 BERNOULLI_MAX = {"recursion": 160, "tree": trees.TRANSFORM_MAX, "classical": 350}
+BERNOULLI_APPROX_MAX = 129
 TREES_LIST_MAX = 11
 
 
-@dataclass
-class OutputRecord:
-    command: str
-    inputs: dict
-    result: dict = field(default_factory=dict)
-    status: str = "ok"
-    error_detail: Optional[str] = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "result": self.result,
-                "status": self.status,
-                "error_detail": self.error_detail,
-            },
-            indent=2,
-        )
+def _print_record(command: str, inputs: dict, result: dict, error: Optional[str] = None) -> None:
+    """Print the JSON record: command / inputs / result / status / error_detail."""
+    record = {
+        "command": command,
+        "inputs": inputs,
+        "result": result,
+        "status": "ok" if error is None else "error",
+        "error_detail": error,
+    }
+    print(json.dumps(record, indent=2))
 
 
-def _emit(record: OutputRecord, text_lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(record.to_json())
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _fail(args, command: str, inputs: dict, message: str, code: int = 2) -> int:
-    record = OutputRecord(
-        command=command, inputs=inputs, status="error", error_detail=message
-    )
+def _fail(args, inputs: dict, message: str, code: int = 2) -> int:
     if args.format == "json":
-        print(record.to_json())
+        _print_record(args.command, inputs, {}, message)
     else:
         print(f"error: {message}", file=sys.stderr)
     return code
@@ -83,7 +63,10 @@ def _cmd_bernoulli(args) -> int:
     bound = BERNOULLI_MAX[args.method]
     if not 1 <= args.k <= bound:
         message = f"--k must be within 1..{bound} for --method {args.method}"
-        return _fail(args, "bernoulli", inputs, message)
+        return _fail(args, inputs, message)
+    if args.approx and args.k > BERNOULLI_APPROX_MAX:
+        message = f"--k must be within 1..{BERNOULLI_APPROX_MAX} with --approx"
+        return _fail(args, inputs, message)
     if args.method == "classical":
         value = zeta.bernoulli_classical(2 * args.k)
     elif args.method == "tree":
@@ -91,22 +74,27 @@ def _cmd_bernoulli(args) -> int:
         value = zeta.bernoulli_from_zeta(args.k, trees.generalized_transform(args.k) / 2)
     else:
         value = zeta.bernoulli_even(args.k)
-    record = OutputRecord("bernoulli", inputs, {"value": str(value)})
-    lines = [str(value)]
-    if args.approx:
-        record.result["approx"] = float(value)
-        lines.append(f"~= {float(value)}")
-    _emit(record, lines, args.format)
+    if args.format == "json":
+        result = {"value": str(value)}
+        if args.approx:
+            result["approx"] = float(value)
+        _print_record("bernoulli", inputs, result)
+    else:
+        print(value)
+        if args.approx:
+            print(f"~= {float(value)}")
     return 0
 
 
 def _cmd_ak(args) -> int:
     inputs = {"max": args.max_k}
     if not 1 <= args.max_k <= AK_MAX:
-        return _fail(args, "ak", inputs, f"--max must be within 1..{AK_MAX}")
-    values = [zeta_numerator(k) for k in range(1, args.max_k + 1)]
-    record = OutputRecord("ak", inputs, {"values": [str(v) for v in values]})
-    _emit(record, [str(v) for v in values], args.format)
+        return _fail(args, inputs, f"--max must be within 1..{AK_MAX}")
+    values = [str(zeta_numerator(k)) for k in range(1, args.max_k + 1)]
+    if args.format == "json":
+        _print_record("ak", inputs, {"values": values})
+    else:
+        print("\n".join(values))
     return 0
 
 
@@ -117,9 +105,9 @@ def _cmd_pk(args) -> int:
         "half_scale": args.half_scale,
     }
     if not 1 <= args.k <= PK_MAX:
-        return _fail(args, "pk", inputs, f"--k must be within 1..{PK_MAX}")
+        return _fail(args, inputs, f"--k must be within 1..{PK_MAX}")
     if args.half_scale and not args.translated:
-        return _fail(args, "pk", inputs, "--half-scale requires --translated")
+        return _fail(args, inputs, "--half-scale requires --translated")
     if args.translated:
         poly = translated_polynomial(args.k, half_scale=args.half_scale)
     else:
@@ -127,32 +115,37 @@ def _cmd_pk(args) -> int:
     # decimal conversion of the coefficients dominates at large k: do it once
     strings = poly.coefficient_strings()
     text = polynomial_text(strings)
-    record = OutputRecord("pk", inputs, {"coefficients": strings, "text": text})
-    _emit(record, [text], args.format)
+    if args.format == "json":
+        _print_record("pk", inputs, {"coefficients": strings, "text": text})
+    else:
+        print(text)
     return 0
 
 
 def _cmd_zeta_even(args) -> int:
     inputs = {"k": args.k}
     if not 1 <= args.k <= ZETA_EVEN_MAX:
-        message = f"--k must be within 1..{ZETA_EVEN_MAX}"
-        return _fail(args, "zeta-even", inputs, message)
+        return _fail(args, inputs, f"--k must be within 1..{ZETA_EVEN_MAX}")
     value = zeta.zeta_even_rational(args.k)
-    record = OutputRecord(
-        "zeta-even",
-        inputs,
-        {
-            "coefficient": str(value.coeff),
-            "pi_power": value.power,
-            "text": str(value),
-        },
-    )
-    lines = [str(value)]
-    if args.approx:
-        record.result["approx"] = value.approx()
-        lines.append(f"~= {value.approx()}")
-    _emit(record, lines, args.format)
+    if args.format == "json":
+        result = {"coefficient": str(value.coeff), "pi_power": value.power, "text": str(value)}
+        if args.approx:
+            result["approx"] = value.approx()
+        _print_record("zeta-even", inputs, result)
+    else:
+        print(value)
+        if args.approx:
+            print(f"~= {value.approx()}")
     return 0
+
+
+def _tree_rows(k: int):
+    """Each k-vertex tree with its low and high values and its weight, as text."""
+    for tree in trees.enumerate_trees(k):
+        data = trees.tree_data(tree)
+        low = [str(ODD_NUMBERS.value(n)) for n in data.low]
+        high = [str(ODD_NUMBERS.value(n)) for n in data.high]
+        yield tree, low, high, str(data.weight)
 
 
 def _cmd_trees(args) -> int:
@@ -161,49 +154,42 @@ def _cmd_trees(args) -> int:
     bound = TREES_LIST_MAX if args.list else trees.ENUMERATION_MAX
     if not 1 <= args.k <= bound:
         form = " with --list" if args.list else ""
-        return _fail(args, "trees", inputs, f"--k must be within 1..{bound}{form}")
+        return _fail(args, inputs, f"--k must be within 1..{bound}{form}")
     count = trees.catalan(args.k - 1)
-    result: dict = {"count": count}
-    lines: list[str] = []
-    if args.list:
-        listing = []
-        for tree in trees.enumerate_trees(args.k):
-            data = trees.tree_data(tree)
-            low = [str(ODD_NUMBERS.value(n)) for n in data.low]
-            high = [str(ODD_NUMBERS.value(n)) for n in data.high]
-            weight = str(data.weight)
-            listing.append(
+    if args.format == "json":
+        result: dict = {"count": count}
+        if args.list:
+            result["trees"] = [
                 {"levels": list(tree.levels), "low": low, "high": high, "weight": weight}
-            )
-            lines.append(
-                f"levels={tree} low={{{','.join(low)}}} high={{{','.join(high)}}} wt={weight}"
-            )
-        result["trees"] = listing
+                for tree, low, high, weight in _tree_rows(args.k)
+            ]
+        _print_record("trees", inputs, result)
+    elif args.list:
+        for tree, low, high, weight in _tree_rows(args.k):
+            print(f"levels={tree} low={{{','.join(low)}}} high={{{','.join(high)}}} wt={weight}")
     else:
-        lines.append(str(count))
-    record = OutputRecord("trees", inputs, result)
-    _emit(record, lines, args.format)
+        print(count)
     return 0
 
 
 def _cmd_transform(args) -> int:
     inputs = {"k": args.k, "sequence": args.sequence}
     if not 1 <= args.k <= trees.TRANSFORM_MAX:
-        return _fail(
-            args, "transform", inputs, f"--k must be within 1..{trees.TRANSFORM_MAX}"
-        )
+        return _fail(args, inputs, f"--k must be within 1..{trees.TRANSFORM_MAX}")
     seq = ODD_NUMBERS
     if args.sequence is not None:
         try:
             seq = SequenceSpec.from_file(args.sequence)
         except (OSError, ValueError) as exc:
-            return _fail(args, "transform", inputs, str(exc))
+            return _fail(args, inputs, str(exc))
     try:
         value = trees.generalized_transform(args.k, seq)
     except ValueError as exc:
-        return _fail(args, "transform", inputs, str(exc))
-    record = OutputRecord("transform", inputs, {"value": str(value)})
-    _emit(record, [str(value)], args.format)
+        return _fail(args, inputs, str(exc))
+    if args.format == "json":
+        _print_record("transform", inputs, {"value": str(value)})
+    else:
+        print(value)
     return 0
 
 
@@ -212,25 +198,20 @@ def _cmd_verify(args) -> int:
     try:
         reports = verify.run_suite(args.suite, args.max_k)
     except ValueError as exc:
-        return _fail(args, "verify", inputs, str(exc))
-    all_passed = all(r.passed for r in reports)
-    record = OutputRecord(
-        "verify",
-        inputs,
-        {"passed": all_passed, "suites": [r.to_dict() for r in reports]},
-    )
-    lines = []
-    for report in reports:
-        for check in report.checks:
-            if check.passed:
-                lines.append(f"PASS {check.name}")
-            else:
-                lines.append(f"FAIL {check.name}: {check.witness}")
-        done = sum(1 for c in report.checks if c.passed)
-        lines.append(
-            f"suite {report.suite} (max_k={report.max_k}): {done}/{len(report.checks)} passed"
-        )
-    _emit(record, lines, args.format)
+        return _fail(args, inputs, str(exc))
+    all_passed = all(report["passed"] for report in reports)
+    if args.format == "json":
+        _print_record("verify", inputs, {"passed": all_passed, "suites": reports})
+    else:
+        for report in reports:
+            checks = report["checks"]
+            for check in checks:
+                if check["passed"]:
+                    print(f"PASS {check['name']}")
+                else:
+                    print(f"FAIL {check['name']}: {check['witness']}")
+            done = sum(1 for check in checks if check["passed"])
+            print(f"suite {report['suite']} (max_k={report['max_k']}): {done}/{len(checks)} passed")
     return 0 if all_passed else 1
 
 
@@ -281,7 +262,10 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
         default="recursion",
         help="computation route (all agree)",
     )
-    p.add_argument("--approx", action="store_true", help="also print a float approximation")
+    p.add_argument(
+        "--approx", action="store_true",
+        help=f"also print a float approximation, for k within 1..{BERNOULLI_APPROX_MAX}",
+    )
     add_common(p)
     p.set_defaults(run=_cmd_bernoulli)
 
@@ -353,14 +337,13 @@ def _run(argv: Optional[list[str]]) -> int:
     try:
         args = _build_parser(_json_requested(argv)).parse_args(argv)
     except _UsageError as exc:
-        record = OutputRecord(exc.command, {}, status="error", error_detail=str(exc))
-        print(record.to_json())
+        _print_record(exc.command, {}, {}, str(exc))
         return 2
     try:
         return args.run(args)
     except Exception as exc:  # a fault of the program, not of its input
         message = f"internal error: {type(exc).__name__}: {exc}"
-        return _fail(args, args.command, {}, message, 3)
+        return _fail(args, {}, message, 3)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,12 @@ __all__ = [
     "is_canonical",
     "double_factorial_odd",
     "double_factorial_product",
+    "DOUBLE_FACTORIAL_PRODUCT_MAX",
 ]
+
+# Largest k of double_factorial_product: k = 700 takes 3.1 s in a fresh
+# process (2-vCPU host, Python 3.11.7), 750 took 2.7-4.4 s and 800 5.5 s.
+DOUBLE_FACTORIAL_PRODUCT_MAX = 700
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -69,7 +74,8 @@ def double_factorial_odd(i: int) -> int:
 
 @lru_cache(maxsize=None)
 def double_factorial_product(k: int) -> int:
-    """prod_{i=1}^{k} (2i+1)!!, the denominator tower of the even zeta values."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    """prod_{i=1}^{k} (2i+1)!!, the denominator tower of the even zeta values,
+    for k within 0..DOUBLE_FACTORIAL_PRODUCT_MAX."""
+    if not 0 <= k <= DOUBLE_FACTORIAL_PRODUCT_MAX:
+        raise ValueError(f"k={k} outside 0..{DOUBLE_FACTORIAL_PRODUCT_MAX}")
     return math.prod(double_factorial_odd(i) for i in range(1, k + 1))

@@ -1,8 +1,9 @@
 """Named verification suites backing the CLI `verify` subcommand.
 
-Every suite returns a list of CheckResult records; a check that fails
-carries a witness payload with the two sides that disagreed.  Randomized
-suites draw from a fixed seed so output is identical across runs.
+A check is the record the CLI prints, {"name": ..., "passed": ...}, plus a
+"witness" with the two sides that disagreed when it fails.  run_suite
+returns one report per suite, {"suite", "max_k", "passed", "checks"}.
+Randomized suites draw from a fixed seed so output is identical across runs.
 """
 
 from __future__ import annotations
@@ -16,47 +17,22 @@ from . import recursion, symmetric, trees, zeta
 from .rationals import double_factorial_product
 from .sequences import SequenceSpec
 
-__all__ = ["CheckResult", "SuiteReport", "SUITES", "ALL_MAX_K", "run_suite", "suite_names"]
+__all__ = ["SUITES", "ALL_MAX_K", "run_suite", "suite_names"]
 
 _SEED = 0x5EED
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "passed": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+def _check(name: str, witness: Optional[dict]) -> dict:
+    """A check record; a witness of what disagreed makes it a failure."""
+    if witness is None:
+        return {"name": name, "passed": True}
+    return {"name": name, "passed": False, "witness": witness}
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    max_k: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "max_k": self.max_k,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-
-def _equal(name: str, got, expected) -> CheckResult:
-    ok = got == expected
-    witness = None if ok else {"got": str(got), "expected": str(expected)}
-    return CheckResult(name=name, passed=ok, witness=witness)
+def _equal(name: str, got, expected) -> dict:
+    if got == expected:
+        return _check(name, None)
+    return _check(name, {"got": str(got), "expected": str(expected)})
 
 
 def _random_variables(rng: random.Random) -> symmetric.VariableSet:
@@ -66,67 +42,55 @@ def _random_variables(rng: random.Random) -> symmetric.VariableSet:
     )
 
 
-def _suite_newton_girard(max_k: int) -> list[CheckResult]:
-    rng = random.Random(_SEED)
+def _trials(seed: int, label: str, max_k: int, sides: Callable) -> list[dict]:
+    """50 random variable sets, each checked at k = 1..min(size, max_k).
+
+    sides(vars, k) returns the two values that must agree; a trial is
+    reported at its first failing k and stops there.
+    """
+    rng = random.Random(seed)
     checks = []
     for trial in range(50):
         vars = _random_variables(rng)
+        check = _check(f"{label} trial {trial}", None)
         for k in range(1, min(vars.size, max_k) + 1):
-            res = symmetric.newton_girard_check(vars, k)
-            if not res.passed:
-                checks.append(
-                    CheckResult(
-                        name=f"newton-girard trial {trial} k={k}",
-                        passed=False,
-                        witness={"lhs": str(res.lhs), "rhs": str(res.rhs)},
-                    )
-                )
+            failed = _equal(f"{label} trial {trial} k={k}", *sides(vars, k))
+            if not failed["passed"]:
+                check = failed
                 break
-        else:
-            checks.append(CheckResult(name=f"newton-girard trial {trial}", passed=True))
+        checks.append(check)
+    return checks
+
+
+def _newton_girard_sides(vars: symmetric.VariableSet, k: int) -> tuple:
+    res = symmetric.newton_girard_check(vars, k)
+    return res.lhs, res.rhs
+
+
+def _cycle_index_sides(vars: symmetric.VariableSet, k: int) -> tuple:
+    return (
+        symmetric.cycle_index_elementary(vars, k),
+        symmetric.elementary_symmetric(vars, k),
+    )
+
+
+def _suite_newton_girard(max_k: int) -> list[dict]:
+    checks = _trials(_SEED, "newton-girard", max_k, _newton_girard_sides)
     inv_squares = symmetric.VariableSet.inverse_squares(12)
-    res = symmetric.newton_girard_check(inv_squares, 5)
-    checks.append(
-        CheckResult(
-            name="newton-girard inverse squares N=12 k=5",
-            passed=res.passed,
-            witness=None if res.passed else {"lhs": str(res.lhs), "rhs": str(res.rhs)},
-        )
-    )
+    name = "newton-girard inverse squares N=12 k=5"
+    checks.append(_equal(name, *_newton_girard_sides(inv_squares, 5)))
     return checks
 
 
-def _suite_cycle_index(max_k: int) -> list[CheckResult]:
-    rng = random.Random(_SEED + 1)
-    checks = []
-    for trial in range(50):
-        vars = _random_variables(rng)
-        for k in range(1, min(vars.size, max_k) + 1):
-            got = symmetric.cycle_index_elementary(vars, k)
-            expected = symmetric.elementary_symmetric(vars, k)
-            if got != expected:
-                checks.append(
-                    CheckResult(
-                        name=f"cycle-index trial {trial} k={k}",
-                        passed=False,
-                        witness={"got": str(got), "expected": str(expected)},
-                    )
-                )
-                break
-        else:
-            checks.append(CheckResult(name=f"cycle-index trial {trial}", passed=True))
+def _suite_cycle_index(max_k: int) -> list[dict]:
+    checks = _trials(_SEED + 1, "cycle-index", max_k, _cycle_index_sides)
     inv_squares = symmetric.VariableSet.inverse_squares(4)
-    checks.append(
-        _equal(
-            "cycle-index inverse squares N=4 k=4",
-            symmetric.cycle_index_elementary(inv_squares, 4),
-            symmetric.elementary_symmetric(inv_squares, 4),
-        )
-    )
+    name = "cycle-index inverse squares N=4 k=4"
+    checks.append(_equal(name, *_cycle_index_sides(inv_squares, 4)))
     return checks
 
 
-def _suite_trees(max_k: int) -> list[CheckResult]:
+def _suite_trees(max_k: int) -> list[dict]:
     checks = []
     for k in range(2, max_k + 1):
         # with every value 1 each tree weighs 1, so the transform counts the trees
@@ -149,7 +113,7 @@ def _suite_trees(max_k: int) -> list[CheckResult]:
     return checks
 
 
-def _suite_coeffs(max_k: int) -> list[CheckResult]:
+def _suite_coeffs(max_k: int) -> list[dict]:
     checks = []
     for k in range(2, max_k + 1):
         expanded = recursion.expand_basis(recursion.basis_coefficients(k), k)
@@ -159,7 +123,7 @@ def _suite_coeffs(max_k: int) -> list[CheckResult]:
     return checks
 
 
-def _suite_bernoulli(max_k: int) -> list[CheckResult]:
+def _suite_bernoulli(max_k: int) -> list[dict]:
     checks = []
     for k in range(1, max_k + 1):
         checks.append(
@@ -172,7 +136,7 @@ def _suite_bernoulli(max_k: int) -> list[CheckResult]:
     return checks
 
 
-def _suite_fn(max_k: int) -> list[CheckResult]:
+def _suite_fn(max_k: int) -> list[dict]:
     checks = []
     for n in range(2, 9):
         for k in range(max(1, n - 1), max_k + 1):
@@ -195,22 +159,18 @@ def _suite_fn(max_k: int) -> list[CheckResult]:
     return checks
 
 
-def _suite_positivity(max_k: int) -> list[CheckResult]:
+def _suite_positivity(max_k: int) -> list[dict]:
     checks = []
     for k in range(1, max_k + 1):
         coeffs = recursion.translated_polynomial(k).coeffs
         bad = [str(c) for c in coeffs if c <= 0]
         checks.append(
-            CheckResult(
-                name=f"translated positivity k={k}",
-                passed=not bad,
-                witness=None if not bad else {"nonpositive": bad},
-            )
+            _check(f"translated positivity k={k}", {"nonpositive": bad} if bad else None)
         )
     return checks
 
 
-def _suite_leading(max_k: int) -> list[CheckResult]:
+def _suite_leading(max_k: int) -> list[dict]:
     checks = []
     for k in range(2, max_k + 1):
         poly = recursion.numerator_polynomial(k)
@@ -225,19 +185,16 @@ def _suite_leading(max_k: int) -> list[CheckResult]:
     return checks
 
 
-def _suite_lemma_2ni(max_k: int) -> list[CheckResult]:
+def _suite_lemma_2ni(max_k: int) -> list[dict]:
     return [
-        CheckResult(
-            name=f"shifted product identity n={n}",
-            passed=recursion.shifted_product_identity(n),
-        )
+        _equal(f"shifted product identity n={n}", recursion.shifted_product_identity(n), True)
         for n in range(0, max_k + 1)
     ]
 
 
 @dataclass(frozen=True)
 class _Suite:
-    run: Callable[[int], list[CheckResult]]
+    run: Callable[[int], list[dict]]
     default_max_k: int
     hard_max_k: int
 
@@ -270,8 +227,8 @@ def suite_names() -> list[str]:
     return ["all"] + list(SUITES)
 
 
-def run_suite(name: str, max_k: Optional[int] = None) -> list[SuiteReport]:
-    """Run one named suite, or every suite when name is "all".
+def run_suite(name: str, max_k: Optional[int] = None) -> list[dict]:
+    """Run one named suite, or every suite when name is "all"; one report per suite.
 
     max_k overrides a suite's default bound; it must stay within the
     documented hard bound.  With "all", max_k must stay within ALL_MAX_K and
@@ -295,4 +252,6 @@ def run_suite(name: str, max_k: Optional[int] = None) -> list[SuiteReport]:
         raise ValueError(
             f"suite {name!r} accepts max_k between 1 and {suite.hard_max_k}, got {k}"
         )
-    return [SuiteReport(suite=name, max_k=k, checks=tuple(suite.run(k)))]
+    checks = suite.run(k)
+    passed = all(check["passed"] for check in checks)
+    return [{"suite": name, "max_k": k, "passed": passed, "checks": checks}]

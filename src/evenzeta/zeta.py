@@ -29,7 +29,17 @@ __all__ = [
     "bernoulli_classical",
     "newton_partial_sum",
     "newton_partial_closed",
+    "ZETA_EVEN_RATIONAL_MAX",
+    "BERNOULLI_EVEN_MAX",
 ]
+
+# Largest k of the two operator-route values.  Each keeps one call within
+# about 4.5 s in a fresh process (2-vCPU host, Python 3.11.7):
+# zeta_even_rational(180) 3.2-4.0 s (190 took 5.7 s), bernoulli_even(175)
+# 2.8-3.8 s (180 took 3.3-4.6 s).  The `verify` bernoulli suite runs
+# bernoulli_even up to 175.
+ZETA_EVEN_RATIONAL_MAX = 180
+BERNOULLI_EVEN_MAX = 175
 
 
 @dataclass(frozen=True)
@@ -104,10 +114,10 @@ def zeta_even_rational(k: int) -> PiMultiple:
     """zeta(2k) as an exact rational multiple of pi^(2k).
 
     The coefficient is (numerator/2) / prod_{i=1}^{k} (2i+1)!! with the
-    numerator from the operator recursion.
+    numerator from the operator recursion.  k is within 1..ZETA_EVEN_RATIONAL_MAX.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= ZETA_EVEN_RATIONAL_MAX:
+        raise ValueError(f"k={k} outside 1..{ZETA_EVEN_RATIONAL_MAX}")
     coeff = Fraction(zeta_numerator(k), 2 * double_factorial_product(k))
     return PiMultiple(coeff, 2 * k)
 
@@ -122,7 +132,10 @@ def bernoulli_from_zeta(k: int, coeff: Fraction) -> Fraction:
 
 
 def bernoulli_even(k: int) -> Fraction:
-    """B_{2k}, inverted from the even zeta value of the operator recursion."""
+    """B_{2k} for k within 1..BERNOULLI_EVEN_MAX, inverted from the even zeta
+    value of the operator recursion."""
+    if not 1 <= k <= BERNOULLI_EVEN_MAX:
+        raise ValueError(f"k={k} outside 1..{BERNOULLI_EVEN_MAX}")
     return bernoulli_from_zeta(k, zeta_even_rational(k).coeff)
 
 

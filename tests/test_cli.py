@@ -1,10 +1,19 @@
 import hashlib
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
-from evenzeta.cli import AK_MAX, BERNOULLI_MAX, PK_MAX, TREES_LIST_MAX, ZETA_EVEN_MAX, main
+from evenzeta.cli import (
+    AK_MAX,
+    BERNOULLI_APPROX_MAX,
+    BERNOULLI_MAX,
+    PK_MAX,
+    TREES_LIST_MAX,
+    ZETA_EVEN_MAX,
+    main,
+)
 from evenzeta.polynomials import InexactDivisionError
 from evenzeta.recursion import ConsistencyError
 from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX
@@ -26,6 +35,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def help_text(capsys, command):
+    """`COMMAND --help` with its whitespace collapsed: argparse wraps at the terminal width."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return " ".join(capsys.readouterr().out.split())
 
 
 def test_ak_text(capsys):
@@ -100,9 +116,25 @@ def test_k_past_command_bound_is_rejected(capsys, argv, bound):
     record = json.loads(out)
     assert record["status"] == "error"
     assert f"1..{bound}" in record["error_detail"]
-    with pytest.raises(SystemExit):
-        main([argv[0], "--help"])
-    assert f"1..{bound}" in capsys.readouterr().out
+    assert f"1..{bound}" in help_text(capsys, argv[0])
+
+
+@pytest.mark.parametrize("k,code", [(129, 0), (130, 2)])
+def test_bernoulli_approx_bound(capsys, k, code):
+    # |B_260| is past the largest float, so --approx stops short of every method's bound
+    assert BERNOULLI_APPROX_MAX == 129
+    argv = ["bernoulli", "--k", str(k), "--method", "classical", "--approx"]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 0:
+        value, approx = out.splitlines()
+        assert approx == f"~= {float(Fraction(value))}"
+        return
+    assert err == "error: --k must be within 1..129 with --approx\n"
+    got, out, _ = run(capsys, *argv, "--format", "json")
+    assert got == 2
+    assert json.loads(out)["error_detail"] == "--k must be within 1..129 with --approx"
+    assert "approximation, for k within 1..129" in help_text(capsys, "bernoulli")
 
 
 @pytest.mark.parametrize("error", [ConsistencyError, InexactDivisionError])
@@ -221,11 +253,10 @@ def test_verify_json_deterministic(capsys):
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
     from evenzeta import verify as verify_mod
-    from evenzeta.verify import CheckResult, SuiteReport
 
     def fake_run_suite(name, max_k=None):
-        check = CheckResult(name="forced failure", passed=False, witness={"got": "0"})
-        return [SuiteReport(suite=name, max_k=1, checks=(check,))]
+        check = {"name": "forced failure", "passed": False, "witness": {"got": "0"}}
+        return [{"suite": name, "max_k": 1, "passed": False, "checks": [check]}]
 
     monkeypatch.setattr(verify_mod, "run_suite", fake_run_suite)
     code, out, _ = run(capsys, "verify", "--suite", "bernoulli")
@@ -233,23 +264,59 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "FAIL forced failure" in out
 
 
+def test_failing_trial_record(capsys, monkeypatch):
+    from evenzeta import symmetric, verify
+
+    real = symmetric.newton_girard_check
+    calls = []  # k of each call, in order
+    failed = {}  # index of the one failing call, and its witness
+
+    def wrong_once(vars, k):
+        res = real(vars, k)
+        calls.append(k)
+        if k == 2 and not failed:
+            res = symmetric.NewtonGirardResult(k=k, lhs=res.lhs + 1, rhs=res.rhs)
+            failed.update(at=len(calls) - 1, witness={"got": str(res.lhs), "expected": str(res.rhs)})
+        return res
+
+    monkeypatch.setattr(symmetric, "newton_girard_check", wrong_once)
+    [report] = verify.run_suite("newton-girard")
+    at = failed["at"]
+    trial = calls[: at + 1].count(1) - 1  # every trial starts at k=1
+    assert calls[at + 1] == 1  # the failing trial stopped at k=2
+    failure = {"name": f"newton-girard trial {trial} k=2", "passed": False, "witness": failed["witness"]}
+    passes = [{"name": f"newton-girard trial {t}", "passed": True} for t in range(50)]
+    passes.append({"name": "newton-girard inverse squares N=12 k=5", "passed": True})
+    assert report["checks"] == passes[:trial] + [failure] + passes[trial + 1 :]
+    assert report["passed"] is False
+
+    calls.clear()
+    failed.clear()
+    code, out, _ = run(capsys, "verify", "--suite", "newton-girard", "--format", "json")
+    assert code == 1
+    record = json.loads(out)
+    assert record["result"] == {"passed": False, "suites": [report]}
+    calls.clear()
+    failed.clear()
+    code, out, _ = run(capsys, "verify", "--suite", "newton-girard")
+    assert code == 1
+    assert f"FAIL newton-girard trial {trial} k=2: {failure['witness']}" in out.splitlines()
+    assert out.splitlines()[-1] == "suite newton-girard (max_k=8): 50/51 passed"
+
+
 def test_verify_bad_bound(capsys):
     bound = SUITES["trees"].hard_max_k
     code, _, err = run(capsys, "verify", "--suite", "trees", "--max-k", str(bound + 1))
     assert code == 2
     assert f"between 1 and {bound}" in err
-    with pytest.raises(SystemExit):
-        main(["verify", "--help"])
-    assert f"trees 1..{bound}" in capsys.readouterr().out
+    assert f"trees 1..{bound}" in help_text(capsys, "verify")
 
 
 def test_verify_all_bound(capsys):
     code, _, err = run(capsys, "verify", "--suite", "all", "--max-k", str(ALL_MAX_K + 1))
     assert code == 2
     assert f"between 1 and {ALL_MAX_K}" in err
-    with pytest.raises(SystemExit):
-        main(["verify", "--help"])
-    assert f"all 1..{ALL_MAX_K}" in capsys.readouterr().out
+    assert f"all 1..{ALL_MAX_K}" in help_text(capsys, "verify")
 
 
 def test_usage_error_exit_code():
@@ -271,9 +338,7 @@ def test_trees_bound(capsys):
     code, _, err = run(capsys, "trees", "--k", "40")
     assert code == 2
     assert f"1..{ENUMERATION_MAX}" in err
-    with pytest.raises(SystemExit):
-        main(["trees", "--help"])
-    assert f"1..{ENUMERATION_MAX}" in capsys.readouterr().out
+    assert f"1..{ENUMERATION_MAX}" in help_text(capsys, "trees")
 
 
 def test_trees_list_bound(capsys):
@@ -281,9 +346,7 @@ def test_trees_list_bound(capsys):
     code, _, err = run(capsys, "trees", "--k", str(TREES_LIST_MAX + 1), "--list")
     assert code == 2
     assert f"1..{TREES_LIST_MAX} with --list" in err
-    with pytest.raises(SystemExit):
-        main(["trees", "--help"])
-    assert f"1..{TREES_LIST_MAX} with --list" in capsys.readouterr().out
+    assert f"1..{TREES_LIST_MAX} with --list" in help_text(capsys, "trees")
 
 
 # signed rationals with denominators up to 1000, read from the working directory

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evenzeta.rationals import (
+    DOUBLE_FACTORIAL_PRODUCT_MAX,
     double_factorial_odd,
     double_factorial_product,
     format_rational,
@@ -89,6 +90,15 @@ def test_double_factorial_product_past_recursion_limit():
     # through the cache ran out of stack at k = 500
     double_factorial_product.cache_clear()
     assert double_factorial_product(500) % double_factorial_odd(500) == 0
+
+
+def test_double_factorial_product_bound():
+    bound = DOUBLE_FACTORIAL_PRODUCT_MAX
+    assert bound >= 175
+    with pytest.raises(ValueError, match=rf"^k={bound + 1} outside 0\.\.{bound}$"):
+        double_factorial_product(bound + 1)
+    with pytest.raises(ValueError, match=rf"^k=-1 outside 0\.\.{bound}$"):
+        double_factorial_product(-1)
 
 
 def test_double_factorial_rejects_negative():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from evenzeta.zeta import (
+    BERNOULLI_EVEN_MAX,
+    ZETA_EVEN_RATIONAL_MAX,
     PiMultiple,
     bernoulli_classical,
     bernoulli_even,
@@ -55,6 +57,19 @@ def test_pi_multiple_arithmetic():
     assert a * b == PiMultiple(Fraction(1, 18), 4)
     assert 3 * a == PiMultiple(Fraction(1, 2), 2)
     assert a - a == PiMultiple(0, 0)
+
+
+@pytest.mark.parametrize(
+    "fn,bound",
+    [(zeta_even_rational, ZETA_EVEN_RATIONAL_MAX), (bernoulli_even, BERNOULLI_EVEN_MAX)],
+)
+def test_operator_route_bounds(fn, bound):
+    # the `verify` bernoulli suite runs up to 175 and the CLI up to 160
+    assert bound >= 175
+    with pytest.raises(ValueError, match=rf"^k={bound + 1} outside 1\.\.{bound}$"):
+        fn(bound + 1)
+    with pytest.raises(ValueError, match=r"^k=0 outside 1\.\."):
+        fn(0)
 
 
 def test_pi_multiple_power_mismatch():
