@@ -6,13 +6,7 @@ numbers; the package computes each route exactly and cross-checks them.
 """
 
 from .polynomials import InexactDivisionError, Polynomial
-from .rationals import (
-    Rational,
-    double_factorial_odd,
-    double_factorial_product,
-    format_rational,
-    parse_rational,
-)
+from .rationals import double_factorial_odd, double_factorial_product, parse_rational
 from .recursion import (
     ConsistencyError,
     apply_step,
@@ -26,13 +20,11 @@ from .recursion import (
 )
 from .sequences import ODD_NUMBERS, SequenceSpec
 from .symmetric import (
-    Permutation,
     VariableSet,
     cycle_index_elementary,
     elementary_symmetric,
     newton_girard_check,
     power_sum,
-    symmetric_group,
 )
 from .trees import (
     PlaneTree,

@@ -4,8 +4,8 @@ Python's built-in ``int`` is the arbitrary-precision integer type and
 ``fractions.Fraction`` is the rational type: always reduced, denominator
 positive, zero stored as 0/1.  ``str(Fraction)`` already produces the
 canonical text form ("num/den", denominator omitted when 1), so this module
-only adds strict parsing, the exactness test for incoming values, a validity
-check usable by tests, and the odd double factorials of the zeta denominators.
+only adds strict parsing, the exactness test for incoming values, and the odd
+double factorials of the zeta denominators.
 
 No floating-point value appears anywhere on the computation path.
 """
@@ -17,14 +17,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "parse_rational",
-    "format_rational",
     "is_exact",
-    "is_canonical",
     "double_factorial_odd",
     "double_factorial_product",
     "DOUBLE_FACTORIAL_PRODUCT_MAX",
@@ -49,19 +44,9 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(q: Fraction) -> str:
-    """Canonical text form, e.g. "-1/30" or "945"."""
-    return str(Fraction(q))
-
-
 def is_exact(v) -> bool:
     """True for an int or a Fraction; bools, floats and strings are not exact values."""
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-
-
-def is_canonical(q: Fraction) -> bool:
-    """True when q is reduced with a positive denominator (test helper)."""
-    return q.denominator > 0 and math.gcd(abs(q.numerator), q.denominator) == 1
 
 
 @lru_cache(maxsize=None)

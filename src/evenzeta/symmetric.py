@@ -4,27 +4,29 @@ Everything here works over a concrete tuple of rational variables, so the
 classical identities relating elementary symmetric functions, power sums and
 the symmetric group can be verified exactly.  They are polynomial identities
 and therefore hold for every finite truncation; no analysis is involved.
+
+cycle_index_elementary is the sum over the symmetric group
+e_k = (1/k!) sum_sigma sgn(sigma) prod p_{cycle lengths of sigma}, grouped
+by cycle type (the cycle-index formula, Macdonald, Symmetric Functions and
+Hall Polynomials, I.2); the tests keep the walk over all k! permutations as
+the reference it is checked against.  newton_girard_check(vars, k) returns
+the two sides (lhs, rhs) of the k-th Newton-Girard identity.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .rationals import is_exact
 
 __all__ = [
     "VariableSet",
-    "Permutation",
-    "symmetric_group",
     "elementary_symmetric",
     "power_sum",
     "cycle_index_elementary",
     "newton_girard_check",
-    "NewtonGirardResult",
     "CYCLE_INDEX_MAX",
 ]
 
@@ -57,71 +59,11 @@ class VariableSet:
         return len(self.values)
 
 
-class Permutation:
-    """A bijection on {1..k} with derived cycles and signature."""
-
-    __slots__ = ("image",)
-
-    def __init__(self, image: Sequence[int]):
-        image = tuple(image)
-        k = len(image)
-        if sorted(image) != list(range(1, k + 1)):
-            raise ValueError(f"not a bijection on 1..{k}: {image}")
-        object.__setattr__(self, "image", image)
-
-    def __call__(self, i: int) -> int:
-        return self.image[i - 1]
-
-    def __len__(self) -> int:
-        return len(self.image)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.image == other.image
-
-    def __hash__(self):
-        return hash(self.image)
-
-    def __repr__(self):
-        return f"Permutation({list(self.image)!r})"
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition self after other."""
-        if len(self) != len(other):
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self(other(i)) for i in range(1, len(self) + 1)))
-
-    @property
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycle decomposition; each cycle starts at its least element."""
-        seen = [False] * len(self.image)
-        out = []
-        for start in range(1, len(self.image) + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            j = self(start)
-            while j != start:
-                cyc.append(j)
-                seen[j - 1] = True
-                j = self(j)
-            out.append(tuple(cyc))
-        return tuple(out)
-
-    @property
-    def sign(self) -> int:
-        """prod over cycles of (-1)^(len-1), i.e. the permutation parity."""
-        s = 1
-        for cyc in self.cycles:
-            if (len(cyc) - 1) % 2:
-                s = -s
-        return s
-
-
-def symmetric_group(k: int) -> Iterator[Permutation]:
-    """All k! permutations of {1..k}, in lexicographic image order."""
-    for image in itertools.permutations(range(1, k + 1)):
-        yield Permutation(image)
+def _check_index(k) -> None:
+    # a float or bool k would run the arithmetic below and return an inexact
+    # or meaningless value instead of failing
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError(f"k={k!r} is not an int")
 
 
 def elementary_symmetric(vars: VariableSet, k: int) -> Fraction:
@@ -129,6 +71,7 @@ def elementary_symmetric(vars: VariableSet, k: int) -> Fraction:
 
     k larger than the variable count is an error.
     """
+    _check_index(k)
     n = vars.size
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -144,6 +87,7 @@ def elementary_symmetric(vars: VariableSet, k: int) -> Fraction:
 
 def power_sum(vars: VariableSet, k: int) -> Fraction:
     """p_k = sum z_i^k for k >= 1."""
+    _check_index(k)
     if k < 1:
         raise ValueError("power sums are defined for k >= 1")
     return sum((z**k for z in vars.values), Fraction(0))
@@ -161,15 +105,13 @@ def _partitions(n: int, largest: int | None = None):
             yield (part,) + rest
 
 
-def cycle_index_elementary(
-    vars: VariableSet, k: int, *, mode: str = "cycle-types"
-) -> Fraction:
+def cycle_index_elementary(vars: VariableSet, k: int) -> Fraction:
     """e_k recovered as (1/k!) sum over S_k of sgn(sigma) * prod p_{cycle length}.
 
-    mode "cycle-types" groups the sum by cycle type with the multiplicity
-    k! / (prod_j j^{m_j} m_j!); mode "permutations" walks all k! elements.
-    Both must agree; the second exists to cross-check the counting.
+    The sum runs over cycle types: the k! / (prod_j j^{m_j} m_j!) permutations
+    with m_j cycles of length j share the sign (-1)^(k - number of cycles).
     """
+    _check_index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > CYCLE_INDEX_MAX:
@@ -178,16 +120,6 @@ def cycle_index_elementary(
             "use elementary_symmetric"
         )
     psums = {j: power_sum(vars, j) for j in range(1, k + 1)}
-    if mode == "permutations":
-        total = Fraction(0)
-        for sigma in symmetric_group(k):
-            term = Fraction(sigma.sign)
-            for cyc in sigma.cycles:
-                term *= psums[len(cyc)]
-            total += term
-        return total / math.factorial(k)
-    if mode != "cycle-types":
-        raise ValueError(f"unknown mode {mode!r}")
     total = Fraction(0)
     for parts in _partitions(k):
         mult = math.factorial(k)
@@ -204,24 +136,13 @@ def cycle_index_elementary(
     return total / math.factorial(k)
 
 
-@dataclass(frozen=True)
-class NewtonGirardResult:
-    """Outcome of one Newton-Girard identity check, with both sides as witness."""
+def newton_girard_check(vars: VariableSet, k: int) -> tuple[Fraction, Fraction]:
+    """The two sides (lhs, rhs) of the k-th Newton-Girard identity, exactly:
 
-    k: int
-    lhs: Fraction
-    rhs: Fraction
+        (-1)^(k-1) p_k = k e_k - sum_{i<k} (-1)^(i-1) e_{k-i} p_i
 
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def newton_girard_check(vars: VariableSet, k: int) -> NewtonGirardResult:
-    """Check (-1)^(k-1) p_k = k e_k - sum_{i<k} (-1)^(i-1) e_{k-i} p_i exactly."""
+    The identity holds when lhs == rhs.
+    """
     if not 1 <= k <= vars.size:
         raise ValueError(f"need 1 <= k <= {vars.size}, got {k}")
     lhs = power_sum(vars, k) * (-1 if k % 2 == 0 else 1)
@@ -229,4 +150,4 @@ def newton_girard_check(vars: VariableSet, k: int) -> NewtonGirardResult:
     for i in range(1, k):
         term = elementary_symmetric(vars, k - i) * power_sum(vars, i)
         rhs -= term if i % 2 else -term
-    return NewtonGirardResult(k=k, lhs=lhs, rhs=rhs)
+    return lhs, rhs

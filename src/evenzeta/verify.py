@@ -62,11 +62,6 @@ def _trials(seed: int, label: str, max_k: int, sides: Callable) -> list[dict]:
     return checks
 
 
-def _newton_girard_sides(vars: symmetric.VariableSet, k: int) -> tuple:
-    res = symmetric.newton_girard_check(vars, k)
-    return res.lhs, res.rhs
-
-
 def _cycle_index_sides(vars: symmetric.VariableSet, k: int) -> tuple:
     return (
         symmetric.cycle_index_elementary(vars, k),
@@ -75,10 +70,10 @@ def _cycle_index_sides(vars: symmetric.VariableSet, k: int) -> tuple:
 
 
 def _suite_newton_girard(max_k: int) -> list[dict]:
-    checks = _trials(_SEED, "newton-girard", max_k, _newton_girard_sides)
+    checks = _trials(_SEED, "newton-girard", max_k, symmetric.newton_girard_check)
     inv_squares = symmetric.VariableSet.inverse_squares(12)
     name = "newton-girard inverse squares N=12 k=5"
-    checks.append(_equal(name, *_newton_girard_sides(inv_squares, 5)))
+    checks.append(_equal(name, *symmetric.newton_girard_check(inv_squares, 5)))
     return checks
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "newton_partial_closed",
     "ZETA_EVEN_RATIONAL_MAX",
     "BERNOULLI_EVEN_MAX",
+    "BERNOULLI_CLASSICAL_MAX",
 ]
 
 # Largest k of the two operator-route values.  Each keeps one call within
@@ -40,6 +41,11 @@ __all__ = [
 # bernoulli_even up to 175.
 ZETA_EVEN_RATIONAL_MAX = 180
 BERNOULLI_EVEN_MAX = 175
+
+# Largest n of the classical oracle, by the same rule: bernoulli_classical(700)
+# took 3.9-4.4 s cold (725 took 3.8-5.0 s, 750 4.0-5.4 s).  It may not go
+# below 700, the B_{2k} of `bernoulli --k 350 --method classical`.
+BERNOULLI_CLASSICAL_MAX = 700
 
 
 @dataclass(frozen=True)
@@ -145,10 +151,11 @@ def bernoulli_classical(n: int) -> Fraction:
 
     Independent oracle: deliberately shares nothing with the operator
     recursion.  Uses the B_1 = -1/2 convention; even indices, which are all
-    this package compares against, are convention-independent.
+    this package compares against, are convention-independent.  n lies
+    within 0..BERNOULLI_CLASSICAL_MAX.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= BERNOULLI_CLASSICAL_MAX:
+        raise ValueError(f"n={n} outside 0..{BERNOULLI_CLASSICAL_MAX}")
     if n == 0:
         return Fraction(1)
     total = Fraction(0)

@@ -12,7 +12,7 @@ from evenzeta.cli import (
 from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
 from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX, TREE_SUM_MAX
 from evenzeta.verify import ALL_MAX_K, SUITES
-from evenzeta.zeta import BERNOULLI_EVEN_MAX, ZETA_EVEN_RATIONAL_MAX
+from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ZETA_EVEN_RATIONAL_MAX
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,6 +41,7 @@ ROW_BOUNDS = {
     "`double_factorial_product(k)`": [DOUBLE_FACTORIAL_PRODUCT_MAX],
     "`zeta_even_rational(k)`": [ZETA_EVEN_RATIONAL_MAX],
     "`bernoulli_even(k)`": [BERNOULLI_EVEN_MAX],
+    "`bernoulli_classical(n)`": [BERNOULLI_CLASSICAL_MAX],
 }
 
 

@@ -1,6 +1,7 @@
 """The routes share no code: their agreement is a check only while each stands alone."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import evenzeta
@@ -59,3 +60,18 @@ def test_replay_is_defined_only_in_trees():
     assert REPLAY <= _top_level_definitions("trees")
     owners = {path.stem for path in SRC.glob("*.py") if REPLAY & _top_level_definitions(path.stem)}
     assert owners == {"trees"}
+
+
+def test_every_all_name_is_bound():
+    # evenbench's tracer wraps each layer by its __all__ name and skips a
+    # missing one silently; `import *` would raise on it
+    checked = set()
+    for path in SRC.glob("*.py"):
+        if path.stem in ("__init__", "__main__"):  # __main__ runs the CLI on import
+            continue
+        module = importlib.import_module(f"evenzeta.{path.stem}")
+        names = getattr(module, "__all__", [])
+        assert [name for name in names if not hasattr(module, name)] == [], path.stem
+        if names:
+            checked.add(path.stem)
+    assert {"rationals", "symmetric", "zeta"} <= checked

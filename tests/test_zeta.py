@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from evenzeta.cli import BERNOULLI_MAX
 from evenzeta.zeta import (
+    BERNOULLI_CLASSICAL_MAX,
     BERNOULLI_EVEN_MAX,
     ZETA_EVEN_RATIONAL_MAX,
     PiMultiple,
@@ -45,6 +47,16 @@ def test_classical_oracle_recursion_identity():
             math.comb(n + 1, j) * bernoulli_classical(j) for j in range(n + 1)
         )
         assert total == 0
+
+
+def test_classical_oracle_bound():
+    # `bernoulli --k 350 --method classical` asks the oracle for B_700
+    bound = BERNOULLI_CLASSICAL_MAX
+    assert bound >= 2 * BERNOULLI_MAX["classical"]
+    with pytest.raises(ValueError, match=rf"^n={bound + 1} outside 0\.\.{bound}$"):
+        bernoulli_classical(bound + 1)
+    with pytest.raises(ValueError, match=rf"^n=-1 outside 0\.\.{bound}$"):
+        bernoulli_classical(-1)
 
 
 # -- pi multiples ------------------------------------------------------------
