@@ -49,11 +49,23 @@ def is_exact(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
+def check_index(k, lo: int, hi: int, name: str = "k") -> None:
+    """Refuse an index that is not an int (a bool included) or lies outside lo..hi.
+
+    Every bounded function calls this before any work.  The message states
+    the bound only: a count derived from an unbounded k is unbounded too.
+    """
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError(f"{name}={k!r} is not an int")
+    if not lo <= k <= hi:
+        raise ValueError(f"{name}={k} outside {lo}..{hi}")
+
+
 @lru_cache(maxsize=None)
 def double_factorial_odd(i: int) -> int:
-    """(2i+1)!! = 3 * 5 * ... * (2i+1), the empty product 1 for i = 0."""
-    if i < 0:
-        raise ValueError("i must be >= 0")
+    """(2i+1)!! = 3 * 5 * ... * (2i+1), the empty product 1 for i = 0, for i
+    within 0..DOUBLE_FACTORIAL_PRODUCT_MAX."""
+    check_index(i, 0, DOUBLE_FACTORIAL_PRODUCT_MAX, "i")
     return math.prod(range(3, 2 * i + 2, 2))
 
 
@@ -61,6 +73,5 @@ def double_factorial_odd(i: int) -> int:
 def double_factorial_product(k: int) -> int:
     """prod_{i=1}^{k} (2i+1)!!, the denominator tower of the even zeta values,
     for k within 0..DOUBLE_FACTORIAL_PRODUCT_MAX."""
-    if not 0 <= k <= DOUBLE_FACTORIAL_PRODUCT_MAX:
-        raise ValueError(f"k={k} outside 0..{DOUBLE_FACTORIAL_PRODUCT_MAX}")
+    check_index(k, 0, DOUBLE_FACTORIAL_PRODUCT_MAX)
     return math.prod(double_factorial_odd(i) for i in range(1, k + 1))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .polynomials import ONE, Polynomial
-from .rationals import double_factorial_odd
+from .rationals import check_index, double_factorial_odd
 
 __all__ = [
     "ConsistencyError",
@@ -32,7 +32,21 @@ __all__ = [
     "basis_coefficients",
     "expand_basis",
     "shifted_product_identity",
+    "RECURSION_MAX",
+    "TRANSLATED_MAX",
+    "BASIS_COEFFICIENTS_MAX",
 ]
+
+# Largest k of the recursion route: one cold call within about 4.5 s in a
+# fresh process (2-vCPU host, Python 3.11.7; README has the ranges).
+# RECURSION_MAX bounds numerator_polynomial (3.6-4.4 s at 180) and apply_step,
+# and through them zeta_numerator and zeta.zeta_even_rational.  TRANSLATED_MAX:
+# translated_polynomial(155, half_scale=True) 2.9-4.3 s.  BASIS_COEFFICIENTS_MAX:
+# basis_coefficients(210) 3.7-4.0 s; shifted_product_identity, the identity
+# behind the basis recurrence, shares it.
+RECURSION_MAX = 180
+TRANSLATED_MAX = 155
+BASIS_COEFFICIENTS_MAX = 210
 
 
 class ConsistencyError(RuntimeError):
@@ -52,9 +66,8 @@ def factor_product(positions: Iterable[int], k: int) -> Polynomial:
 
 
 def apply_step(f: Polynomial, k: int) -> Polynomial:
-    """Apply the k-th step operator to f (see module docstring for the formula)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """Apply the k-th step operator to f (module docstring), k within 1..RECURSION_MAX."""
+    check_index(k, 1, RECURSION_MAX)
     rising = factor_product(range(1, k + 1), k)
     numerator = f.evaluate(k) * rising - double_factorial_odd(k) * f
     return numerator.divide_linear_exact(k)
@@ -65,9 +78,8 @@ _poly_cache: list[Polynomial] = [ONE, ONE]  # entries 0 (unused) and 1
 
 
 def numerator_polynomial(k: int) -> Polynomial:
-    """The k-th polynomial of the recursion (degree k-2 for k >= 2, cached)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """The k-th polynomial of the recursion (degree k-2, cached), k within 1..RECURSION_MAX."""
+    check_index(k, 1, RECURSION_MAX)
     with _cache_lock:
         while len(_poly_cache) <= k:
             j = len(_poly_cache) - 1
@@ -76,7 +88,7 @@ def numerator_polynomial(k: int) -> Polynomial:
 
 
 def zeta_numerator(k: int) -> int:
-    """The positive integer value of the k-th polynomial at x = k."""
+    """The positive integer value of the k-th polynomial at x = k, k within 1..RECURSION_MAX."""
     value = numerator_polynomial(k).evaluate(k)
     if value.denominator != 1 or value <= 0:
         raise ConsistencyError(f"expected a positive integer at k={k}, got {value}")
@@ -87,8 +99,9 @@ def translated_polynomial(k: int, *, half_scale: bool = False) -> Polynomial:
     """The k-th polynomial shifted to x + k - 3/2, where all coefficients are positive.
 
     With half_scale the variable is additionally rescaled to x/2, the form
-    in which the small cases are usually displayed.
+    in which the small cases are usually displayed.  k is within 1..TRANSLATED_MAX.
     """
+    check_index(k, 1, TRANSLATED_MAX)
     a = Fraction(1, 2) if half_scale else Fraction(1)
     return numerator_polynomial(k).compose_affine(a, k - Fraction(3, 2))
 
@@ -106,10 +119,9 @@ def basis_coefficients(k: int) -> tuple[int, ...]:
     seeded with c_{0,2} = 1.  S_n does not depend on i, so each step is one
     backward pass for S, a prefix sum over n and a suffix product over j:
     O(k) integer operations per step, and the coefficients are positive
-    integers by construction.
+    integers by construction.  k is within 2..BASIS_COEFFICIENTS_MAX.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    check_index(k, 2, BASIS_COEFFICIENTS_MAX)
     coeffs = [1]
     for cur in range(2, k):
         s = [0] * cur  # s[cur-1] = 0: the sum over m in n..cur-2 is empty
@@ -144,9 +156,9 @@ def expand_basis(coeffs: Iterable[int], k: int) -> Polynomial:
 
 def shifted_product_identity(n: int) -> bool:
     """Coefficientwise check of prod_{i=1}^{n} (u + 2i+3) =
-    sum_{i=0}^{n} 2^(n-i) * (n!/i!) * prod_{j=1}^{i} (u + 2j+1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    sum_{i=0}^{n} 2^(n-i) * (n!/i!) * prod_{j=1}^{i} (u + 2j+1),
+    for n within 0..BASIS_COEFFICIENTS_MAX."""
+    check_index(n, 0, BASIS_COEFFICIENTS_MAX, "n")
     lhs = ONE
     for i in range(1, n + 1):
         lhs = lhs * Polynomial((2 * i + 3, 1))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import is_exact
+from .rationals import check_index, is_exact
 
 __all__ = [
     "VariableSet",
@@ -59,24 +59,11 @@ class VariableSet:
         return len(self.values)
 
 
-def _check_index(k) -> None:
-    # a float or bool k would run the arithmetic below and return an inexact
-    # or meaningless value instead of failing
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError(f"k={k!r} is not an int")
-
-
 def elementary_symmetric(vars: VariableSet, k: int) -> Fraction:
-    """e_k over the variables, by the stable product recurrence on prod(1 + z_i t).
-
-    k larger than the variable count is an error.
+    """e_k over the variables, by the stable product recurrence on prod(1 + z_i t),
+    for k within 0..N, the variable count.
     """
-    _check_index(k)
-    n = vars.size
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k > n:
-        raise ValueError(f"e_{k} needs at least {k} variables, got {n}")
+    check_index(k, 0, vars.size)
     row = [Fraction(0)] * (k + 1)
     row[0] = Fraction(1)
     for z in vars.values:
@@ -86,10 +73,9 @@ def elementary_symmetric(vars: VariableSet, k: int) -> Fraction:
 
 
 def power_sum(vars: VariableSet, k: int) -> Fraction:
-    """p_k = sum z_i^k for k >= 1."""
-    _check_index(k)
-    if k < 1:
-        raise ValueError("power sums are defined for k >= 1")
+    """p_k = sum z_i^k for k within 1..max(N, CYCLE_INDEX_MAX), N the variable
+    count: every p_k that the Newton-Girard and cycle-index sums read."""
+    check_index(k, 1, max(vars.size, CYCLE_INDEX_MAX))
     return sum((z**k for z in vars.values), Fraction(0))
 
 
@@ -110,15 +96,9 @@ def cycle_index_elementary(vars: VariableSet, k: int) -> Fraction:
 
     The sum runs over cycle types: the k! / (prod_j j^{m_j} m_j!) permutations
     with m_j cycles of length j share the sign (-1)^(k - number of cycles).
+    k is within 1..CYCLE_INDEX_MAX; elementary_symmetric gives e_k without the sum.
     """
-    _check_index(k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > CYCLE_INDEX_MAX:
-        raise ValueError(
-            f"k={k} exceeds the enumeration bound {CYCLE_INDEX_MAX}; "
-            "use elementary_symmetric"
-        )
+    check_index(k, 1, CYCLE_INDEX_MAX)
     psums = {j: power_sum(vars, j) for j in range(1, k + 1)}
     total = Fraction(0)
     for parts in _partitions(k):
@@ -141,10 +121,9 @@ def newton_girard_check(vars: VariableSet, k: int) -> tuple[Fraction, Fraction]:
 
         (-1)^(k-1) p_k = k e_k - sum_{i<k} (-1)^(i-1) e_{k-i} p_i
 
-    The identity holds when lhs == rhs.
+    The identity holds when lhs == rhs.  k is within 1..N, the variable count.
     """
-    if not 1 <= k <= vars.size:
-        raise ValueError(f"need 1 <= k <= {vars.size}, got {k}")
+    check_index(k, 1, vars.size)
     lhs = power_sum(vars, k) * (-1 if k % 2 == 0 else 1)
     rhs = k * elementary_symmetric(vars, k)
     for i in range(1, k):

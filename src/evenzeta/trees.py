@@ -53,6 +53,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .polynomials import ONE, Polynomial
+from .rationals import check_index
 from .sequences import ODD_NUMBERS, SequenceSpec, Value
 
 # Largest k of each route.  ENUMERATION_MAX guards the Catalan growth of
@@ -79,13 +80,10 @@ __all__ = [
 
 
 def catalan(n: int) -> int:
+    """C_n, the number of plane trees on n+1 vertices, for n within
+    0..TRANSFORM_MAX-1 (the all-ones transform counts the same trees)."""
+    check_index(n, 0, TRANSFORM_MAX - 1, "n")
     return math.comb(2 * n, n) // (n + 1)
-
-
-def _check_bound(k: int, lo: int, hi: int) -> None:
-    # no tree count in the message: C(k-1) of an unbounded k is unbounded too
-    if not lo <= k <= hi:
-        raise ValueError(f"k={k} outside {lo}..{hi}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +120,9 @@ class TreeData:
 
 
 def enumerate_trees(k: int) -> Iterator[PlaneTree]:
-    """All plane trees on k vertices, lazily, in lexicographic level order."""
-    _check_bound(k, 1, ENUMERATION_MAX)
+    """All plane trees on k vertices, lazily, in lexicographic level order, for k
+    within 1..ENUMERATION_MAX (checked when the first tree is drawn)."""
+    check_index(k, 1, ENUMERATION_MAX)
 
     def rec(prefix: list[int]) -> Iterator[PlaneTree]:
         if len(prefix) == k - 1:
@@ -178,18 +177,19 @@ def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
 def expand_step(s: Iterable[int], k: int) -> list[tuple[int, tuple[int, ...]]]:
     """Expand the k-th step operator applied to prod_{n in s} (2x - 2(k-1) + 2n+1).
 
-    s is any iterable of distinct positions within {1..k-2}.  Returns
-    (weight, low positions) terms, the positions sorted, one per j in
-    0..k-1-|s|, from the replay step with j smallest picks; the weight is
-    the odd-value product over the high set.  Assembling
+    k is within 2..TRANSFORM_MAX and s is any iterable of distinct positions
+    within {1..k-2}.  Returns (weight, low positions) terms, the positions
+    sorted, one per j in 0..k-1-|s|, from the replay step with j smallest
+    picks; the weight is the odd-value product over the high set.  Assembling
     weight * prod_{n in low} (2x - 2k + 2n+1) over all terms reproduces the
     operator's action exactly, so the replay is checked against it.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    check_index(k, 2, TRANSFORM_MAX)
     positions = sorted(s)
-    if len(set(positions)) != len(positions) or not set(positions) <= set(range(1, k - 1)):
-        raise ValueError(f"positions {positions} must be distinct and within 1..{k - 2}")
+    for n in positions:
+        check_index(n, 1, k - 2, "position")
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"positions {positions} are not distinct")
     s1 = {n + 1 for n in positions}
     terms = []
     for j in range(k - len(positions)):
@@ -219,7 +219,7 @@ def polynomial_via_trees(k: int) -> Polynomial:
 
     (by Horner in i), and P_k is G_{k-1} times prod_{m=1}^{k-2} R_2...R_{m+1}.
     """
-    _check_bound(k, 2, TREE_SUM_MAX)
+    check_index(k, 2, TREE_SUM_MAX)
     values = ODD_NUMBERS.values_upto(k)
     c = _first_return_weights(values)
     w = [Polynomial((r - 2 * (k - 1), 2)) for r in values]  # w[a-1] is w_a
@@ -251,6 +251,6 @@ def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
     2*zeta(2k)/pi^(2k), and the value times double_factorial_product(k) is
     the zeta numerator A_k.
     """
-    _check_bound(k, 1, TRANSFORM_MAX)
+    check_index(k, 1, TRANSFORM_MAX)
     values = seq.values_upto(k)  # validates presence and nonzero-ness
     return _first_return_weights(values)[k - 1] / values[0] ** k

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rationals import double_factorial_product, is_exact
-from .recursion import numerator_polynomial, zeta_numerator
+from .rationals import check_index, double_factorial_product, is_exact
+from .recursion import RECURSION_MAX, numerator_polynomial, zeta_numerator
 
 __all__ = [
     "PiMultiple",
@@ -29,23 +29,26 @@ __all__ = [
     "bernoulli_classical",
     "newton_partial_sum",
     "newton_partial_closed",
-    "ZETA_EVEN_RATIONAL_MAX",
     "BERNOULLI_EVEN_MAX",
     "BERNOULLI_CLASSICAL_MAX",
+    "ELEMENTARY_ZETA_MAX",
 ]
 
-# Largest k of the two operator-route values.  Each keeps one call within
-# about 4.5 s in a fresh process (2-vCPU host, Python 3.11.7):
-# zeta_even_rational(180) 3.2-4.0 s (190 took 5.7 s), bernoulli_even(175)
-# 2.8-3.8 s (180 took 3.3-4.6 s).  The `verify` bernoulli suite runs
-# bernoulli_even up to 175.
-ZETA_EVEN_RATIONAL_MAX = 180
+# Largest k of bernoulli_even: one call within about 4.5 s in a fresh process
+# (2-vCPU host, Python 3.11.7), 2.8-3.8 s (180 took 3.3-4.6 s).  The `verify`
+# bernoulli suite runs it up to 175.
 BERNOULLI_EVEN_MAX = 175
 
 # Largest n of the classical oracle, by the same rule: bernoulli_classical(700)
 # took 3.9-4.4 s cold (725 took 3.8-5.0 s, 750 4.0-5.4 s).  It may not go
 # below 700, the B_{2k} of `bernoulli --k 350 --method classical`.
 BERNOULLI_CLASSICAL_MAX = 700
+
+# Largest k of elementary_zeta, bernoulli_from_zeta and the Newton partial
+# sums, whose own cost is a factorial of about 2k (0.1 s at 2000).  Their n
+# is bounded by RECURSION_MAX: newton_partial_sum(180, 2000) took 3.7-5.2 s,
+# nearly all of it the recursion (k = 5000 took 4.4-5.7 s).
+ELEMENTARY_ZETA_MAX = 2000
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,9 @@ class PiMultiple:
 
 
 def elementary_zeta(k: int) -> PiMultiple:
-    """pi^(2k) / (2k+1)!, the inverse-square specialization of e_k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    """pi^(2k) / (2k+1)!, the inverse-square specialization of e_k, for k within
+    0..ELEMENTARY_ZETA_MAX."""
+    check_index(k, 0, ELEMENTARY_ZETA_MAX)
     return PiMultiple(Fraction(1, math.factorial(2 * k + 1)), 2 * k)
 
 
@@ -120,19 +123,17 @@ def zeta_even_rational(k: int) -> PiMultiple:
     """zeta(2k) as an exact rational multiple of pi^(2k).
 
     The coefficient is (numerator/2) / prod_{i=1}^{k} (2i+1)!! with the
-    numerator from the operator recursion.  k is within 1..ZETA_EVEN_RATIONAL_MAX.
+    numerator from the operator recursion.  k is within 1..RECURSION_MAX,
+    checked by zeta_numerator.
     """
-    if not 1 <= k <= ZETA_EVEN_RATIONAL_MAX:
-        raise ValueError(f"k={k} outside 1..{ZETA_EVEN_RATIONAL_MAX}")
     coeff = Fraction(zeta_numerator(k), 2 * double_factorial_product(k))
     return PiMultiple(coeff, 2 * k)
 
 
 def bernoulli_from_zeta(k: int, coeff: Fraction) -> Fraction:
     """B_{2k} from coeff = zeta(2k)/pi^(2k), by whichever route it was computed:
-    B_{2k} = (-1)^(k-1) * 2 * (2k)! * coeff / 2^(2k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    B_{2k} = (-1)^(k-1) * 2 * (2k)! * coeff / 2^(2k), for k within 1..ELEMENTARY_ZETA_MAX."""
+    check_index(k, 1, ELEMENTARY_ZETA_MAX)
     sign = 1 if k % 2 else -1
     return sign * 2 * math.factorial(2 * k) * coeff / 2 ** (2 * k)
 
@@ -140,8 +141,7 @@ def bernoulli_from_zeta(k: int, coeff: Fraction) -> Fraction:
 def bernoulli_even(k: int) -> Fraction:
     """B_{2k} for k within 1..BERNOULLI_EVEN_MAX, inverted from the even zeta
     value of the operator recursion."""
-    if not 1 <= k <= BERNOULLI_EVEN_MAX:
-        raise ValueError(f"k={k} outside 1..{BERNOULLI_EVEN_MAX}")
+    check_index(k, 1, BERNOULLI_EVEN_MAX)
     return bernoulli_from_zeta(k, zeta_even_rational(k).coeff)
 
 
@@ -154,8 +154,7 @@ def bernoulli_classical(n: int) -> Fraction:
     this package compares against, are convention-independent.  n lies
     within 0..BERNOULLI_CLASSICAL_MAX.
     """
-    if not 0 <= n <= BERNOULLI_CLASSICAL_MAX:
-        raise ValueError(f"n={n} outside 0..{BERNOULLI_CLASSICAL_MAX}")
+    check_index(n, 0, BERNOULLI_CLASSICAL_MAX, "n")
     if n == 0:
         return Fraction(1)
     total = Fraction(0)
@@ -169,12 +168,11 @@ def newton_partial_sum(n: int, k: int) -> PiMultiple:
 
         k * elementary_zeta(k) - sum_{i=1}^{n-1} (-1)^(i-1) elementary_zeta(k-i) * zeta(2i)
 
-    Needs n >= 2 and k >= n-1 so every elementary index stays >= 0.
+    n is within 2..RECURSION_MAX and k within n-1..ELEMENTARY_ZETA_MAX, so
+    every elementary index stays >= 0.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if k < n - 1:
-        raise ValueError(f"need k >= n-1 = {n - 1} to keep indices in range, got k={k}")
+    check_index(n, 2, RECURSION_MAX, "n")
+    check_index(k, n - 1, ELEMENTARY_ZETA_MAX)
     total = k * elementary_zeta(k)
     for i in range(1, n):
         term = elementary_zeta(k - i) * zeta_even_rational(i)
@@ -188,12 +186,11 @@ def newton_partial_closed(n: int, k: int) -> PiMultiple:
         (-1)^(n-1) * (pi^(2k)/2) * P_n(k)
             * prod_{i=1}^{n} (2k-2i+2) / ( (2k+1)! * prod_{i=1}^{n-1} (2i+1)!! )
 
-    with P_n the n-th recursion polynomial.  Valid for n >= 2, k >= 1.
+    with P_n the n-th recursion polynomial, for n within 2..RECURSION_MAX and k
+    within 1..ELEMENTARY_ZETA_MAX.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_index(n, 2, RECURSION_MAX, "n")
+    check_index(k, 1, ELEMENTARY_ZETA_MAX)
     sign = 1 if n % 2 else -1
     value = numerator_polynomial(n).evaluate(k)
     numer = math.prod(2 * k - 2 * i + 2 for i in range(1, n + 1))

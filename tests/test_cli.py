@@ -15,9 +15,16 @@ from evenzeta.cli import (
     main,
 )
 from evenzeta.polynomials import InexactDivisionError
-from evenzeta.recursion import ConsistencyError
-from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX
+from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
+from evenzeta.recursion import (
+    BASIS_COEFFICIENTS_MAX,
+    RECURSION_MAX,
+    TRANSLATED_MAX,
+    ConsistencyError,
+)
+from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX, TREE_SUM_MAX
 from evenzeta.verify import ALL_MAX_K, SUITES
+from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX
 
 PUBLISHED_SEQUENCE = [
     "1",
@@ -317,6 +324,25 @@ def test_verify_all_bound(capsys):
     assert code == 2
     assert f"between 1 and {ALL_MAX_K}" in err
     assert f"all 1..{ALL_MAX_K}" in help_text(capsys, "verify")
+
+
+def test_command_bounds_nest_in_library_bounds():
+    # a command or suite bound past the library bound of a function it calls
+    # at that k would turn a valid call into exit code 3
+    suite = {name: s.hard_max_k for name, s in SUITES.items()}
+    # numerator_polynomial, zeta_numerator and zeta_even_rational
+    assert max(AK_MAX, ZETA_EVEN_MAX, BERNOULLI_MAX["recursion"], suite["leading"]) <= RECURSION_MAX
+    # and within the library: bernoulli_even -> zeta_even_rational -> double_factorial_product
+    assert BERNOULLI_EVEN_MAX <= RECURSION_MAX <= DOUBLE_FACTORIAL_PRODUCT_MAX
+    assert max(PK_MAX, suite["positivity"]) <= TRANSLATED_MAX
+    assert suite["coeffs"] <= BASIS_COEFFICIENTS_MAX
+    assert suite["lemma-2ni"] <= BASIS_COEFFICIENTS_MAX  # shifted_product_identity
+    assert suite["fn"] <= ELEMENTARY_ZETA_MAX  # the Newton partial sums' k
+    assert max(BERNOULLI_MAX["recursion"], suite["bernoulli"]) <= BERNOULLI_EVEN_MAX
+    assert 2 * max(BERNOULLI_MAX["classical"], suite["bernoulli"]) <= BERNOULLI_CLASSICAL_MAX
+    assert BERNOULLI_MAX["tree"] <= min(TRANSFORM_MAX, ELEMENTARY_ZETA_MAX)  # bernoulli_from_zeta
+    assert suite["trees"] <= TREE_SUM_MAX <= TRANSFORM_MAX
+    assert TREES_LIST_MAX <= ENUMERATION_MAX <= TRANSFORM_MAX  # catalan(k - 1)
 
 
 def test_usage_error_exit_code():

@@ -10,9 +10,10 @@ from evenzeta.cli import (
     ZETA_EVEN_MAX,
 )
 from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
+from evenzeta.recursion import BASIS_COEFFICIENTS_MAX, RECURSION_MAX, TRANSLATED_MAX
 from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX, TREE_SUM_MAX
 from evenzeta.verify import ALL_MAX_K, SUITES
-from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ZETA_EVEN_RATIONAL_MAX
+from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,8 +39,15 @@ ROW_BOUNDS = {
     ],
     "`verify --suite all --max-k N`": [ALL_MAX_K],
     "`polynomial_via_trees(k)`": [TREE_SUM_MAX],
-    "`double_factorial_product(k)`": [DOUBLE_FACTORIAL_PRODUCT_MAX],
-    "`zeta_even_rational(k)`": [ZETA_EVEN_RATIONAL_MAX],
+    "`catalan(n)`": [TRANSFORM_MAX - 1],
+    "`double_factorial_product(k)`, `double_factorial_odd(i)`": [DOUBLE_FACTORIAL_PRODUCT_MAX],
+    "`numerator_polynomial(k)`, `zeta_numerator(k)`, `zeta_even_rational(k)`, "
+    "`apply_step(f, k)`, the Newton partial sums' `n`": [RECURSION_MAX],
+    "`translated_polynomial(k)`": [TRANSLATED_MAX],
+    "`basis_coefficients(k)`, `shifted_product_identity(n)`": [BASIS_COEFFICIENTS_MAX],
+    "`elementary_zeta(k)`, `bernoulli_from_zeta(k, c)`, the Newton partial sums' `k`": [
+        ELEMENTARY_ZETA_MAX
+    ],
     "`bernoulli_even(k)`": [BERNOULLI_EVEN_MAX],
     "`bernoulli_classical(n)`": [BERNOULLI_CLASSICAL_MAX],
 }

@@ -62,6 +62,35 @@ def test_replay_is_defined_only_in_trees():
     assert owners == {"trees"}
 
 
+def _raised_strings(module):
+    """The string parts of every expression a module raises."""
+    return [
+        node.value
+        for raised in ast.walk(_parse(module))
+        if isinstance(raised, ast.Raise)
+        for node in ast.walk(raised)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+
+
+def test_index_check_is_defined_only_in_rationals():
+    # an index's type and bound errors are raised by rationals.check_index
+    # alone, and no "must be >=" check is left anywhere
+    modules = [path.stem for path in SRC.glob("*.py")]
+    owners = {
+        module
+        for module in modules
+        for text in _raised_strings(module)
+        if " outside " in text or text.endswith("is not an int")
+    }
+    assert owners == {"rationals"}
+    sources = {module: (SRC / f"{module}.py").read_text(encoding="utf-8") for module in modules}
+    assert [module for module, text in sources.items() if "must be >=" in text] == []
+    # evenbench's tracer wraps every __all__ function: a guard there would be
+    # traced on every public call
+    assert "check_index" not in importlib.import_module("evenzeta.rationals").__all__
+
+
 def test_every_all_name_is_bound():
     # evenbench's tracer wraps each layer by its __all__ name and skips a
     # missing one silently; `import *` would raise on it

@@ -7,12 +7,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evenzeta import recursion
+from evenzeta.polynomials import ONE
+from evenzeta.rationals import (
+    DOUBLE_FACTORIAL_PRODUCT_MAX,
+    double_factorial_odd,
+    double_factorial_product,
+)
+from evenzeta.recursion import (
+    BASIS_COEFFICIENTS_MAX,
+    RECURSION_MAX,
+    TRANSLATED_MAX,
+    apply_step,
+    basis_coefficients,
+    numerator_polynomial,
+    shifted_product_identity,
+    translated_polynomial,
+    zeta_numerator,
+)
 from evenzeta.symmetric import (
+    CYCLE_INDEX_MAX,
     VariableSet,
     cycle_index_elementary,
     elementary_symmetric,
     newton_girard_check,
     power_sum,
+)
+from evenzeta.trees import (
+    ENUMERATION_MAX,
+    TRANSFORM_MAX,
+    TREE_SUM_MAX,
+    catalan,
+    enumerate_trees,
+    expand_step,
+    generalized_transform,
+    polynomial_via_trees,
+)
+from evenzeta.zeta import (
+    BERNOULLI_CLASSICAL_MAX,
+    BERNOULLI_EVEN_MAX,
+    ELEMENTARY_ZETA_MAX,
+    bernoulli_classical,
+    bernoulli_even,
+    bernoulli_from_zeta,
+    elementary_zeta,
+    newton_partial_closed,
+    newton_partial_sum,
+    zeta_even_rational,
 )
 
 
@@ -97,7 +138,7 @@ def test_cycle_index_examples():
 
 def test_cycle_index_bound():
     vs = VariableSet(range(1, 10))
-    with pytest.raises(ValueError, match="elementary_symmetric"):
+    with pytest.raises(ValueError, match=r"^k=9 outside 1\.\.8$"):
         cycle_index_elementary(vs, 9)
     with pytest.raises(ValueError):
         cycle_index_elementary(vs, 0)
@@ -116,13 +157,70 @@ def test_permutation_walk_matches_cycle_index():
         assert cycle_index_elementary(vs, k) == cycle_index_by_permutations(vs.values, k)
 
 
-@pytest.mark.parametrize(
-    "fn", [power_sum, elementary_symmetric, cycle_index_elementary, newton_girard_check]
-)
-@pytest.mark.parametrize("bad", [2.0, True, Fraction(2)])
+VARS = VariableSet([1, 2, 3])
+
+# Every __all__ callable of rationals, recursion, zeta, trees and symmetric
+# that takes an index: id -> (call on that index, lo, hi, argument name).
+# factor_product and expand_basis are not here: their k shifts the linear
+# factors, and their cost is the length of their first argument.
+INDEXED = {
+    "power_sum": (lambda k: power_sum(VARS, k), 1, CYCLE_INDEX_MAX, "k"),
+    "elementary_symmetric": (lambda k: elementary_symmetric(VARS, k), 0, 3, "k"),
+    "cycle_index_elementary": (lambda k: cycle_index_elementary(VARS, k), 1, CYCLE_INDEX_MAX, "k"),
+    "newton_girard_check": (lambda k: newton_girard_check(VARS, k), 1, 3, "k"),
+    "double_factorial_odd": (double_factorial_odd, 0, DOUBLE_FACTORIAL_PRODUCT_MAX, "i"),
+    "double_factorial_product": (double_factorial_product, 0, DOUBLE_FACTORIAL_PRODUCT_MAX, "k"),
+    "apply_step": (lambda k: apply_step(ONE, k), 1, RECURSION_MAX, "k"),
+    "numerator_polynomial": (numerator_polynomial, 1, RECURSION_MAX, "k"),
+    "zeta_numerator": (zeta_numerator, 1, RECURSION_MAX, "k"),
+    "translated_polynomial": (translated_polynomial, 1, TRANSLATED_MAX, "k"),
+    "basis_coefficients": (basis_coefficients, 2, BASIS_COEFFICIENTS_MAX, "k"),
+    "shifted_product_identity": (shifted_product_identity, 0, BASIS_COEFFICIENTS_MAX, "n"),
+    "catalan": (catalan, 0, TRANSFORM_MAX - 1, "n"),
+    "enumerate_trees": (lambda k: next(enumerate_trees(k)), 1, ENUMERATION_MAX, "k"),
+    "expand_step": (lambda k: expand_step((), k), 2, TRANSFORM_MAX, "k"),
+    "expand_step.position": (lambda n: expand_step([n], 5), 1, 3, "position"),
+    "polynomial_via_trees": (polynomial_via_trees, 2, TREE_SUM_MAX, "k"),
+    "generalized_transform": (generalized_transform, 1, TRANSFORM_MAX, "k"),
+    "elementary_zeta": (elementary_zeta, 0, ELEMENTARY_ZETA_MAX, "k"),
+    "zeta_even_rational": (zeta_even_rational, 1, RECURSION_MAX, "k"),
+    "bernoulli_from_zeta": (
+        lambda k: bernoulli_from_zeta(k, Fraction(1)), 1, ELEMENTARY_ZETA_MAX, "k"
+    ),
+    "bernoulli_even": (bernoulli_even, 1, BERNOULLI_EVEN_MAX, "k"),
+    "bernoulli_classical": (bernoulli_classical, 0, BERNOULLI_CLASSICAL_MAX, "n"),
+    "newton_partial_sum.n": (lambda n: newton_partial_sum(n, 10), 2, RECURSION_MAX, "n"),
+    "newton_partial_sum.k": (lambda k: newton_partial_sum(3, k), 2, ELEMENTARY_ZETA_MAX, "k"),
+    "newton_partial_closed.n": (lambda n: newton_partial_closed(n, 10), 2, RECURSION_MAX, "n"),
+    "newton_partial_closed.k": (lambda k: newton_partial_closed(3, k), 1, ELEMENTARY_ZETA_MAX, "k"),
+}
+
+
+def _work_done():
+    """The caches an index reaches first when a call does any work."""
+    return (
+        len(recursion._poly_cache),
+        bernoulli_classical.cache_info().currsize,
+        double_factorial_odd.cache_info().currsize,
+        double_factorial_product.cache_info().currsize,
+    )
+
+
+@pytest.mark.parametrize("fn", list(INDEXED))
+@pytest.mark.parametrize("bad", [2.0, True, Fraction(2), "lo-1", "hi+1"])
 def test_index_must_be_an_int(fn, bad):
-    with pytest.raises(TypeError, match=re.escape(f"k={bad!r}")):
-        fn(VariableSet([1, 2, 3]), bad)
+    # a bool, float or Fraction index and one just outside the bound are
+    # refused with the documented message before any work is done
+    call, lo, hi, name = INDEXED[fn]
+    before = _work_done()
+    if bad in ("lo-1", "hi+1"):
+        k = lo - 1 if bad == "lo-1" else hi + 1
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name}={k} outside {lo}..{hi}')}$"):
+            call(k)
+    else:
+        with pytest.raises(TypeError, match=f"^{re.escape(f'{name}={bad!r} is not an int')}$"):
+            call(bad)
+    assert _work_done() == before
 
 
 def test_newton_girard_examples():

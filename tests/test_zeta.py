@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from evenzeta.cli import BERNOULLI_MAX
+from evenzeta.recursion import RECURSION_MAX
 from evenzeta.zeta import (
     BERNOULLI_CLASSICAL_MAX,
     BERNOULLI_EVEN_MAX,
-    ZETA_EVEN_RATIONAL_MAX,
     PiMultiple,
     bernoulli_classical,
     bernoulli_even,
@@ -73,7 +73,7 @@ def test_pi_multiple_arithmetic():
 
 @pytest.mark.parametrize(
     "fn,bound",
-    [(zeta_even_rational, ZETA_EVEN_RATIONAL_MAX), (bernoulli_even, BERNOULLI_EVEN_MAX)],
+    [(zeta_even_rational, RECURSION_MAX), (bernoulli_even, BERNOULLI_EVEN_MAX)],
 )
 def test_operator_route_bounds(fn, bound):
     # the `verify` bernoulli suite runs up to 175 and the CLI up to 160
