@@ -37,7 +37,6 @@ from .trees import (
     tree_data,
 )
 from .zeta import (
-    PiMultiple,
     bernoulli_classical,
     bernoulli_even,
     elementary_zeta,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -126,16 +127,18 @@ def _cmd_zeta_even(args) -> int:
     inputs = {"k": args.k}
     if not 1 <= args.k <= ZETA_EVEN_MAX:
         return _fail(args, inputs, f"--k must be within 1..{ZETA_EVEN_MAX}")
-    value = zeta.zeta_even_rational(args.k)
+    coeff = zeta.zeta_even_rational(args.k)
+    power = 2 * args.k
+    text = f"{coeff} * pi^{power}"
     if args.format == "json":
-        result = {"coefficient": str(value.coeff), "pi_power": value.power, "text": str(value)}
+        result = {"coefficient": str(coeff), "pi_power": power, "text": text}
         if args.approx:
-            result["approx"] = value.approx()
+            result["approx"] = float(coeff) * math.pi**power
         _print_record("zeta-even", inputs, result)
     else:
-        print(value)
+        print(text)
         if args.approx:
-            print(f"~= {value.approx()}")
+            print(f"~= {float(coeff) * math.pi**power}")
     return 0
 
 

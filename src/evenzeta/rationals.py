@@ -49,14 +49,19 @@ def is_exact(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
+def check_int(k, name: str = "k") -> None:
+    """Refuse an index that is not an int; a bool is not an index."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError(f"{name}={k!r} is not an int")
+
+
 def check_index(k, lo: int, hi: int, name: str = "k") -> None:
-    """Refuse an index that is not an int (a bool included) or lies outside lo..hi.
+    """Refuse an index that is not an int (check_int) or lies outside lo..hi.
 
     Every bounded function calls this before any work.  The message states
     the bound only: a count derived from an unbounded k is unbounded too.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError(f"{name}={k!r} is not an int")
+    check_int(k, name)
     if not lo <= k <= hi:
         raise ValueError(f"{name}={k} outside {lo}..{hi}")
 

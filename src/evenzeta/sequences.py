@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .rationals import is_exact, parse_rational
+from .rationals import check_int, is_exact, parse_rational
 
 Value = Union[int, Fraction]
 
@@ -64,6 +64,7 @@ class SequenceSpec:
         return cls(values)
 
     def value(self, n: int) -> Value:
+        check_int(n, "position")
         if n < 1:
             raise ValueError(f"sequence positions start at 1, got {n}")
         if self._values is not None:

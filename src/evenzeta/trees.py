@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .polynomials import ONE, Polynomial
-from .rationals import check_index
+from .rationals import check_index, check_int
 from .sequences import ODD_NUMBERS, SequenceSpec, Value
 
 # Largest k of each route.  ENUMERATION_MAX guards the Catalan growth of
@@ -95,6 +95,7 @@ class PlaneTree:
     def __init__(self, levels=()):
         levels = tuple(levels)
         for t, lv in enumerate(levels):
+            check_int(lv, f"levels[{t}]")
             upper = levels[t - 1] + 1 if t > 0 else 1
             if not 1 <= lv <= upper:
                 raise ValueError(

@@ -398,6 +398,9 @@ GOLDEN_JSON_SHA256 = {
     "transform --k 13 --sequence signed.txt": (
         "c0064b0408a49dfe24152a6725c348912d13f5541209d11d1fe19a502984ea72"
     ),
+    "zeta-even --k 40 --approx": (
+        "bf0226444ca48050dec19f8ead032a51594366bf3447771879a110acd3b8542a"
+    ),
 }
 
 

@@ -104,3 +104,25 @@ def test_every_all_name_is_bound():
         if names:
             checked.add(path.stem)
     assert {"rationals", "symmetric", "zeta"} <= checked
+
+
+def _float_uses(module):
+    """The float(...) calls and math.pi reads in a module."""
+    return [
+        node
+        for node in ast.walk(_parse(module))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "pi"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+        )
+    ]
+
+
+def test_floats_appear_only_in_display():
+    # the computation path is exact: a float is made only for the CLI's
+    # opt-in --approx output
+    owners = {path.stem for path in SRC.glob("*.py") if _float_uses(path.stem)}
+    assert owners == {"cli"}

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,11 @@ def test_plane_tree_validation():
         PlaneTree((1, 3))
     with pytest.raises(ValueError):
         PlaneTree((1, 0))
+    # a bool or float level is refused by type before the range check
+    with pytest.raises(TypeError, match=r"^levels\[0\]=True is not an int$"):
+        PlaneTree((True, 2.0))
+    with pytest.raises(TypeError, match=r"^levels\[1\]=2\.0 is not an int$"):
+        PlaneTree((1, 2.0))
 
 
 def test_tree_data_base_cases():
@@ -227,7 +233,7 @@ def test_generalized_transform_default_values():
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_generalized_transform_equals_twice_zeta_coefficient(k):
-    assert generalized_transform(k) == 2 * zeta_even_rational(k).coeff
+    assert generalized_transform(k) == 2 * zeta_even_rational(k)
 
 
 def test_generalized_transform_all_ones_regression():
@@ -330,6 +336,14 @@ def test_sequence_spec_errors():
 def test_sequence_spec_rejects_inexact_values(seq, position):
     with pytest.raises(ValueError, match=f"position {position}"):
         generalized_transform(3, seq)
+
+
+@pytest.mark.parametrize("position", [True, 2.0, Fraction(2)], ids=repr)
+def test_sequence_spec_refuses_a_non_int_position(position):
+    with pytest.raises(TypeError, match=rf"^position={re.escape(repr(position))} is not an int$"):
+        ODD_NUMBERS.value(position)
+    with pytest.raises(TypeError, match="^position="):
+        SequenceSpec([3, 5, 7]).value(position)
 
 
 def test_sequence_spec_from_file(tmp_path):

@@ -1,15 +1,19 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evenzeta.cli import BERNOULLI_MAX
 from evenzeta.recursion import RECURSION_MAX
 from evenzeta.zeta import (
     BERNOULLI_CLASSICAL_MAX,
     BERNOULLI_EVEN_MAX,
-    PiMultiple,
+    ELEMENTARY_ZETA_MAX,
     bernoulli_classical,
+    bernoulli_from_zeta,
     bernoulli_even,
     elementary_zeta,
     newton_partial_closed,
@@ -21,10 +25,9 @@ from evenzeta.zeta import (
 def zeta_from_classical(k):
     # independent route: invert the Bernoulli relation using only the oracle
     sign = 1 if k % 2 else -1
-    coeff = sign * Fraction(2 ** (2 * k)) * bernoulli_classical(2 * k) / (
+    return sign * Fraction(2 ** (2 * k)) * bernoulli_classical(2 * k) / (
         2 * math.factorial(2 * k)
     )
-    return PiMultiple(coeff, 2 * k)
 
 
 # -- the classical oracle stands on its own ---------------------------------
@@ -59,18 +62,6 @@ def test_classical_oracle_bound():
         bernoulli_classical(-1)
 
 
-# -- pi multiples ------------------------------------------------------------
-
-
-def test_pi_multiple_arithmetic():
-    a = PiMultiple(Fraction(1, 6), 2)
-    b = PiMultiple(Fraction(1, 3), 2)
-    assert a + b == PiMultiple(Fraction(1, 2), 2)
-    assert a * b == PiMultiple(Fraction(1, 18), 4)
-    assert 3 * a == PiMultiple(Fraction(1, 2), 2)
-    assert a - a == PiMultiple(0, 0)
-
-
 @pytest.mark.parametrize(
     "fn,bound",
     [(zeta_even_rational, RECURSION_MAX), (bernoulli_even, BERNOULLI_EVEN_MAX)],
@@ -84,43 +75,13 @@ def test_operator_route_bounds(fn, bound):
         fn(0)
 
 
-def test_pi_multiple_power_mismatch():
-    with pytest.raises(ValueError):
-        PiMultiple(1, 2) + PiMultiple(1, 4)
-    with pytest.raises(ValueError):
-        PiMultiple(1, 3)
-    with pytest.raises(ValueError):
-        PiMultiple(1, -2)
-
-
-@pytest.mark.parametrize("bad", [0.5, "1/3", True])
-def test_pi_multiple_rejects_inexact_values(bad):
-    with pytest.raises(TypeError, match=repr(bad)):
-        PiMultiple(bad, 2)
-    with pytest.raises(TypeError):
-        PiMultiple(1, 2) * bad
-
-
-def test_pi_multiple_zero_is_neutral():
-    zero = PiMultiple(0, 6)
-    assert zero.power == 0
-    assert zero + PiMultiple(1, 4) == PiMultiple(1, 4)
-    assert PiMultiple(1, 4) - PiMultiple(1, 4) + PiMultiple(2, 8) == PiMultiple(2, 8)
-
-
-def test_pi_multiple_text():
-    assert str(PiMultiple(Fraction(1, 945), 6)) == "1/945 * pi^6"
-    assert str(PiMultiple(Fraction(7, 2), 0)) == "7/2"
-    assert abs(PiMultiple(Fraction(1, 6), 2).approx() - 1.6449340668) < 1e-9
-
-
 # -- zeta values -------------------------------------------------------------
 
 
 def test_elementary_zeta_values():
-    assert elementary_zeta(0) == PiMultiple(1, 0)
-    assert elementary_zeta(1) == PiMultiple(Fraction(1, 6), 2)
-    assert elementary_zeta(3) == PiMultiple(Fraction(1, 5040), 6)
+    assert elementary_zeta(0) == 1
+    assert elementary_zeta(1) == Fraction(1, 6)
+    assert elementary_zeta(3) == Fraction(1, 5040)
 
 
 @pytest.mark.parametrize(
@@ -129,13 +90,13 @@ def test_elementary_zeta_values():
 )
 def test_zeta_even_rational_small_values(k, coeff):
     value = zeta_even_rational(k)
-    assert value == PiMultiple(coeff, 2 * k)
+    assert type(value) is Fraction and value == coeff
     assert value == zeta_from_classical(k)
 
 
 def test_zeta_even_rational_sign_pattern():
     for k in range(1, 31):
-        assert zeta_even_rational(k).coeff > 0
+        assert zeta_even_rational(k) > 0
 
 
 # -- bernoulli numbers -------------------------------------------------------
@@ -146,6 +107,12 @@ def test_zeta_even_rational_sign_pattern():
 )
 def test_bernoulli_even_small_values(k, expected):
     assert bernoulli_even(k) == expected
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/3", True])
+def test_bernoulli_from_zeta_rejects_inexact_coeff(bad):
+    with pytest.raises(TypeError, match=rf"^coeff={re.escape(repr(bad))} "):
+        bernoulli_from_zeta(1, bad)
 
 
 def test_bernoulli_even_matches_oracle():
@@ -159,15 +126,13 @@ def test_bernoulli_even_matches_oracle():
 
 
 def test_partial_sum_vanishes_at_k1():
-    assert newton_partial_sum(2, 1) == PiMultiple(0, 0)
-    assert newton_partial_closed(2, 1) == PiMultiple(0, 0)
+    assert newton_partial_sum(2, 1) == 0
+    assert newton_partial_closed(2, 1) == 0
 
 
 def test_partial_sum_n2_closed_formula():
     for k in range(1, 11):
-        expected = PiMultiple(
-            -Fraction(2 * k * (2 * k - 2), 6 * math.factorial(2 * k + 1)), 2 * k
-        )
+        expected = -Fraction(2 * k * (2 * k - 2), 6 * math.factorial(2 * k + 1))
         assert newton_partial_sum(2, k) == expected
         assert newton_partial_closed(2, k) == expected
 
@@ -182,6 +147,16 @@ def test_partial_sum_routes_agree(n):
 def test_partial_sum_closes_to_zeta(n):
     sign = 1 if n % 2 else -1
     assert sign * newton_partial_sum(n, n) == zeta_even_rational(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_partial_sums_agree_over_a_wide_range(data):
+    n = data.draw(st.integers(2, 60), label="n")
+    k = data.draw(st.integers(n - 1, ELEMENTARY_ZETA_MAX), label="k")
+    assert newton_partial_sum(n, k) == newton_partial_closed(n, k)
+    sign = 1 if n % 2 else -1
+    assert sign * newton_partial_sum(n, n) == zeta_even_rational(n) == zeta_from_classical(n)
 
 
 def test_partial_sum_domain_errors():
