@@ -18,7 +18,6 @@ from .recursion import (
     translated_polynomial,
     zeta_numerator,
 )
-from .sequences import ODD_NUMBERS, SequenceSpec
 from .symmetric import (
     VariableSet,
     cycle_index_elementary,
@@ -27,7 +26,9 @@ from .symmetric import (
     power_sum,
 )
 from .trees import (
+    ODD_NUMBERS,
     PlaneTree,
+    SequenceSpec,
     TreeData,
     catalan,
     enumerate_trees,

@@ -20,7 +20,6 @@ from typing import Optional
 from . import trees, verify, zeta
 from .polynomials import polynomial_text
 from .recursion import numerator_polynomial, translated_polynomial, zeta_numerator
-from .sequences import ODD_NUMBERS, SequenceSpec
 
 __all__ = ["main"]
 
@@ -146,8 +145,8 @@ def _tree_rows(k: int):
     """Each k-vertex tree with its low and high values and its weight, as text."""
     for tree in trees.enumerate_trees(k):
         data = trees.tree_data(tree)
-        low = [str(ODD_NUMBERS.value(n)) for n in data.low]
-        high = [str(ODD_NUMBERS.value(n)) for n in data.high]
+        low = [str(2 * n + 1) for n in data.low]
+        high = [str(2 * n + 1) for n in data.high]
         yield tree, low, high, str(data.weight)
 
 
@@ -179,10 +178,10 @@ def _cmd_transform(args) -> int:
     inputs = {"k": args.k, "sequence": args.sequence}
     if not 1 <= args.k <= trees.TRANSFORM_MAX:
         return _fail(args, inputs, f"--k must be within 1..{trees.TRANSFORM_MAX}")
-    seq = ODD_NUMBERS
+    seq = trees.ODD_NUMBERS
     if args.sequence is not None:
         try:
-            seq = SequenceSpec.from_file(args.sequence)
+            seq = trees.SequenceSpec.from_file(args.sequence)
         except (OSError, ValueError) as exc:
             return _fail(args, inputs, str(exc))
     try:

@@ -17,6 +17,11 @@ vertex.  Then
     high = s1 + the i-1 greatest positions of {2..k-1} - s1
     weight *= product of the values over high
 
+The positions index a SequenceSpec of nonzero values R_1, R_2, ....  The
+default is the odd numbers 3, 5, 7, ... (R_n = 2n+1), on which the "shift
+by two" of a set of odd values is exactly the position shift n -> n+1; that
+is how the shift generalizes to arbitrary sequences.
+
 For the default odd sequence, summing weight * (value product over the
 shifted low set) over all k-vertex trees yields the zeta numerator;
 keeping the low sets as polynomial factors instead reproduces the k-th
@@ -50,11 +55,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence, Union
 
 from .polynomials import ONE, Polynomial
-from .rationals import check_index, check_int
-from .sequences import ODD_NUMBERS, SequenceSpec, Value
+from .rationals import check_index, check_int, is_exact, parse_rational
+
+Value = Union[int, Fraction]
 
 # Largest k of each route.  ENUMERATION_MAX guards the Catalan growth of
 # tree streams; the other two keep one call within about 4.5 s end to end
@@ -65,6 +71,8 @@ TRANSFORM_MAX = 240
 TREE_SUM_MAX = 85
 
 __all__ = [
+    "SequenceSpec",
+    "ODD_NUMBERS",
     "PlaneTree",
     "TreeData",
     "catalan",
@@ -77,6 +85,65 @@ __all__ = [
     "TRANSFORM_MAX",
     "TREE_SUM_MAX",
 ]
+
+
+class SequenceSpec(tuple):
+    """The values R_1, R_2, ... of the tree replay, position n at index n-1.
+
+    Every value is checked once, when the sequence is built: it must be a
+    nonzero int or Fraction, so no float or bool enters the computation.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, values):
+        values = tuple(values)
+        for n, v in enumerate(values, start=1):
+            if not is_exact(v):
+                raise ValueError(
+                    f"sequence value at position {n} is {v!r}; only int and Fraction are exact"
+                )
+            if v == 0:
+                raise ValueError(f"sequence value at position {n} is zero")
+        return super().__new__(cls, values)
+
+    @classmethod
+    def from_file(cls, path: str) -> "SequenceSpec":
+        """Load values from a text file, one canonical rational per line.
+
+        Line n supplies the value at position n.  Blank or malformed lines
+        and zero values are rejected with the offending line number.
+        """
+        values: list[Fraction] = []
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    raise ValueError(f"{path}:{lineno}: blank line in sequence file")
+                try:
+                    value = parse_rational(text)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                if value == 0:
+                    raise ValueError(f"{path}:{lineno}: sequence value must be nonzero")
+                values.append(value)
+        if not values:
+            raise ValueError(f"{path}: empty sequence file")
+        return cls(values)
+
+    def values_upto(self, n: int) -> tuple[Value, ...]:
+        """The values at positions 1..n, none for n <= 0; a shorter sequence
+        raises ValueError."""
+        check_int(n, "n")
+        if n > len(self):
+            raise ValueError(
+                f"sequence supplies only {len(self)} values; position {len(self) + 1} needed"
+            )
+        return self[: max(n, 0)]
+
+
+# R_n = 2n+1 at positions 1..TRANSFORM_MAX, every position generalized_transform reads.
+ODD_NUMBERS = SequenceSpec(range(3, 2 * TRANSFORM_MAX + 2, 2))
 
 
 def catalan(n: int) -> int:
@@ -160,9 +227,11 @@ def _replay_step(s1: set[int], k: int, j: int) -> tuple[set[int], set[int]]:
 def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
     """Replay the attachment history of one tree (reference implementation).
 
-    The first-return recurrence sums the same replay over whole families;
-    this per-tree version is what it is validated against.
+    A k-vertex tree needs values at positions 1..k-1.  The first-return
+    recurrence sums the same replay over whole families; this per-tree
+    version is what it is validated against.
     """
+    values = seq.values_upto(tree.vertex_count - 1)
     low: set[int] = set()
     high: set[int] = set()
     weight: Value = 1
@@ -171,7 +240,7 @@ def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
         s1 = {n + 1 for n in low}
         # vertex t at level i is step t-1 of the operator, with i-1 high picks
         low, high = _replay_step(s1, t - 1, t - 1 - levels[t - 2] - len(s1))
-        weight = weight * seq.product(high)
+        weight = weight * math.prod(values[n - 1] for n in high)
     return TreeData(low=tuple(sorted(low)), high=tuple(sorted(high)), weight=weight)
 
 
@@ -195,11 +264,11 @@ def expand_step(s: Iterable[int], k: int) -> list[tuple[int, tuple[int, ...]]]:
     terms = []
     for j in range(k - len(positions)):
         low, high = _replay_step(s1, k, j)
-        terms.append((ODD_NUMBERS.product(high), tuple(sorted(low))))
+        terms.append((math.prod(2 * n + 1 for n in high), tuple(sorted(low))))
     return terms
 
 
-def _first_return_weights(values: list) -> list[Fraction]:
+def _first_return_weights(values: Sequence[Value]) -> list[Fraction]:
     """c_0..c_{len(values)-1} of the first-return recurrence over R_1, R_2, ...
 
     c_0 = 1 and c_d = (1/R_{d+1}) * sum_{m<d} c_m * c_{d-1-m}; R_1 is not read.
@@ -253,5 +322,5 @@ def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
     the zeta numerator A_k.
     """
     check_index(k, 1, TRANSFORM_MAX)
-    values = seq.values_upto(k)  # validates presence and nonzero-ness
+    values = seq.values_upto(k)
     return _first_return_weights(values)[k - 1] / values[0] ** k

@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import recursion, symmetric, trees, zeta
-from .rationals import double_factorial_product
-from .sequences import SequenceSpec
+from .rationals import check_int, double_factorial_product
 
 __all__ = ["SUITES", "ALL_MAX_K", "run_suite", "suite_names"]
 
@@ -53,7 +52,7 @@ def _trials(seed: int, label: str, max_k: int, sides: Callable) -> list[dict]:
     for trial in range(50):
         vars = _random_variables(rng)
         check = _check(f"{label} trial {trial}", None)
-        for k in range(1, min(vars.size, max_k) + 1):
+        for k in range(1, min(len(vars), max_k) + 1):
             failed = _equal(f"{label} trial {trial} k={k}", *sides(vars, k))
             if not failed["passed"]:
                 check = failed
@@ -89,7 +88,7 @@ def _suite_trees(max_k: int) -> list[dict]:
     checks = []
     for k in range(2, max_k + 1):
         # with every value 1 each tree weighs 1, so the transform counts the trees
-        count = trees.generalized_transform(k, SequenceSpec([1] * k))
+        count = trees.generalized_transform(k, trees.SequenceSpec([1] * k))
         checks.append(_equal(f"tree count k={k}", count, trees.catalan(k - 1)))
         checks.append(
             _equal(
@@ -227,8 +226,11 @@ def run_suite(name: str, max_k: Optional[int] = None) -> list[dict]:
 
     max_k overrides a suite's default bound; it must stay within the
     documented hard bound.  With "all", max_k must stay within ALL_MAX_K and
-    applies to each suite capped at the suite's own hard bound.
+    applies to each suite capped at the suite's own hard bound.  A max_k
+    that is not an int, a bool included, raises TypeError.
     """
+    if max_k is not None:
+        check_int(max_k, "max_k")
     if name == "all":
         if max_k is not None and not 1 <= max_k <= ALL_MAX_K:
             raise ValueError(

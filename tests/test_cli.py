@@ -23,7 +23,7 @@ from evenzeta.recursion import (
     ConsistencyError,
 )
 from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX, TREE_SUM_MAX
-from evenzeta.verify import ALL_MAX_K, SUITES
+from evenzeta.verify import ALL_MAX_K, SUITES, run_suite
 from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX
 
 PUBLISHED_SEQUENCE = [
@@ -326,6 +326,14 @@ def test_verify_all_bound(capsys):
     assert f"all 1..{ALL_MAX_K}" in help_text(capsys, "verify")
 
 
+@pytest.mark.parametrize("name", ["trees", "all"])
+@pytest.mark.parametrize("bad", [True, 2.0])
+def test_run_suite_refuses_a_non_int_max_k(name, bad):
+    # at max_k=True the trees suite would make no check and pass
+    with pytest.raises(TypeError, match=f"^max_k={bad!r} is not an int$"):
+        run_suite(name, bad)
+
+
 def test_command_bounds_nest_in_library_bounds():
     # a command or suite bound past the library bound of a function it calls
     # at that k would turn a valid call into exit code 3
@@ -401,6 +409,7 @@ GOLDEN_JSON_SHA256 = {
     "zeta-even --k 40 --approx": (
         "bf0226444ca48050dec19f8ead032a51594366bf3447771879a110acd3b8542a"
     ),
+    "trees --k 9 --list": "ae4c43c12287758c297ecc976e93b6233f50a46b66e38ca414dc6f280d949d46",
 }
 
 

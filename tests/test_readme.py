@@ -11,6 +11,7 @@ from evenzeta.cli import (
 )
 from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
 from evenzeta.recursion import BASIS_COEFFICIENTS_MAX, RECURSION_MAX, TRANSLATED_MAX
+from evenzeta.symmetric import INVERSE_SQUARES_MAX
 from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX, TREE_SUM_MAX
 from evenzeta.verify import ALL_MAX_K, SUITES
 from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX
@@ -50,6 +51,7 @@ ROW_BOUNDS = {
     ],
     "`bernoulli_even(k)`": [BERNOULLI_EVEN_MAX],
     "`bernoulli_classical(n)`": [BERNOULLI_CLASSICAL_MAX],
+    "`VariableSet.inverse_squares(n)`": [INVERSE_SQUARES_MAX],
 }
 
 

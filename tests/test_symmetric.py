@@ -27,6 +27,7 @@ from evenzeta.recursion import (
 )
 from evenzeta.symmetric import (
     CYCLE_INDEX_MAX,
+    INVERSE_SQUARES_MAX,
     VariableSet,
     cycle_index_elementary,
     elementary_symmetric,
@@ -114,8 +115,8 @@ def test_elementary_symmetric_bounds():
 
 @given(var_sets)
 def test_elementary_matches_brute_force(vs):
-    for k in range(vs.size + 1):
-        assert elementary_symmetric(vs, k) == esym_brute(vs.values, k)
+    for k in range(len(vs) + 1):
+        assert elementary_symmetric(vs, k) == esym_brute(vs, k)
 
 
 def test_power_sum_examples():
@@ -147,14 +148,14 @@ def test_cycle_index_bound():
 @settings(max_examples=30)
 @given(var_sets)
 def test_cycle_index_matches_elementary(vs):
-    for k in range(1, vs.size + 1):
+    for k in range(1, len(vs) + 1):
         assert cycle_index_elementary(vs, k) == elementary_symmetric(vs, k)
 
 
 def test_permutation_walk_matches_cycle_index():
     vs = VariableSet([Fraction(1, 2), -3, Fraction(5, 7), 2, 1, Fraction(-4, 9)])
     for k in range(1, 7):
-        assert cycle_index_elementary(vs, k) == cycle_index_by_permutations(vs.values, k)
+        assert cycle_index_elementary(vs, k) == cycle_index_by_permutations(vs, k)
 
 
 VARS = VariableSet([1, 2, 3])
@@ -168,6 +169,7 @@ INDEXED = {
     "elementary_symmetric": (lambda k: elementary_symmetric(VARS, k), 0, 3, "k"),
     "cycle_index_elementary": (lambda k: cycle_index_elementary(VARS, k), 1, CYCLE_INDEX_MAX, "k"),
     "newton_girard_check": (lambda k: newton_girard_check(VARS, k), 1, 3, "k"),
+    "VariableSet.inverse_squares": (VariableSet.inverse_squares, 1, INVERSE_SQUARES_MAX, "n"),
     "double_factorial_odd": (double_factorial_odd, 0, DOUBLE_FACTORIAL_PRODUCT_MAX, "i"),
     "double_factorial_product": (double_factorial_product, 0, DOUBLE_FACTORIAL_PRODUCT_MAX, "k"),
     "apply_step": (lambda k: apply_step(ONE, k), 1, RECURSION_MAX, "k"),
@@ -239,6 +241,6 @@ def test_newton_girard_bounds():
 @settings(max_examples=40)
 @given(var_sets)
 def test_newton_girard_holds(vs):
-    for k in range(1, vs.size + 1):
+    for k in range(1, len(vs) + 1):
         lhs, rhs = newton_girard_check(vs, k)
         assert lhs == rhs

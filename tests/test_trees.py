@@ -1,4 +1,4 @@
-import re
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from evenzeta.polynomials import ONE
 from evenzeta.rationals import double_factorial_product
 from evenzeta.recursion import numerator_polynomial, zeta_numerator
-from evenzeta.sequences import ODD_NUMBERS, SequenceSpec
 from evenzeta.trees import (
     ENUMERATION_MAX,
+    ODD_NUMBERS,
     TRANSFORM_MAX,
     TREE_SUM_MAX,
     PlaneTree,
+    SequenceSpec,
     catalan,
     enumerate_trees,
+    expand_step,
     generalized_transform,
     polynomial_via_trees,
     tree_data,
@@ -96,7 +98,7 @@ def test_weighted_low_products_sum_to_numerator(k, expected):
     total = 0
     for tree in enumerate_trees(k):
         data = tree_data(tree)
-        total += data.weight * ODD_NUMBERS.product(n + 1 for n in data.low)
+        total += data.weight * math.prod(2 * n + 3 for n in data.low)
     assert total == expected
 
 
@@ -237,7 +239,7 @@ def test_generalized_transform_equals_twice_zeta_coefficient(k):
 
 
 def test_generalized_transform_all_ones_regression():
-    ones = SequenceSpec(lambda n: 1)
+    ones = SequenceSpec([1] * 5)
     assert generalized_transform(2, ones) == 1
     # with unit values the numerator counts the trees themselves
     assert generalized_transform(3, ones) == 2
@@ -246,14 +248,14 @@ def test_generalized_transform_all_ones_regression():
 
 def tree_term(tree, seq):
     data = tree_data(tree, seq)
-    return Fraction(data.weight) * seq.product(n + 1 for n in data.low)
+    return Fraction(data.weight) * math.prod(seq[n] for n in data.low)  # position n+1
 
 
 def value_tower(k, seq):
     # the transform's denominator: prod_{j=1}^{k} (product of the values at 1..j)
     denominator = Fraction(1)
     for j in range(1, k + 1):
-        denominator *= seq.product(range(1, j + 1))
+        denominator *= math.prod(seq[:j])
     return denominator
 
 
@@ -316,41 +318,46 @@ def test_transform_scales_by_inverse_power(c):
 
 
 def test_sequence_spec_errors():
-    with pytest.raises(ValueError):
-        SequenceSpec([1, 0, 3]).value(2)
+    with pytest.raises(ValueError, match="^sequence value at position 2 is zero$"):
+        SequenceSpec([1, 0, 3])
     short = SequenceSpec([3, 5])
-    with pytest.raises(ValueError):
+    message = "^sequence supplies only 2 values; position 3 needed$"
+    with pytest.raises(ValueError, match=message):
         generalized_transform(3, short)
-    with pytest.raises(ValueError):
-        ODD_NUMBERS.value(0)
+    # a 4-vertex tree needs positions 1..3, whichever its high sets reach
+    with pytest.raises(ValueError, match=message):
+        tree_data(PlaneTree((1, 2, 3)), short)
+    # a negative slice would drop values from the end
+    assert short.values_upto(-1) == ()
+    with pytest.raises(TypeError, match=r"^n=2\.0 is not an int$"):
+        short.values_upto(2.0)
 
 
 @pytest.mark.parametrize(
     "seq,position",
     [
-        (SequenceSpec(lambda n: n + 0.5), 1),
-        (SequenceSpec([True, 2, 3]), 1),
-        (SequenceSpec([3, 5, 7.0]), 3),
+        ([1.5, 2, 3], 1),
+        ([True, 2, 3], 1),
+        ([3, 5, 7.0], 3),
     ],
 )
 def test_sequence_spec_rejects_inexact_values(seq, position):
-    with pytest.raises(ValueError, match=f"position {position}"):
-        generalized_transform(3, seq)
+    # checked once, when the sequence is built
+    with pytest.raises(ValueError, match=f"^sequence value at position {position} is "):
+        SequenceSpec(seq)
 
 
-@pytest.mark.parametrize("position", [True, 2.0, Fraction(2)], ids=repr)
-def test_sequence_spec_refuses_a_non_int_position(position):
-    with pytest.raises(TypeError, match=rf"^position={re.escape(repr(position))} is not an int$"):
-        ODD_NUMBERS.value(position)
-    with pytest.raises(TypeError, match="^position="):
-        SequenceSpec([3, 5, 7]).value(position)
+def test_odd_numbers_cover_every_position_the_route_reads():
+    assert len(ODD_NUMBERS) == TRANSFORM_MAX
+    assert all(ODD_NUMBERS[n - 1] == 2 * n + 1 for n in range(1, TRANSFORM_MAX + 1))
+    assert len(expand_step((), TRANSFORM_MAX)) == TRANSFORM_MAX
 
 
 def test_sequence_spec_from_file(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("3\n5\n7\n9\n", encoding="utf-8")
     seq = SequenceSpec.from_file(str(path))
-    assert seq.values_upto(4) == [3, 5, 7, 9]
+    assert seq.values_upto(4) == (3, 5, 7, 9)
     assert generalized_transform(3, seq) == generalized_transform(3)
 
     bad = tmp_path / "bad.txt"
