@@ -15,6 +15,7 @@ an internal consistency violation rather than truncated.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -115,19 +116,42 @@ class Polynomial:
         return acc
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
-        """The polynomial q with q(x) = p(a*x + b), computed exactly."""
-        inner = Polynomial((b, a))
-        acc = ZERO
+        """The polynomial q with q(x) = p(a*x + b), computed exactly.
+
+        An integer Taylor shift: with a = A/D, b = B/D and the coefficients
+        c_i = n_i/E over common denominators,
+
+            E * D^n * p(a*x + b) = sum_i n_i * D^(n-i) * (A*x + B)^i,
+
+        evaluated by Horner's rule on int lists; each output coefficient is
+        divided by E * D^n once, at the end.
+        """
+        for v in (a, b):
+            if not is_exact(v):
+                raise TypeError(f"affine coefficient {v!r} is not an int or a Fraction")
+        if not self.coeffs:
+            return ZERO
+        d = math.lcm(a.denominator, b.denominator)
+        big_a, big_b = (a * d).numerator, (b * d).numerator
+        e = math.lcm(*(c.denominator for c in self.coeffs))
+        n = len(self.coeffs) - 1
+        acc: list[int] = []
+        scale = 1  # D^(n-i)
         for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial((c,))
-        return acc
+            # acc * (A*x + B) + n_i * D^(n-i)
+            acc = [big_a * lo + big_b * hi for lo, hi in zip([0] + acc, acc + [0])]
+            acc[0] += c.numerator * (e // c.denominator) * scale
+            scale *= d
+        den = e * d**n
+        return Polynomial(Fraction(c, den) for c in acc)
 
     def divide_linear_exact(self, c: Scalar) -> "Polynomial":
         """Divide by (2x - 2c), requiring a remainder of exactly zero.
 
-        Synthetic division by (x - c) followed by a scalar halving.  A
-        nonzero remainder means the caller fed a polynomial that does not
-        vanish at c, which in this package is always a bug upstream.
+        Synthetic division by (x - c) followed by a scalar halving: an even
+        int entry of the quotient is halved by a shift, any other becomes a
+        Fraction.  A nonzero remainder means the caller fed a polynomial that
+        does not vanish at c, which in this package is always a bug upstream.
         """
         if not is_exact(c):
             raise TypeError(f"root {c!r} is not an int or a Fraction")
@@ -143,7 +167,9 @@ class Polynomial:
             raise InexactDivisionError(
                 f"remainder {acc} dividing by (2x - 2*{c}); expected exact division"
             )
-        return Polynomial(Fraction(q) / 2 for q in quot)
+        return Polynomial(
+            q >> 1 if isinstance(q, int) and not q & 1 else Fraction(q, 2) for q in quot
+        )
 
     # -- canonical text / JSON forms -----------------------------------------
 

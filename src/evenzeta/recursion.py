@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .polynomials import ONE, Polynomial
 from .rationals import check_index, double_factorial_odd
@@ -33,19 +33,18 @@ __all__ = [
     "expand_basis",
     "shifted_product_identity",
     "RECURSION_MAX",
-    "TRANSLATED_MAX",
     "BASIS_COEFFICIENTS_MAX",
 ]
 
 # Largest k of the recursion route: one cold call within about 4.5 s in a
 # fresh process (2-vCPU host, Python 3.11.7; README has the ranges).
-# RECURSION_MAX bounds numerator_polynomial (3.6-4.4 s at 180) and apply_step,
-# and through them zeta_numerator and zeta.zeta_even_rational.  TRANSLATED_MAX:
-# translated_polynomial(155, half_scale=True) 2.9-4.3 s.  BASIS_COEFFICIENTS_MAX:
+# RECURSION_MAX bounds numerator_polynomial (2.5-3.6 s at 185) and apply_step,
+# and through them zeta_numerator, zeta.zeta_even_rational and
+# translated_polynomial, the slowest of them (3.1-4.4 s at 185 with
+# half_scale=True; 186 took 3.6-4.1 s).  BASIS_COEFFICIENTS_MAX:
 # basis_coefficients(210) 3.7-4.0 s; shifted_product_identity, the identity
 # behind the basis recurrence, shares it.
-RECURSION_MAX = 180
-TRANSLATED_MAX = 155
+RECURSION_MAX = 185
 BASIS_COEFFICIENTS_MAX = 210
 
 
@@ -65,25 +64,46 @@ def factor_product(positions: Iterable[int], k: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def _step(f: Polynomial, k: int, rising: Sequence[int]) -> Polynomial:
+    """The k-th step operator on f, given the rising product prod_{i=1}^{k} (2x - 2k + 2i+1)."""
+    fk = f.evaluate(k)
+    odd = double_factorial_odd(k)
+    numerator = [fk * r for r in rising]
+    numerator += [0] * (len(f.coeffs) - len(numerator))
+    for i, c in enumerate(f.coeffs):
+        numerator[i] -= odd * c
+    return Polynomial(numerator).divide_linear_exact(k)
+
+
 def apply_step(f: Polynomial, k: int) -> Polynomial:
     """Apply the k-th step operator to f (module docstring), k within 1..RECURSION_MAX."""
     check_index(k, 1, RECURSION_MAX)
-    rising = factor_product(range(1, k + 1), k)
-    numerator = f.evaluate(k) * rising - double_factorial_odd(k) * f
-    return numerator.divide_linear_exact(k)
+    return _step(f, k, factor_product(range(1, k + 1), k).coeffs)
 
 
 _cache_lock = threading.Lock()
 _poly_cache: list[Polynomial] = [ONE, ONE]  # entries 0 (unused) and 1
+# The rising product R_j = prod_{i=1}^{j} (2x - 2j + 2i+1) of the last step
+# taken, j = len(_poly_cache) - 2, as ascending int coefficients (R_0 = 1).
+_rising: list[int] = [1]
 
 
 def numerator_polynomial(k: int) -> Polynomial:
-    """The k-th polynomial of the recursion (degree k-2, cached), k within 1..RECURSION_MAX."""
+    """The k-th polynomial of the recursion (degree k-2, cached), k within 1..RECURSION_MAX.
+
+    Each new step grows the rising product by one linear factor,
+    R_j = (2x - 2j + 3) * R_{j-1}: O(j) small-int operations per step.
+    """
     check_index(k, 1, RECURSION_MAX)
     with _cache_lock:
         while len(_poly_cache) <= k:
             j = len(_poly_cache) - 1
-            _poly_cache.append(apply_step(_poly_cache[j], j))
+            c = 3 - 2 * j
+            _rising.append(0)
+            for i in range(len(_rising) - 1, 0, -1):
+                _rising[i] = c * _rising[i] + 2 * _rising[i - 1]
+            _rising[0] *= c
+            _poly_cache.append(_step(_poly_cache[j], j, _rising))
         return _poly_cache[k]
 
 
@@ -99,9 +119,9 @@ def translated_polynomial(k: int, *, half_scale: bool = False) -> Polynomial:
     """The k-th polynomial shifted to x + k - 3/2, where all coefficients are positive.
 
     With half_scale the variable is additionally rescaled to x/2, the form
-    in which the small cases are usually displayed.  k is within 1..TRANSLATED_MAX.
+    in which the small cases are usually displayed.  k is within 1..RECURSION_MAX.
     """
-    check_index(k, 1, TRANSLATED_MAX)
+    check_index(k, 1, RECURSION_MAX)
     a = Fraction(1, 2) if half_scale else Fraction(1)
     return numerator_polynomial(k).compose_affine(a, k - Fraction(3, 2))
 

@@ -28,12 +28,17 @@ __all__ = [
     "newton_girard_check",
     "CYCLE_INDEX_MAX",
     "INVERSE_SQUARES_MAX",
+    "NEWTON_GIRARD_MAX",
 ]
 
 CYCLE_INDEX_MAX = 8  # factorial enumeration guard
 # Largest n of VariableSet.inverse_squares: n = 700000 takes 3.4-4.3 s in a
 # fresh process (2-vCPU host, Python 3.11.7), 10**6 5.1 s.
 INVERSE_SQUARES_MAX = 700_000
+# Largest k of newton_girard_check, by the same rule: k = 140 on
+# inverse_squares(140) took 3.8-4.3 s, 141 3.8-4.5 s.  Its cost is O(N k)
+# operations on rationals that grow with k.
+NEWTON_GIRARD_MAX = 140
 
 
 class VariableSet(tuple):
@@ -61,17 +66,22 @@ class VariableSet(tuple):
         return cls(Fraction(1, m * m) for m in range(1, n + 1))
 
 
-def elementary_symmetric(vars: VariableSet, k: int) -> Fraction:
-    """e_k over the variables, by the stable product recurrence on prod(1 + z_i t),
-    for k within 0..N, the variable count.
-    """
-    check_index(k, 0, len(vars))
+def _elementary_row(vars: VariableSet, k: int) -> list[Fraction]:
+    """[e_0, ..., e_k] by the stable product recurrence on prod(1 + z_i t)."""
     row = [Fraction(0)] * (k + 1)
     row[0] = Fraction(1)
     for z in vars:
         for j in range(k, 0, -1):
             row[j] += z * row[j - 1]
-    return row[k]
+    return row
+
+
+def elementary_symmetric(vars: VariableSet, k: int) -> Fraction:
+    """e_k over the variables, by the stable product recurrence on prod(1 + z_i t),
+    for k within 0..N, the variable count.
+    """
+    check_index(k, 0, len(vars))
+    return _elementary_row(vars, k)[k]
 
 
 def power_sum(vars: VariableSet, k: int) -> Fraction:
@@ -123,12 +133,21 @@ def newton_girard_check(vars: VariableSet, k: int) -> tuple[Fraction, Fraction]:
 
         (-1)^(k-1) p_k = k e_k - sum_{i<k} (-1)^(i-1) e_{k-i} p_i
 
-    The identity holds when lhs == rhs.  k is within 1..N, the variable count.
+    The identity holds when lhs == rhs.  One row e_0..e_k and one pass for
+    p_1..p_k, O(N k) operations.  k is within 1..min(N, NEWTON_GIRARD_MAX),
+    N the variable count.
     """
-    check_index(k, 1, len(vars))
-    lhs = power_sum(vars, k) * (-1 if k % 2 == 0 else 1)
-    rhs = k * elementary_symmetric(vars, k)
+    check_index(k, 1, min(len(vars), NEWTON_GIRARD_MAX))
+    e = _elementary_row(vars, k)
+    p = [Fraction(0)] * (k + 1)
+    for z in vars:
+        power = Fraction(1)
+        for i in range(1, k + 1):
+            power *= z
+            p[i] += power
+    lhs = p[k] * (-1 if k % 2 == 0 else 1)
+    rhs = k * e[k]
     for i in range(1, k):
-        term = elementary_symmetric(vars, k - i) * power_sum(vars, i)
+        term = e[k - i] * p[i]
         rhs -= term if i % 2 else -term
     return lhs, rhs

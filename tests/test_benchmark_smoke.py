@@ -1,0 +1,23 @@
+"""The benchmark command runs on the package as it is: schema only, no timing gate."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+END_TO_END = {"setup_s": "s", "solve_s": "s", "max_k": "k", "peak_rss_mb": "MB"}
+
+
+def test_recursion_workload_smoke_run():
+    proc = subprocess.run(
+        [sys.executable, str(Path("evenbench") / "run.py"), "--workload", "recursion",
+         "--smoke", "--trace", "0", "--seed", "3", "--seconds", "0.2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert line["correct"] is True
+    assert line["failed"] == 0
+    assert {name: m["unit"] for name, m in line["metrics"].items()} == END_TO_END

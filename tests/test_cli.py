@@ -19,7 +19,6 @@ from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
 from evenzeta.recursion import (
     BASIS_COEFFICIENTS_MAX,
     RECURSION_MAX,
-    TRANSLATED_MAX,
     ConsistencyError,
 )
 from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX, TREE_SUM_MAX
@@ -342,7 +341,7 @@ def test_command_bounds_nest_in_library_bounds():
     assert max(AK_MAX, ZETA_EVEN_MAX, BERNOULLI_MAX["recursion"], suite["leading"]) <= RECURSION_MAX
     # and within the library: bernoulli_even -> zeta_even_rational -> double_factorial_product
     assert BERNOULLI_EVEN_MAX <= RECURSION_MAX <= DOUBLE_FACTORIAL_PRODUCT_MAX
-    assert max(PK_MAX, suite["positivity"]) <= TRANSLATED_MAX
+    assert max(PK_MAX, suite["positivity"]) <= RECURSION_MAX  # translated_polynomial
     assert suite["coeffs"] <= BASIS_COEFFICIENTS_MAX
     assert suite["lemma-2ni"] <= BASIS_COEFFICIENTS_MAX  # shifted_product_identity
     assert suite["fn"] <= ELEMENTARY_ZETA_MAX  # the Newton partial sums' k

@@ -85,6 +85,9 @@ def test_stored_form_examples():
         lambda: Polynomial((True, 1)),
         lambda: Polynomial((1, 2)).evaluate(0.5),
         lambda: Polynomial((1, 2)).divide_linear_exact(0.5),
+        lambda: Polynomial((1, 2)).compose_affine(0.5, 1),
+        lambda: Polynomial((1, 2)).compose_affine(1, 0.5),
+        lambda: Polynomial((1, 2)).compose_affine(True, 1),
     ],
 )
 def test_inexact_values_are_rejected(make):
@@ -112,6 +115,29 @@ def test_divide_linear_exact():
     # (2x-4)(2x+4) = 4x^2 - 16
     assert Polynomial((-16, 0, 4)).divide_linear_exact(2) == Polynomial((4, 2))
     assert ZERO.divide_linear_exact(Fraction(5)) == ZERO
+
+
+def test_divide_linear_exact_halves_ints_exactly():
+    # an even int quotient entry is halved to an int, an odd one to a Fraction
+    q = Polynomial((-16, 0, 4)).divide_linear_exact(2)
+    assert [type(c) for c in q.coeffs] == [int, int]
+    q = (Polynomial((2, -6, 4)) * Polynomial((-10**40, 3))).divide_linear_exact(1)
+    assert q == Polynomial((10**40, -2 * 10**40 - 3, 6))
+    assert all(type(c) is int for c in q.coeffs)
+    q = Polynomial((-1, 1)).divide_linear_exact(1)
+    assert q.coeffs == (Fraction(1, 2),) and type(q.coeffs[0]) is Fraction
+
+
+def test_compose_affine_keeps_integral_results_int():
+    # (2x-1)(2x-3) at x/2 + 3/2 is (x+2)x
+    q = Polynomial((3, -8, 4)).compose_affine(Fraction(1, 2), Fraction(3, 2))
+    assert q == Polynomial((0, 2, 1))
+    assert all(type(c) is int for c in q.coeffs)
+    q = Polynomial((Fraction(1, 2), Fraction(3, 2))).compose_affine(2, Fraction(-1, 3))
+    assert q == Polynomial((0, 3))
+    assert all(type(c) is int for c in q.coeffs)
+    assert ZERO.compose_affine(Fraction(1, 2), 7) == ZERO
+    assert Polynomial((1, 2, 3)).compose_affine(0, Fraction(1, 3)) == Polynomial((2,))
 
 
 def test_divide_linear_inexact_raises():

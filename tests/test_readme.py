@@ -10,8 +10,8 @@ from evenzeta.cli import (
     ZETA_EVEN_MAX,
 )
 from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
-from evenzeta.recursion import BASIS_COEFFICIENTS_MAX, RECURSION_MAX, TRANSLATED_MAX
-from evenzeta.symmetric import INVERSE_SQUARES_MAX
+from evenzeta.recursion import BASIS_COEFFICIENTS_MAX, RECURSION_MAX
+from evenzeta.symmetric import INVERSE_SQUARES_MAX, NEWTON_GIRARD_MAX
 from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX, TREE_SUM_MAX
 from evenzeta.verify import ALL_MAX_K, SUITES
 from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX
@@ -43,8 +43,9 @@ ROW_BOUNDS = {
     "`catalan(n)`": [TRANSFORM_MAX - 1],
     "`double_factorial_product(k)`, `double_factorial_odd(i)`": [DOUBLE_FACTORIAL_PRODUCT_MAX],
     "`numerator_polynomial(k)`, `zeta_numerator(k)`, `zeta_even_rational(k)`, "
-    "`apply_step(f, k)`, the Newton partial sums' `n`": [RECURSION_MAX],
-    "`translated_polynomial(k)`": [TRANSLATED_MAX],
+    "`apply_step(f, k)`, `translated_polynomial(k)`, the Newton partial sums' `n`": [
+        RECURSION_MAX
+    ],
     "`basis_coefficients(k)`, `shifted_product_identity(n)`": [BASIS_COEFFICIENTS_MAX],
     "`elementary_zeta(k)`, `bernoulli_from_zeta(k, c)`, the Newton partial sums' `k`": [
         ELEMENTARY_ZETA_MAX
@@ -52,6 +53,7 @@ ROW_BOUNDS = {
     "`bernoulli_even(k)`": [BERNOULLI_EVEN_MAX],
     "`bernoulli_classical(n)`": [BERNOULLI_CLASSICAL_MAX],
     "`VariableSet.inverse_squares(n)`": [INVERSE_SQUARES_MAX],
+    "`newton_girard_check(vars, k)`": [NEWTON_GIRARD_MAX],
 }
 
 

@@ -1,8 +1,11 @@
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from evenzeta import recursion
 from evenzeta.polynomials import ONE, Polynomial
 from evenzeta.recursion import (
     apply_step,
@@ -62,8 +65,42 @@ def test_published_sequence():
 
 
 def test_numerator_polynomials_keep_integer_coefficients():
-    for k in range(1, 41):
+    for k in range(1, 61):
         assert all(type(c) is int for c in numerator_polynomial(k).coeffs)
+
+
+def test_cached_steps_match_apply_step():
+    # the cache grows its rising product one factor per step; apply_step
+    # rebuilds it with factor_product, so a wrong update shows here
+    for k in range(1, 61):
+        assert apply_step(numerator_polynomial(k), k) == numerator_polynomial(k + 1)
+
+
+def test_cold_cache_under_threads(monkeypatch):
+    # the cache and its rising product grow under one lock: threads racing
+    # on a cold cache must build the same polynomials as one caller did
+    expected = {k: numerator_polynomial(k) for k in range(1, 41)}
+    monkeypatch.setattr(recursion, "_poly_cache", [ONE, ONE])
+    monkeypatch.setattr(recursion, "_rising", [1])
+    got = {}
+
+    def build(k):
+        got[k] = numerator_polynomial(k)
+
+    ks = range(40, 0, -5)
+    threads = [threading.Thread(target=build, args=(k,)) for k in ks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {k: expected[k] for k in ks}
+    assert recursion._poly_cache == [ONE] + [expected[k] for k in range(1, 41)]
 
 
 def test_degree_and_leading_coefficient():

@@ -17,7 +17,6 @@ from evenzeta.rationals import (
 from evenzeta.recursion import (
     BASIS_COEFFICIENTS_MAX,
     RECURSION_MAX,
-    TRANSLATED_MAX,
     apply_step,
     basis_coefficients,
     numerator_polynomial,
@@ -28,6 +27,7 @@ from evenzeta.recursion import (
 from evenzeta.symmetric import (
     CYCLE_INDEX_MAX,
     INVERSE_SQUARES_MAX,
+    NEWTON_GIRARD_MAX,
     VariableSet,
     cycle_index_elementary,
     elementary_symmetric,
@@ -175,7 +175,7 @@ INDEXED = {
     "apply_step": (lambda k: apply_step(ONE, k), 1, RECURSION_MAX, "k"),
     "numerator_polynomial": (numerator_polynomial, 1, RECURSION_MAX, "k"),
     "zeta_numerator": (zeta_numerator, 1, RECURSION_MAX, "k"),
-    "translated_polynomial": (translated_polynomial, 1, TRANSLATED_MAX, "k"),
+    "translated_polynomial": (translated_polynomial, 1, RECURSION_MAX, "k"),
     "basis_coefficients": (basis_coefficients, 2, BASIS_COEFFICIENTS_MAX, "k"),
     "shifted_product_identity": (shifted_product_identity, 0, BASIS_COEFFICIENTS_MAX, "n"),
     "catalan": (catalan, 0, TRANSFORM_MAX - 1, "n"),
@@ -202,6 +202,7 @@ def _work_done():
     """The caches an index reaches first when a call does any work."""
     return (
         len(recursion._poly_cache),
+        tuple(recursion._rising),
         bernoulli_classical.cache_info().currsize,
         double_factorial_odd.cache_info().currsize,
         double_factorial_product.cache_info().currsize,
@@ -236,6 +237,10 @@ def test_newton_girard_examples():
 def test_newton_girard_bounds():
     with pytest.raises(ValueError):
         newton_girard_check(VariableSet([1, 2]), 3)
+    # past NEWTON_GIRARD_MAX, refused even when the variables would allow it
+    k = NEWTON_GIRARD_MAX + 1
+    with pytest.raises(ValueError, match=rf"^k={k} outside 1\.\.{NEWTON_GIRARD_MAX}$"):
+        newton_girard_check(VariableSet(range(1, k + 2)), k)
 
 
 @settings(max_examples=40)
