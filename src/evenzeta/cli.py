@@ -25,16 +25,17 @@ __all__ = ["main"]
 
 # Largest k each command accepts.  Each bound keeps the command's slowest
 # form within about 4.5 s end to end (2-vCPU host, Python 3.11.7): ak
-# 3.5-4.3 s, pk --translated --half-scale 2.8-3.4 s (k = 160 took 3.6-5.5 s,
-# much of it decimal conversion), zeta-even 3.1-3.8 s, bernoulli 3.3-3.7 s
-# (recursion) and 4.1 s (classical), trees --list --format json 2.5 s
-# (k = 12 took 10.7 s).  The tree route's bound is the library's
-# TRANSFORM_MAX, set by `transform` over 3-digit rationals.  `bernoulli
-# --approx` stops at 129 under every method: |B_260| is past the largest float.
-AK_MAX = 180
-PK_MAX = 150
-ZETA_EVEN_MAX = 185
-BERNOULLI_MAX = {"recursion": 185, "tree": trees.TRANSFORM_MAX, "classical": 350}
+# 3.4-3.5 s (k = 250 took 4.2 s), pk --translated --half-scale 3.5 s (k = 190
+# took 4.8-5.0 s); both are bound by decimal conversion.  zeta-even and
+# bernoulli 0.6 s (recursion; both reach RECURSION_MAX) and 4.1 s
+# (classical), trees --list --format json 2.5 s (k = 12 took 10.7 s).  The
+# tree route's bound is the library's TRANSFORM_MAX, set by `transform` over
+# 3-digit rationals.  `bernoulli --approx` stops at 129 under every method:
+# |B_260| is past the largest float.
+AK_MAX = 240
+PK_MAX = 180
+ZETA_EVEN_MAX = 260
+BERNOULLI_MAX = {"recursion": 260, "tree": trees.TRANSFORM_MAX, "classical": 350}
 BERNOULLI_APPROX_MAX = 129
 TREES_LIST_MAX = 11
 

@@ -9,8 +9,8 @@ raises TypeError.  Values are immutable, so they are safe to share between
 threads and to use as dict keys.
 
 Division is provided only for the exact linear case the recursion needs:
-dividing by (2x - 2c) when c is a root, with a nonzero remainder treated as
-an internal consistency violation rather than truncated.
+dividing by (x - c) or (2x - 2c) when c is a root, with a nonzero remainder
+treated as an internal consistency violation rather than truncated.
 """
 
 from __future__ import annotations
@@ -36,9 +36,12 @@ class Polynomial:
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = []
         for c in coeffs:
-            if not is_exact(c):
-                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
-            cs.append(c.numerator if c.denominator == 1 else c)
+            if type(c) is not int:
+                if not is_exact(c):
+                    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+                if c.denominator == 1:
+                    c = c.numerator
+            cs.append(c)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -145,13 +148,13 @@ class Polynomial:
         den = e * d**n
         return Polynomial(Fraction(c, den) for c in acc)
 
-    def divide_linear_exact(self, c: Scalar) -> "Polynomial":
-        """Divide by (2x - 2c), requiring a remainder of exactly zero.
+    def divide_root_exact(self, c: Scalar) -> "Polynomial":
+        """Divide by (x - c), requiring a remainder of exactly zero.
 
-        Synthetic division by (x - c) followed by a scalar halving: an even
-        int entry of the quotient is halved by a shift, any other becomes a
-        Fraction.  A nonzero remainder means the caller fed a polynomial that
-        does not vanish at c, which in this package is always a bug upstream.
+        Synthetic division, so an integer polynomial and an integer root give
+        an integer quotient.  A nonzero remainder means the caller fed a
+        polynomial that does not vanish at c, which in this package is always
+        a bug upstream.
         """
         if not is_exact(c):
             raise TypeError(f"root {c!r} is not an int or a Fraction")
@@ -165,11 +168,13 @@ class Polynomial:
             acc = self.coeffs[i] + c * acc
         if acc != 0:
             raise InexactDivisionError(
-                f"remainder {acc} dividing by (2x - 2*{c}); expected exact division"
+                f"remainder {acc} dividing by (x - {c}); expected exact division"
             )
-        return Polynomial(
-            q >> 1 if isinstance(q, int) and not q & 1 else Fraction(q, 2) for q in quot
-        )
+        return Polynomial(quot)
+
+    def divide_linear_exact(self, c: Scalar) -> "Polynomial":
+        """Divide by (2x - 2c): divide_root_exact(c), then halved exactly."""
+        return self.divide_root_exact(c) * Fraction(1, 2)
 
     # -- canonical text / JSON forms -----------------------------------------
 

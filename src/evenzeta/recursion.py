@@ -10,6 +10,22 @@ The k-th step operator maps f to
     [ f(k) * prod_{i=1}^{k} (2x - 2k + 2i+1)  -  f(x) * prod_{i=1}^{k} (2i+1) ] / (2x - 2k)
 
 and the numerator always vanishes at x = k, so the division is exact.
+
+The cache keeps each P_k as g_k * p_k: its content g_k, the gcd of its
+coefficients, and its primitive part p_k.  The tower puts a large common
+factor into every coefficient (at k = 127 the content is 46.0k of the
+coefficients' 47.9k bits), so the steps run on p_k alone.  The split is
+exact because the operator is linear in f: the step of g * p is g times
+the step of p.  With R_k = prod_{i=1}^{k} (2x - 2k + 2i+1), the step forms
+
+    q = [p(k) * R_k - (2k+1)!! * p] / (x - k)
+
+on ints, and with c = gcd(q), P_{k+1} = (g * c / 2) * (q / c); g * c is
+even because P_{k+1} has integer coefficients, and an odd one raises
+ConsistencyError.  Most of c is h = gcd(p(k), (2k+1)!!): it divides every
+coefficient of the bracket, and so of q since x - k is monic.  The step
+divides p(k) and (2k+1)!! by h before the products and takes the gcd of
+what is left, a few bits.
 """
 
 from __future__ import annotations
@@ -19,7 +35,7 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polynomials import ONE, Polynomial
+from .polynomials import ONE, Polynomial, Scalar
 from .rationals import check_index, double_factorial_odd
 
 __all__ = [
@@ -38,13 +54,15 @@ __all__ = [
 
 # Largest k of the recursion route: one cold call within about 4.5 s in a
 # fresh process (2-vCPU host, Python 3.11.7; README has the ranges).
-# RECURSION_MAX bounds numerator_polynomial (2.5-3.6 s at 185) and apply_step,
-# and through them zeta_numerator, zeta.zeta_even_rational and
-# translated_polynomial, the slowest of them (3.1-4.4 s at 185 with
-# half_scale=True; 186 took 3.6-4.1 s).  BASIS_COEFFICIENTS_MAX:
-# basis_coefficients(210) 3.7-4.0 s; shifted_product_identity, the identity
-# behind the basis recurrence, shares it.
-RECURSION_MAX = 185
+# RECURSION_MAX bounds numerator_polynomial and apply_step, and through them
+# zeta_numerator, zeta.zeta_even_rational, translated_polynomial (0.8-1.1 s
+# at 260 with half_scale=True) and the n of zeta's Newton partial sums, the
+# slowest of them: newton_partial_sum(260, 2000) took 3.3-4.0 s (261:
+# 4.0-4.1 s, 270: 3.8-4.9 s), most of it rationals.double_factorial_product
+# for each i < n.
+# BASIS_COEFFICIENTS_MAX: basis_coefficients(210) 3.7-4.0 s;
+# shifted_product_identity, the identity behind the basis recurrence, shares it.
+RECURSION_MAX = 260
 BASIS_COEFFICIENTS_MAX = 210
 
 
@@ -64,55 +82,83 @@ def factor_product(positions: Iterable[int], k: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _step(f: Polynomial, k: int, rising: Sequence[int]) -> Polynomial:
-    """The k-th step operator on f, given the rising product prod_{i=1}^{k} (2x - 2k + 2i+1)."""
-    fk = f.evaluate(k)
-    odd = double_factorial_odd(k)
-    numerator = [fk * r for r in rising]
+def _step_numerator(a: Scalar, rising: Sequence[int], b: int, f: Polynomial) -> Polynomial:
+    """a * R_k - b * f, with R_k as ascending coefficients: with a = f(k) and
+    b = (2k+1)!! the numerator of the k-th step operator on f."""
+    numerator = [a * r for r in rising]
     numerator += [0] * (len(f.coeffs) - len(numerator))
     for i, c in enumerate(f.coeffs):
-        numerator[i] -= odd * c
-    return Polynomial(numerator).divide_linear_exact(k)
+        numerator[i] -= b * c
+    return Polynomial(numerator)
 
 
 def apply_step(f: Polynomial, k: int) -> Polynomial:
     """Apply the k-th step operator to f (module docstring), k within 1..RECURSION_MAX."""
     check_index(k, 1, RECURSION_MAX)
-    return _step(f, k, factor_product(range(1, k + 1), k).coeffs)
+    rising = factor_product(range(1, k + 1), k).coeffs
+    numerator = _step_numerator(f.evaluate(k), rising, double_factorial_odd(k), f)
+    return numerator.divide_linear_exact(k)
 
 
 _cache_lock = threading.Lock()
-_poly_cache: list[Polynomial] = [ONE, ONE]  # entries 0 (unused) and 1
+# P_j = g_j * p_j as the pair (g_j, p_j) for j = 0 (unused), 1, 2, ...: the
+# content g_j > 0 (the gcd of P_j's coefficients) and the primitive part p_j.
+_parts: list[tuple[int, Polynomial]] = [(1, ONE), (1, ONE)]
 # The rising product R_j = prod_{i=1}^{j} (2x - 2j + 2i+1) of the last step
-# taken, j = len(_poly_cache) - 2, as ascending int coefficients (R_0 = 1).
+# taken, j = len(_parts) - 2, as ascending int coefficients (R_0 = 1).
 _rising: list[int] = [1]
 
 
-def numerator_polynomial(k: int) -> Polynomial:
-    """The k-th polynomial of the recursion (degree k-2, cached), k within 1..RECURSION_MAX.
+def _content_and_primitive(k: int) -> tuple[int, Polynomial]:
+    """(g_k, p_k) with P_k = g_k * p_k, growing the cache to k (module docstring).
 
     Each new step grows the rising product by one linear factor,
-    R_j = (2x - 2j + 3) * R_{j-1}: O(j) small-int operations per step.
+    R_j = (2x - 2j + 3) * R_{j-1}: O(j) small-int operations per step.  The
+    step divides h = gcd(p_j(j), (2j+1)!!) out of the bracket first, so its
+    products and the gcd of q run on integers of a few thousand bits.
     """
     check_index(k, 1, RECURSION_MAX)
     with _cache_lock:
-        while len(_poly_cache) <= k:
-            j = len(_poly_cache) - 1
+        while len(_parts) <= k:
+            j = len(_parts) - 1
             c = 3 - 2 * j
             _rising.append(0)
             for i in range(len(_rising) - 1, 0, -1):
                 _rising[i] = c * _rising[i] + 2 * _rising[i - 1]
             _rising[0] *= c
-            _poly_cache.append(_step(_poly_cache[j], j, _rising))
-        return _poly_cache[k]
+            content, primitive = _parts[j]
+            fj, odd = primitive.evaluate(j), double_factorial_odd(j)
+            shared = math.gcd(fj, odd)
+            q = _step_numerator(fj // shared, _rising, odd // shared, primitive)
+            q = q.divide_root_exact(j)
+            divisor = math.gcd(*q.coeffs)
+            content *= shared * divisor
+            if content & 1:
+                raise ConsistencyError(f"P_{j + 1} has a non-integer coefficient")
+            if divisor > 1:
+                q = Polynomial(a // divisor for a in q.coeffs)
+            _parts.append((content >> 1, q))
+        return _parts[k]
+
+
+def numerator_polynomial(k: int) -> Polynomial:
+    """The k-th polynomial of the recursion (degree k-2), k within 1..RECURSION_MAX.
+
+    Built on each call as g_k * p_k from its cached content and primitive
+    part (module docstring): the content is exact because the step is linear
+    in f, and P_k's coefficients are integers.
+    """
+    content, primitive = _content_and_primitive(k)
+    return primitive * content
 
 
 def zeta_numerator(k: int) -> int:
     """The positive integer value of the k-th polynomial at x = k, k within 1..RECURSION_MAX."""
-    value = numerator_polynomial(k).evaluate(k)
-    if value.denominator != 1 or value <= 0:
+    content, primitive = _content_and_primitive(k)
+    value = content * primitive.evaluate(k)
+    if value <= 0:
         raise ConsistencyError(f"expected a positive integer at k={k}, got {value}")
-    return value.numerator
+    return value
 
 
 def translated_polynomial(k: int, *, half_scale: bool = False) -> Polynomial:
@@ -120,10 +166,11 @@ def translated_polynomial(k: int, *, half_scale: bool = False) -> Polynomial:
 
     With half_scale the variable is additionally rescaled to x/2, the form
     in which the small cases are usually displayed.  k is within 1..RECURSION_MAX.
+    The shift runs on the primitive part, then the result is scaled by the content.
     """
-    check_index(k, 1, RECURSION_MAX)
+    content, primitive = _content_and_primitive(k)
     a = Fraction(1, 2) if half_scale else Fraction(1)
-    return numerator_polynomial(k).compose_affine(a, k - Fraction(3, 2))
+    return primitive.compose_affine(a, k - Fraction(3, 2)) * content
 
 
 def basis_coefficients(k: int) -> tuple[int, ...]:

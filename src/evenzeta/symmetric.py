@@ -35,10 +35,10 @@ CYCLE_INDEX_MAX = 8  # factorial enumeration guard
 # Largest n of VariableSet.inverse_squares: n = 700000 takes 3.4-4.3 s in a
 # fresh process (2-vCPU host, Python 3.11.7), 10**6 5.1 s.
 INVERSE_SQUARES_MAX = 700_000
-# Largest k of newton_girard_check, by the same rule: k = 140 on
-# inverse_squares(140) took 3.8-4.3 s, 141 3.8-4.5 s.  Its cost is O(N k)
-# operations on rationals that grow with k.
-NEWTON_GIRARD_MAX = 140
+# Largest k of newton_girard_check, by the same rule: k = 170 on
+# inverse_squares(170) took 3.2-3.5 s, 171 3.1-3.7 s, 180 4.1-4.6 s.  Its
+# cost is O(N k) operations on numbers that grow with k.
+NEWTON_GIRARD_MAX = 170
 
 
 class VariableSet(tuple):
@@ -82,6 +82,20 @@ def elementary_symmetric(vars: VariableSet, k: int) -> Fraction:
     """
     check_index(k, 0, len(vars))
     return _elementary_row(vars, k)[k]
+
+
+def _power_sum_row(vars: VariableSet, k: int) -> list[Fraction]:
+    """[p_0, ..., p_k] on integers: with every z = a_z/D over one common
+    denominator D, p_i = (sum_z a_z^i) / D^i, one Fraction per i."""
+    den = math.lcm(*(z.denominator for z in vars))
+    sums = [len(vars)] + [0] * k
+    for z in vars:
+        a = z.numerator * (den // z.denominator)
+        power = 1
+        for i in range(1, k + 1):
+            power *= a
+            sums[i] += power
+    return [Fraction(s, den**i) for i, s in enumerate(sums)]
 
 
 def power_sum(vars: VariableSet, k: int) -> Fraction:
@@ -134,17 +148,12 @@ def newton_girard_check(vars: VariableSet, k: int) -> tuple[Fraction, Fraction]:
         (-1)^(k-1) p_k = k e_k - sum_{i<k} (-1)^(i-1) e_{k-i} p_i
 
     The identity holds when lhs == rhs.  One row e_0..e_k and one pass for
-    p_1..p_k, O(N k) operations.  k is within 1..min(N, NEWTON_GIRARD_MAX),
-    N the variable count.
+    p_1..p_k on integers over a common denominator, O(N k) operations.  k is
+    within 1..min(N, NEWTON_GIRARD_MAX), N the variable count.
     """
     check_index(k, 1, min(len(vars), NEWTON_GIRARD_MAX))
     e = _elementary_row(vars, k)
-    p = [Fraction(0)] * (k + 1)
-    for z in vars:
-        power = Fraction(1)
-        for i in range(1, k + 1):
-            power *= z
-            p[i] += power
+    p = _power_sum_row(vars, k)
     lhs = p[k] * (-1 if k % 2 == 0 else 1)
     rhs = k * e[k]
     for i in range(1, k):

@@ -33,9 +33,9 @@ __all__ = [
 ]
 
 # Largest k of bernoulli_even: one call within about 4.5 s in a fresh process
-# (2-vCPU host, Python 3.11.7), 2.7-3.4 s (186 took 3.3-3.6 s), so it reaches
-# RECURSION_MAX.  The `verify` bernoulli suite runs it up to 175.
-BERNOULLI_EVEN_MAX = 185
+# (2-vCPU host, Python 3.11.7), 0.6 s at 260, so it reaches RECURSION_MAX.
+# The `verify` bernoulli suite runs it up to 240.
+BERNOULLI_EVEN_MAX = 260
 
 # Largest n of the classical oracle, by the same rule: bernoulli_classical(700)
 # took 3.9-4.4 s cold (725 took 3.8-5.0 s, 750 4.0-5.4 s).  It may not go
@@ -44,8 +44,8 @@ BERNOULLI_CLASSICAL_MAX = 700
 
 # Largest k of elementary_zeta, bernoulli_from_zeta and the Newton partial
 # sums, whose own cost is a factorial of about 2k (0.1 s at 2000).  Their n
-# is bounded by RECURSION_MAX: newton_partial_sum(185, 2000) took 3.9-4.4 s,
-# most of it the recursion (n = 186: 3.5-4.3 s).
+# is bounded by RECURSION_MAX: newton_partial_sum(260, 2000) took 3.3-4.0 s,
+# most of it double_factorial_product(i) for each i < n (n = 261: 4.0-4.1 s).
 ELEMENTARY_ZETA_MAX = 2000
 
 

@@ -397,6 +397,10 @@ GOLDEN_JSON_SHA256 = {
         "9c4b0f232d1ce5dc932491e7349c9d4160be550eaa238168885c0920e98919bb"
     ),
     "ak --max 60": "d4e23af013ce602be2d0607d82b793963b6ddc159141c2e5e89c1284843088b7",
+    "ak --max 150": "4be3b7af36f45b520da16079200b9713dad1d358ddaa8d7e76c13c6680c45818",
+    "pk --k 120 --translated --half-scale": (
+        "19a85bcc81ba4632a6c442e42f649c93c3fa693a72958ae507239b4bd2500b99"
+    ),
     "transform --k 13": "5f4ca2438fa3dc56e71362ef3e6a4037dbbf1227b90b1b1b662bf8030b891ad7",
     "bernoulli --k 15 --method tree": (
         "abdde435615b3e08a39e25e7d5b133f4d694c6e3eb22a81ae7b7f9db4b5c7a1e"

@@ -140,6 +140,18 @@ def test_compose_affine_keeps_integral_results_int():
     assert Polynomial((1, 2, 3)).compose_affine(0, Fraction(1, 3)) == Polynomial((2,))
 
 
+def test_divide_root_exact():
+    # (x - 2)(x + 3) = x^2 + x - 6; an int root leaves an int quotient
+    q = Polynomial((-6, 1, 1)).divide_root_exact(2)
+    assert q.coeffs == (3, 1) and all(type(c) is int for c in q.coeffs)
+    assert Polynomial((-1, 2)).divide_root_exact(Fraction(1, 2)) == Polynomial((2,))
+    assert ZERO.divide_root_exact(7) == ZERO
+    with pytest.raises(InexactDivisionError):
+        Polynomial((1, 1)).divide_root_exact(3)
+    with pytest.raises(TypeError):
+        Polynomial((1, 1)).divide_root_exact(0.5)
+
+
 def test_divide_linear_inexact_raises():
     with pytest.raises(InexactDivisionError):
         Polynomial((1, 1)).divide_linear_exact(3)

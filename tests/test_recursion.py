@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -80,7 +81,7 @@ def test_cold_cache_under_threads(monkeypatch):
     # the cache and its rising product grow under one lock: threads racing
     # on a cold cache must build the same polynomials as one caller did
     expected = {k: numerator_polynomial(k) for k in range(1, 41)}
-    monkeypatch.setattr(recursion, "_poly_cache", [ONE, ONE])
+    monkeypatch.setattr(recursion, "_parts", [(1, ONE), (1, ONE)])
     monkeypatch.setattr(recursion, "_rising", [1])
     got = {}
 
@@ -100,7 +101,33 @@ def test_cold_cache_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {k: expected[k] for k in ks}
-    assert recursion._poly_cache == [ONE] + [expected[k] for k in range(1, 41)]
+    assert [g * p for g, p in recursion._parts] == [ONE] + [expected[k] for k in range(1, 41)]
+
+
+def test_zeta_numerator_matches_the_built_polynomial():
+    # zeta_numerator evaluates the primitive part and scales the value;
+    # numerator_polynomial scales every coefficient first
+    for k in range(1, 121):
+        assert zeta_numerator(k) == numerator_polynomial(k).evaluate(k)
+
+
+def test_cached_parts_are_content_times_primitive():
+    numerator_polynomial(120)
+    for content, primitive in recursion._parts[1:121]:
+        assert type(content) is int and content > 0
+        assert math.gcd(*primitive.coeffs) == 1
+        assert all(type(c) is int for c in primitive.coeffs)
+
+
+def test_cache_holds_a_fraction_of_the_full_polynomials():
+    # the content, shared by every coefficient of P_k, is stored once
+    def bits(poly):
+        return sum(abs(c).bit_length() for c in poly.coeffs)
+
+    full = [bits(numerator_polynomial(k)) for k in range(1, 101)]
+    cached = [g.bit_length() + bits(p) for g, p in recursion._parts[1:101]]
+    assert cached[-1] < full[-1] / 10
+    assert sum(cached) < sum(full) / 10
 
 
 def test_degree_and_leading_coefficient():

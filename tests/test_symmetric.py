@@ -201,7 +201,7 @@ INDEXED = {
 def _work_done():
     """The caches an index reaches first when a call does any work."""
     return (
-        len(recursion._poly_cache),
+        len(recursion._parts),
         tuple(recursion._rising),
         bernoulli_classical.cache_info().currsize,
         double_factorial_odd.cache_info().currsize,
@@ -249,3 +249,30 @@ def test_newton_girard_holds(vs):
     for k in range(1, len(vs) + 1):
         lhs, rhs = newton_girard_check(vs, k)
         assert lhs == rhs
+
+
+def newton_girard_by_fractions(vars, k):
+    # the power sums as one Fraction sum per variable and index, as the
+    # check computed them before it moved to integers
+    p = [Fraction(0)] * (k + 1)
+    for z in vars:
+        power = Fraction(1)
+        for i in range(1, k + 1):
+            power *= z
+            p[i] += power
+    e = [elementary_symmetric(vars, i) for i in range(k + 1)]
+    rhs = k * e[k]
+    for i in range(1, k):
+        rhs -= (-1) ** (i - 1) * e[k - i] * p[i]
+    return (-1) ** (k - 1) * p[k], rhs
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(
+        st.fractions(min_value=-30, max_value=30, max_denominator=60), min_size=1, max_size=10
+    ).map(VariableSet)
+)
+def test_newton_girard_matches_the_fraction_loop(vs):
+    for k in range(1, len(vs) + 1):
+        assert newton_girard_check(vs, k) == newton_girard_by_fractions(vs, k)
