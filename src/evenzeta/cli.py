@@ -7,6 +7,10 @@ text form and integers are decimal strings in JSON.  Exit codes: 0 success,
 1 verification failure, 2 usage or input error (k past a command's bound
 included), 3 internal error (an unexpected exception, reported as the same
 error record instead of a traceback).
+
+Each command returns its JSON result and its text lines, or raises _Refusal
+for an input it refuses; _run alone prints one of the two forms and chooses
+the exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Optional
 
 from . import trees, verify, zeta
 from .polynomials import polynomial_text
-from .recursion import numerator_polynomial, translated_polynomial, zeta_numerator
+from .recursion import RECURSION_MAX, numerator_polynomial, translated_polynomial, zeta_numerator
 
 __all__ = ["main"]
 
@@ -27,17 +31,29 @@ __all__ = ["main"]
 # form within about 4.5 s end to end (2-vCPU host, Python 3.11.7): ak
 # 3.4-3.5 s (k = 250 took 4.2 s), pk --translated --half-scale 3.5 s (k = 190
 # took 4.8-5.0 s); both are bound by decimal conversion.  zeta-even and
-# bernoulli 0.6 s (recursion; both reach RECURSION_MAX) and 4.1 s
-# (classical), trees --list --format json 2.5 s (k = 12 took 10.7 s).  The
-# tree route's bound is the library's TRANSFORM_MAX, set by `transform` over
-# 3-digit rationals.  `bernoulli --approx` stops at 129 under every method:
-# |B_260| is past the largest float.
+# bernoulli 0.6 s (recursion) and 4.1 s (classical), trees --list --format
+# json 2.5 s (k = 12 took 10.7 s).  zeta-even and each bernoulli method reach
+# the bound of the library function they call.  `bernoulli --approx` stops at
+# 129 under every method: |B_260| is past the largest float.
 AK_MAX = 240
 PK_MAX = 180
-ZETA_EVEN_MAX = 260
-BERNOULLI_MAX = {"recursion": 260, "tree": trees.TRANSFORM_MAX, "classical": 350}
+ZETA_EVEN_MAX = RECURSION_MAX
+BERNOULLI_MAX = {
+    "recursion": zeta.BERNOULLI_EVEN_MAX,
+    "tree": trees.TRANSFORM_MAX,
+    "classical": zeta.BERNOULLI_CLASSICAL_MAX // 2,
+}
 BERNOULLI_APPROX_MAX = 129
 TREES_LIST_MAX = 11
+
+
+class _Refusal(Exception):
+    """An input that a command refuses: exit code 2, the message as error_detail."""
+
+
+def _within(value: int, bound: int, option: str = "--k", qualifier: str = "") -> None:
+    if not 1 <= value <= bound:
+        raise _Refusal(f"{option} must be within 1..{bound}{qualifier}")
 
 
 def _print_record(command: str, inputs: dict, result: dict, error: Optional[str] = None) -> None:
@@ -52,7 +68,7 @@ def _print_record(command: str, inputs: dict, result: dict, error: Optional[str]
     print(json.dumps(record, indent=2))
 
 
-def _fail(args, inputs: dict, message: str, code: int = 2) -> int:
+def _fail(args, inputs: dict, message: str, code: int) -> int:
     if args.format == "json":
         _print_record(args.command, inputs, {}, message)
     else:
@@ -60,15 +76,10 @@ def _fail(args, inputs: dict, message: str, code: int = 2) -> int:
     return code
 
 
-def _cmd_bernoulli(args) -> int:
-    inputs = {"k": args.k, "method": args.method}
-    bound = BERNOULLI_MAX[args.method]
-    if not 1 <= args.k <= bound:
-        message = f"--k must be within 1..{bound} for --method {args.method}"
-        return _fail(args, inputs, message)
-    if args.approx and args.k > BERNOULLI_APPROX_MAX:
-        message = f"--k must be within 1..{BERNOULLI_APPROX_MAX} with --approx"
-        return _fail(args, inputs, message)
+def _cmd_bernoulli(args):
+    _within(args.k, BERNOULLI_MAX[args.method], qualifier=f" for --method {args.method}")
+    if args.approx:
+        _within(args.k, BERNOULLI_APPROX_MAX, qualifier=" with --approx")
     if args.method == "classical":
         value = zeta.bernoulli_classical(2 * args.k)
     elif args.method == "tree":
@@ -76,40 +87,24 @@ def _cmd_bernoulli(args) -> int:
         value = zeta.bernoulli_from_zeta(args.k, trees.generalized_transform(args.k) / 2)
     else:
         value = zeta.bernoulli_even(args.k)
-    if args.format == "json":
-        result = {"value": str(value)}
-        if args.approx:
-            result["approx"] = float(value)
-        _print_record("bernoulli", inputs, result)
-    else:
-        print(value)
-        if args.approx:
-            print(f"~= {float(value)}")
-    return 0
+    result = {"value": str(value)}
+    lines = [result["value"]]
+    if args.approx:
+        result["approx"] = float(value)
+        lines.append(f"~= {result['approx']}")
+    return result, lines
 
 
-def _cmd_ak(args) -> int:
-    inputs = {"max": args.max_k}
-    if not 1 <= args.max_k <= AK_MAX:
-        return _fail(args, inputs, f"--max must be within 1..{AK_MAX}")
-    values = [str(zeta_numerator(k)) for k in range(1, args.max_k + 1)]
-    if args.format == "json":
-        _print_record("ak", inputs, {"values": values})
-    else:
-        print("\n".join(values))
-    return 0
+def _cmd_ak(args):
+    _within(args.max, AK_MAX, option="--max")
+    values = [str(zeta_numerator(k)) for k in range(1, args.max + 1)]
+    return {"values": values}, values
 
 
-def _cmd_pk(args) -> int:
-    inputs = {
-        "k": args.k,
-        "translated": args.translated,
-        "half_scale": args.half_scale,
-    }
-    if not 1 <= args.k <= PK_MAX:
-        return _fail(args, inputs, f"--k must be within 1..{PK_MAX}")
+def _cmd_pk(args):
+    _within(args.k, PK_MAX)
     if args.half_scale and not args.translated:
-        return _fail(args, inputs, "--half-scale requires --translated")
+        raise _Refusal("--half-scale requires --translated")
     if args.translated:
         poly = translated_polynomial(args.k, half_scale=args.half_scale)
     else:
@@ -117,30 +112,20 @@ def _cmd_pk(args) -> int:
     # decimal conversion of the coefficients dominates at large k: do it once
     strings = poly.coefficient_strings()
     text = polynomial_text(strings)
-    if args.format == "json":
-        _print_record("pk", inputs, {"coefficients": strings, "text": text})
-    else:
-        print(text)
-    return 0
+    return {"coefficients": strings, "text": text}, [text]
 
 
-def _cmd_zeta_even(args) -> int:
-    inputs = {"k": args.k}
-    if not 1 <= args.k <= ZETA_EVEN_MAX:
-        return _fail(args, inputs, f"--k must be within 1..{ZETA_EVEN_MAX}")
+def _cmd_zeta_even(args):
+    _within(args.k, ZETA_EVEN_MAX)
     coeff = zeta.zeta_even_rational(args.k)
     power = 2 * args.k
     text = f"{coeff} * pi^{power}"
-    if args.format == "json":
-        result = {"coefficient": str(coeff), "pi_power": power, "text": text}
-        if args.approx:
-            result["approx"] = float(coeff) * math.pi**power
-        _print_record("zeta-even", inputs, result)
-    else:
-        print(text)
-        if args.approx:
-            print(f"~= {float(coeff) * math.pi**power}")
-    return 0
+    result = {"coefficient": str(coeff), "pi_power": power, "text": text}
+    lines = [text]
+    if args.approx:
+        result["approx"] = float(coeff) * math.pi**power
+        lines.append(f"~= {result['approx']}")
+    return result, lines
 
 
 def _tree_rows(k: int):
@@ -152,71 +137,59 @@ def _tree_rows(k: int):
         yield tree, low, high, str(data.weight)
 
 
-def _cmd_trees(args) -> int:
-    inputs = {"k": args.k, "list": args.list}
+def _cmd_trees(args):
     # the count is a closed form; the listing holds every tree's record
-    bound = TREES_LIST_MAX if args.list else trees.ENUMERATION_MAX
-    if not 1 <= args.k <= bound:
-        form = " with --list" if args.list else ""
-        return _fail(args, inputs, f"--k must be within 1..{bound}{form}")
+    if args.list:
+        _within(args.k, TREES_LIST_MAX, qualifier=" with --list")
+    else:
+        _within(args.k, trees.ENUMERATION_MAX)
     count = trees.catalan(args.k - 1)
-    if args.format == "json":
-        result: dict = {"count": count}
-        if args.list:
-            result["trees"] = [
-                {"levels": list(tree.levels), "low": low, "high": high, "weight": weight}
-                for tree, low, high, weight in _tree_rows(args.k)
-            ]
-        _print_record("trees", inputs, result)
-    elif args.list:
-        for tree, low, high, weight in _tree_rows(args.k):
-            print(f"levels={tree} low={{{','.join(low)}}} high={{{','.join(high)}}} wt={weight}")
-    else:
-        print(count)
-    return 0
+    if not args.list:
+        return {"count": count}, [str(count)]
+    rows = list(_tree_rows(args.k))
+    listing = [
+        {"levels": list(tree.levels), "low": low, "high": high, "weight": weight}
+        for tree, low, high, weight in rows
+    ]
+    lines = (
+        f"levels={tree} low={{{','.join(low)}}} high={{{','.join(high)}}} wt={weight}"
+        for tree, low, high, weight in rows
+    )
+    return {"count": count, "trees": listing}, lines
 
 
-def _cmd_transform(args) -> int:
-    inputs = {"k": args.k, "sequence": args.sequence}
-    if not 1 <= args.k <= trees.TRANSFORM_MAX:
-        return _fail(args, inputs, f"--k must be within 1..{trees.TRANSFORM_MAX}")
-    seq = trees.ODD_NUMBERS
-    if args.sequence is not None:
-        try:
-            seq = trees.SequenceSpec.from_file(args.sequence)
-        except (OSError, ValueError) as exc:
-            return _fail(args, inputs, str(exc))
+def _cmd_transform(args):
+    _within(args.k, trees.TRANSFORM_MAX)
     try:
+        seq = trees.ODD_NUMBERS
+        if args.sequence is not None:
+            seq = trees.SequenceSpec.from_file(args.sequence)
         value = trees.generalized_transform(args.k, seq)
-    except ValueError as exc:
-        return _fail(args, inputs, str(exc))
-    if args.format == "json":
-        _print_record("transform", inputs, {"value": str(value)})
-    else:
-        print(value)
-    return 0
+    except (OSError, ValueError) as exc:
+        raise _Refusal(str(exc)) from exc
+    return {"value": str(value)}, [str(value)]
 
 
-def _cmd_verify(args) -> int:
-    inputs = {"suite": args.suite, "max_k": args.max_k}
+def _verify_lines(reports):
+    """Each check as a PASS or FAIL line, then each suite's count of passed checks."""
+    for report in reports:
+        checks = report["checks"]
+        for check in checks:
+            if check["passed"]:
+                yield f"PASS {check['name']}"
+            else:
+                yield f"FAIL {check['name']}: {check['witness']}"
+        done = sum(1 for check in checks if check["passed"])
+        yield f"suite {report['suite']} (max_k={report['max_k']}): {done}/{len(checks)} passed"
+
+
+def _cmd_verify(args):
     try:
         reports = verify.run_suite(args.suite, args.max_k)
     except ValueError as exc:
-        return _fail(args, inputs, str(exc))
-    all_passed = all(report["passed"] for report in reports)
-    if args.format == "json":
-        _print_record("verify", inputs, {"passed": all_passed, "suites": reports})
-    else:
-        for report in reports:
-            checks = report["checks"]
-            for check in checks:
-                if check["passed"]:
-                    print(f"PASS {check['name']}")
-                else:
-                    print(f"FAIL {check['name']}: {check['witness']}")
-            done = sum(1 for check in checks if check["passed"])
-            print(f"suite {report['suite']} (max_k={report['max_k']}): {done}/{len(checks)} passed")
-    return 0 if all_passed else 1
+        raise _Refusal(str(exc)) from exc
+    passed = all(report["passed"] for report in reports)
+    return {"passed": passed, "suites": reports}, _verify_lines(reports)
 
 
 class _UsageError(Exception):
@@ -226,20 +199,10 @@ class _UsageError(Exception):
 
 
 class _JsonErrorParser(argparse.ArgumentParser):
-    """Raises usage errors for main to print as a JSON error record."""
+    """Raises usage errors for _run to print as a JSON error record."""
 
     def error(self, message):
         raise _UsageError(self.prog, message)
-
-
-def _json_requested(argv: list[str]) -> bool:
-    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    probe.add_argument("--format")
-    try:
-        known, _ = probe.parse_known_args(argv)
-    except argparse.ArgumentError:
-        return False
-    return known.format == "json"
 
 
 def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
@@ -250,10 +213,12 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run, *inputs):
+        """The --format option, the command's function, and the options its record's inputs name."""
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
+        p.set_defaults(run=run, inputs=inputs)
 
     p = sub.add_parser("bernoulli", help="Bernoulli number B_{2k}")
     p.add_argument(
@@ -270,14 +235,12 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
         "--approx", action="store_true",
         help=f"also print a float approximation, for k within 1..{BERNOULLI_APPROX_MAX}",
     )
-    add_common(p)
-    p.set_defaults(run=_cmd_bernoulli)
+    add_common(p, _cmd_bernoulli, "k", "method")
 
     p = sub.add_parser("ak", help="the integer numerators of 2*zeta(2k)/pi^(2k)")
-    p.add_argument("--max", "--max-k", dest="max_k", type=int, required=True,
+    p.add_argument("--max", "--max-k", dest="max", metavar="MAX_K", type=int, required=True,
                    help=f"emit values for k = 1..MAX, MAX within 1..{AK_MAX}")
-    add_common(p)
-    p.set_defaults(run=_cmd_ak)
+    add_common(p, _cmd_ak, "max")
 
     p = sub.add_parser("pk", help="the k-th recursion polynomial")
     p.add_argument("--k", type=int, required=True, help=f"1..{PK_MAX}")
@@ -285,29 +248,25 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
                    help="shift to x + k - 3/2 (all-positive coefficients)")
     p.add_argument("--half-scale", action="store_true",
                    help="additionally rescale x to x/2 (display form)")
-    add_common(p)
-    p.set_defaults(run=_cmd_pk)
+    add_common(p, _cmd_pk, "k", "translated", "half_scale")
 
     p = sub.add_parser("zeta-even", help="zeta(2k) as an exact multiple of pi^(2k)")
     p.add_argument("--k", type=int, required=True, help=f"1..{ZETA_EVEN_MAX}")
     p.add_argument("--approx", action="store_true", help="also print a float approximation")
-    add_common(p)
-    p.set_defaults(run=_cmd_zeta_even)
+    add_common(p, _cmd_zeta_even, "k")
 
     p = sub.add_parser("trees", help="plane trees with their low/high/weight data")
     p.add_argument("--k", type=int, required=True,
                    help=f"vertex count, 1..{trees.ENUMERATION_MAX} "
                    f"(1..{TREES_LIST_MAX} with --list)")
     p.add_argument("--list", action="store_true", help="list every tree")
-    add_common(p)
-    p.set_defaults(run=_cmd_trees)
+    add_common(p, _cmd_trees, "k", "list")
 
     p = sub.add_parser("transform", help="tree-sum transform of a value sequence")
     p.add_argument("--k", type=int, required=True, help=f"1..{trees.TRANSFORM_MAX}")
     p.add_argument("--sequence", metavar="FILE", default=None,
                    help="text file, one rational per line (default: odd numbers)")
-    add_common(p)
-    p.set_defaults(run=_cmd_transform)
+    add_common(p, _cmd_transform, "k", "sequence")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=verify.suite_names(), default="all")
@@ -317,8 +276,7 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
             f"{name} 1..{suite.hard_max_k}" for name, suite in verify.SUITES.items()
         ) + f", all 1..{verify.ALL_MAX_K}",
     )
-    add_common(p)
-    p.set_defaults(run=_cmd_verify)
+    add_common(p, _cmd_verify, "suite", "max_k")
 
     return parser
 
@@ -337,17 +295,34 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _run(argv: Optional[list[str]]) -> int:
+    """Run one command and print its output in the requested format; return the exit code."""
     argv = sys.argv[1:] if argv is None else argv
+    # a usage error is a JSON record too when --format json can be read
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--format")
     try:
-        args = _build_parser(_json_requested(argv)).parse_args(argv)
+        json_errors = probe.parse_known_args(argv)[0].format == "json"
+    except argparse.ArgumentError:
+        json_errors = False
+    try:
+        args = _build_parser(json_errors).parse_args(argv)
     except _UsageError as exc:
         _print_record(exc.command, {}, {}, str(exc))
         return 2
+    inputs = {name: getattr(args, name) for name in args.inputs}
     try:
-        return args.run(args)
+        result, lines = args.run(args)
+        if args.format == "json":
+            _print_record(args.command, inputs, result)
+        else:
+            for line in lines:
+                print(line)
+    except _Refusal as exc:
+        return _fail(args, inputs, str(exc), 2)
     except Exception as exc:  # a fault of the program, not of its input
-        message = f"internal error: {type(exc).__name__}: {exc}"
-        return _fail(args, {}, message, 3)
+        return _fail(args, {}, f"internal error: {type(exc).__name__}: {exc}", 3)
+    # only verify's result has "passed": a failed check exits 1
+    return 0 if result.get("passed", True) else 1
 
 
 if __name__ == "__main__":

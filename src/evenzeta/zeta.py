@@ -35,7 +35,7 @@ __all__ = [
 # Largest k of bernoulli_even: one call within about 4.5 s in a fresh process
 # (2-vCPU host, Python 3.11.7), 0.6 s at 260, so it reaches RECURSION_MAX.
 # The `verify` bernoulli suite runs it up to 240.
-BERNOULLI_EVEN_MAX = 260
+BERNOULLI_EVEN_MAX = RECURSION_MAX
 
 # Largest n of the classical oracle, by the same rule: bernoulli_classical(700)
 # took 3.9-4.4 s cold (725 took 3.8-5.0 s, 750 4.0-5.4 s).  It may not go

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import evenzeta
 from evenzeta.cli import (
     AK_MAX,
     BERNOULLI_APPROX_MAX,
@@ -388,38 +392,156 @@ SIGNED_RATIONALS = [
     "-1", "640/873", "9", "-17/12", "1/1000", "-250/3",
 ]
 
-# sha256 of the --format json stdout, pinned from the output of the code before
-# Polynomial stored integral coefficients as int, and before rational transforms
-# ran on an integer fold
-GOLDEN_JSON_SHA256 = {
-    "pk --k 30": "e2b99daf8e3dc1d9a6be40d95bde5ca649ab9d1adafee1c0cc9756615c7be908",
-    "pk --k 30 --translated --half-scale": (
-        "9c4b0f232d1ce5dc932491e7349c9d4160be550eaa238168885c0920e98919bb"
-    ),
-    "ak --max 60": "d4e23af013ce602be2d0607d82b793963b6ddc159141c2e5e89c1284843088b7",
-    "ak --max 150": "4be3b7af36f45b520da16079200b9713dad1d358ddaa8d7e76c13c6680c45818",
-    "pk --k 120 --translated --half-scale": (
-        "19a85bcc81ba4632a6c442e42f649c93c3fa693a72958ae507239b4bd2500b99"
-    ),
-    "transform --k 13": "5f4ca2438fa3dc56e71362ef3e6a4037dbbf1227b90b1b1b662bf8030b891ad7",
-    "bernoulli --k 15 --method tree": (
-        "abdde435615b3e08a39e25e7d5b133f4d694c6e3eb22a81ae7b7f9db4b5c7a1e"
-    ),
-    "verify --suite all": "24c5c1ebb9400f62f7d2a665a8ac79c39f3412e613fec4ca4cf69ee09f6bcc1c",
-    "transform --k 13 --sequence signed.txt": (
-        "c0064b0408a49dfe24152a6725c348912d13f5541209d11d1fe19a502984ea72"
-    ),
-    "zeta-even --k 40 --approx": (
-        "bf0226444ca48050dec19f8ead032a51594366bf3447771879a110acd3b8542a"
-    ),
-    "trees --k 9 --list": "ae4c43c12287758c297ecc976e93b6233f50a46b66e38ca414dc6f280d949d46",
+# sha256 of the stdout in each format, by command.  The JSON digests were pinned
+# from the output of the code before Polynomial stored integral coefficients as
+# int, and before rational transforms ran on an integer fold; the text digests
+# from the code before each command returned its result and text lines
+GOLDEN_SHA256 = {
+    "json": {
+        "pk --k 30": "e2b99daf8e3dc1d9a6be40d95bde5ca649ab9d1adafee1c0cc9756615c7be908",
+        "pk --k 30 --translated --half-scale": (
+            "9c4b0f232d1ce5dc932491e7349c9d4160be550eaa238168885c0920e98919bb"
+        ),
+        "ak --max 60": "d4e23af013ce602be2d0607d82b793963b6ddc159141c2e5e89c1284843088b7",
+        "ak --max 150": "4be3b7af36f45b520da16079200b9713dad1d358ddaa8d7e76c13c6680c45818",
+        "pk --k 120 --translated --half-scale": (
+            "19a85bcc81ba4632a6c442e42f649c93c3fa693a72958ae507239b4bd2500b99"
+        ),
+        "transform --k 13": "5f4ca2438fa3dc56e71362ef3e6a4037dbbf1227b90b1b1b662bf8030b891ad7",
+        "bernoulli --k 15 --method tree": (
+            "abdde435615b3e08a39e25e7d5b133f4d694c6e3eb22a81ae7b7f9db4b5c7a1e"
+        ),
+        "verify --suite all": "24c5c1ebb9400f62f7d2a665a8ac79c39f3412e613fec4ca4cf69ee09f6bcc1c",
+        "transform --k 13 --sequence signed.txt": (
+            "c0064b0408a49dfe24152a6725c348912d13f5541209d11d1fe19a502984ea72"
+        ),
+        "zeta-even --k 40 --approx": (
+            "bf0226444ca48050dec19f8ead032a51594366bf3447771879a110acd3b8542a"
+        ),
+        "trees --k 9 --list": "ae4c43c12287758c297ecc976e93b6233f50a46b66e38ca414dc6f280d949d46",
+    },
+    "text": {
+        "pk --k 30": "790e653bc199508d7c6ee8417745a506eed9bb66d1275354e1378e3445d8ab5f",
+        "pk --k 30 --translated --half-scale": (
+            "328ebe00ee003ea8db1a4310a73d8b3729a494cd1a823d8daafa9915dc1f7574"
+        ),
+        "ak --max 60": "02aa59d150081455c45253dd8fa0c74c84667b590aee6a1a89ba024bdae5bf96",
+        "ak --max 150": "ffdc05f0be0a61ac77a25b837d9121c0592b226f92375d29312cc1c9a297adb0",
+        "pk --k 120 --translated --half-scale": (
+            "d8f75274ae26ed054c4a8f762232f5f65d65bda0fecc48e3d8286b0558dcf2a6"
+        ),
+        "transform --k 13": "6706619d7eaaf08c365ef8ddc42c271fae016d2e5517f960fa575b1ec8d5bfea",
+        "bernoulli --k 15 --method tree": (
+            "14976c1c6cf38890e60dda0bd160c8ddd4d12219696188392eb87aaf21c270bd"
+        ),
+        "verify --suite all": "692c3a4cc0b5ae61854dae2b6499e02eaabfcb52d82068b9bccf75137d50f079",
+        "transform --k 13 --sequence signed.txt": (
+            "1dc15597aefe4a7c271f1cb270435c3bc380dba539217a8e623105ba2fa05729"
+        ),
+        "zeta-even --k 40 --approx": (
+            "8c5d0bdb696d9fcd5ebf548dcbe2b284ec0f9705c510e613668a1d73b7309690"
+        ),
+        "trees --k 9 --list": "3962f54200b31d62b6acb16010b2a40e2a5d7084d21877cf87c7508221523d65",
+    },
 }
 
 
-@pytest.mark.parametrize("command", list(GOLDEN_JSON_SHA256))
-def test_json_output_matches_golden_digest(capsys, monkeypatch, tmp_path, command):
+# a JSON case's id is the command alone, a text case's the command with --format text
+@pytest.mark.parametrize(
+    "command,fmt",
+    [
+        pytest.param(command, fmt, id=command if fmt == "json" else f"{command} --format text")
+        for fmt, digests in GOLDEN_SHA256.items()
+        for command in digests
+    ],
+)
+def test_json_output_matches_golden_digest(capsys, monkeypatch, tmp_path, command, fmt):
     (tmp_path / "signed.txt").write_text("\n".join(SIGNED_RATIONALS) + "\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    code, out, _ = run(capsys, *command.split(), "--format", "json")
+    code, out, _ = run(capsys, *command.split(), "--format", fmt)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256[command]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[fmt][command]
+
+
+# every refusal a command makes, with the inputs and error_detail of its record;
+# pinned from the output of the code before each command returned its result
+# and text lines
+REFUSALS = {
+    "ak --max 241": ({"max": 241}, "--max must be within 1..240"),
+    "pk --k 181": (
+        {"k": 181, "translated": False, "half_scale": False}, "--k must be within 1..180"
+    ),
+    "pk --k 4 --half-scale": (
+        {"k": 4, "translated": False, "half_scale": True}, "--half-scale requires --translated"
+    ),
+    "zeta-even --k 261": ({"k": 261}, "--k must be within 1..260"),
+    "bernoulli --k 261": (
+        {"k": 261, "method": "recursion"}, "--k must be within 1..260 for --method recursion"
+    ),
+    "bernoulli --k 351 --method classical": (
+        {"k": 351, "method": "classical"}, "--k must be within 1..350 for --method classical"
+    ),
+    "bernoulli --k 241 --method tree": (
+        {"k": 241, "method": "tree"}, "--k must be within 1..240 for --method tree"
+    ),
+    "bernoulli --k 130 --approx": (
+        {"k": 130, "method": "recursion"}, "--k must be within 1..129 with --approx"
+    ),
+    "trees --k 17": ({"k": 17, "list": False}, "--k must be within 1..16"),
+    "trees --k 12 --list": ({"k": 12, "list": True}, "--k must be within 1..11 with --list"),
+    "transform --k 241": ({"k": 241, "sequence": None}, "--k must be within 1..240"),
+    "transform --k 3 --sequence missing.txt": (
+        {"k": 3, "sequence": "missing.txt"},
+        "[Errno 2] No such file or directory: 'missing.txt'",
+    ),
+    "transform --k 3 --sequence bad.txt": (
+        {"k": 3, "sequence": "bad.txt"}, "bad.txt:2: not a rational literal: 'oops'"
+    ),
+    "transform --k 5 --sequence short.txt": (
+        {"k": 5, "sequence": "short.txt"}, "sequence supplies only 3 values; position 4 needed"
+    ),
+    "verify --suite all --max-k 41": (
+        {"suite": "all", "max_k": 41}, "suite 'all' accepts max_k between 1 and 40, got 41"
+    ),
+    "verify --suite trees --max-k 45": (
+        {"suite": "trees", "max_k": 45}, "suite 'trees' accepts max_k between 1 and 44, got 45"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(REFUSALS))
+def test_refusal_record(capsys, monkeypatch, tmp_path, command):
+    (tmp_path / "bad.txt").write_text("1\noops\n", encoding="utf-8")
+    (tmp_path / "short.txt").write_text("1\n1\n1\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    inputs, detail = REFUSALS[command]
+    record = {
+        "command": command.split()[0],
+        "inputs": inputs,
+        "result": {},
+        "status": "error",
+        "error_detail": detail,
+    }
+    assert run(capsys, *command.split(), "--format", "json") == (
+        2, json.dumps(record, indent=2) + "\n", ""
+    )
+    assert run(capsys, *command.split()) == (2, "", f"error: {detail}\n")
+
+
+def test_module_entry_point_passes_exit_codes():
+    # every other test calls main() in process; this one runs `python -m evenzeta`
+    src = str(Path(evenzeta.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run_module(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "evenzeta", *argv], capture_output=True, text=True, env=env
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert run_module("ak", "--max", "3") == (0, "1\n1\n10\n", "")
+    assert run_module("zeta-even", "--k", "0") == (2, "", "error: --k must be within 1..260\n")
+    code, out, err = run_module("bernoulli")  # missing required --k
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: evenzeta bernoulli ")
+    assert err.endswith("evenzeta bernoulli: error: the following arguments are required: --k\n")

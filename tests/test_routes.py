@@ -126,3 +126,20 @@ def test_floats_appear_only_in_display():
     # opt-in --approx output
     owners = {path.stem for path in SRC.glob("*.py") if _float_uses(path.stem)}
     assert owners == {"cli"}
+
+
+def _format_readers(module):
+    """The functions of a module that read an attribute named format."""
+    return {
+        function.name
+        for function in ast.walk(_parse(module))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "format" and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_output_format_is_read_only_where_output_is_printed():
+    # each command returns its result and text lines: _run prints one of them,
+    # and _fail prints a failure, in the requested format
+    assert _format_readers("cli") == {"_run", "_fail"}
