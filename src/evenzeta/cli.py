@@ -211,13 +211,18 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
         prog="evenzeta",
         description="Exact Bernoulli numbers and even zeta values, three independent ways.",
     )
+
+    def add_format(p, default):
+        p.add_argument("--format", choices=("text", "json"), default=default, help="output format")
+
+    # --format before the command or after it; a command's own --format
+    # sets no default, so that it leaves one given before the command alone
+    add_format(parser, "text")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, run, *inputs):
         """The --format option, the command's function, and the options its record's inputs name."""
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
+        add_format(p, argparse.SUPPRESS)
         p.set_defaults(run=run, inputs=inputs)
 
     p = sub.add_parser("bernoulli", help="Bernoulli number B_{2k}")

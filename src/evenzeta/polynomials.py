@@ -17,13 +17,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .rationals import is_exact
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["Polynomial", "InexactDivisionError", "polynomial_text", "X", "ONE", "ZERO"]
+__all__ = [
+    "Polynomial",
+    "InexactDivisionError",
+    "polynomial_text",
+    "split_content",
+    "X",
+    "ONE",
+    "ZERO",
+]
 
 
 class InexactDivisionError(ArithmeticError):
@@ -146,6 +154,8 @@ class Polynomial:
             acc[0] += c.numerator * (e // c.denominator) * scale
             scale *= d
         den = e * d**n
+        if den == 1:
+            return Polynomial(acc)
         return Polynomial(Fraction(c, den) for c in acc)
 
     def divide_root_exact(self, c: Scalar) -> "Polynomial":
@@ -184,6 +194,16 @@ class Polynomial:
     def coefficient_strings(self) -> list[str]:
         """Ascending coefficients as canonical rational strings (JSON form)."""
         return [str(c) for c in self.coeffs]
+
+
+def split_content(coeffs: Sequence[int]) -> tuple[int, list[int]]:
+    """(c, p) with coeffs = c * p entrywise: the content c >= 0, the gcd of
+    the ints, and the primitive part p, whose gcd is 1.  Signs stay in p;
+    for no nonzero entry c is 0 and p is the entries themselves."""
+    content = math.gcd(*coeffs)
+    if content > 1:
+        return content, [a // content for a in coeffs]
+    return content, list(coeffs)
 
 
 def polynomial_text(strings: list[str]) -> str:

@@ -35,7 +35,7 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polynomials import ONE, Polynomial, Scalar
+from .polynomials import ONE, Polynomial, Scalar, split_content
 from .rationals import check_index, double_factorial_odd
 
 __all__ = [
@@ -131,12 +131,12 @@ def _content_and_primitive(k: int) -> tuple[int, Polynomial]:
             shared = math.gcd(fj, odd)
             q = _step_numerator(fj // shared, _rising, odd // shared, primitive)
             q = q.divide_root_exact(j)
-            divisor = math.gcd(*q.coeffs)
+            divisor, coeffs = split_content(q.coeffs)
             content *= shared * divisor
             if content & 1:
                 raise ConsistencyError(f"P_{j + 1} has a non-integer coefficient")
             if divisor > 1:
-                q = Polynomial(a // divisor for a in q.coeffs)
+                q = Polynomial(coeffs)
             _parts.append((content >> 1, q))
         return _parts[k]
 

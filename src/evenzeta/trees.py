@@ -43,7 +43,16 @@ and continued-fraction forms).  With every R_n = 1 it is the Catalan
 recurrence, so T_k counts the trees; for the odd sequence it is Euler's
 identity (n + 1/2) zeta(2n) = sum_{j=1}^{n-1} zeta(2j) zeta(2n-2j).  For
 the polynomial, the holes still open at the end carry linear factors in
-place of values (see polynomial_via_trees).
+place of values, w_a = 2x - 2(k-1) + R_a.  In u = x - (k-1) they are
+w_a = 2u + R_a, free of k, so one family G_0, G_1, ... serves every k:
+
+    P_k(x) = S_k * G_{k-1}(x - (k-1)),   S_k = prod_{m=1}^{k-2} R_2...R_{m+1}
+
+(see polynomial_via_trees).  On the odd numbers every c_d is positive
+and so is every coefficient of every w_a, so each G_d has positive
+coefficients, and so does P_k(x + k - 1): a weaker form of the paper's
+positivity after the shift by k - 3/2, which the `positivity` suite
+checks on the recursion route.
 
 This is still the tree route, the same sum over the same trees, only
 regrouped.  It shares no code with the operator recursion or with the
@@ -53,11 +62,12 @@ classical Bernoulli recursion, so their agreement stays a check.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .polynomials import ONE, Polynomial
+from .polynomials import InexactDivisionError, Polynomial, split_content
 from .rationals import check_index, check_int, is_exact, parse_rational
 
 Value = Union[int, Fraction]
@@ -65,10 +75,11 @@ Value = Union[int, Fraction]
 # Largest k of each route.  ENUMERATION_MAX guards the Catalan growth of
 # tree streams; the other two keep one call within about 4.5 s end to end
 # in a fresh process (2-vCPU host, Python 3.11.7): `transform --k 240 --format
-# json` over 3-digit rationals 3.4-4.0 s, polynomial_via_trees(85) 3.4-4.2 s.
+# json` over 3-digit rationals 0.5-0.6 s, polynomial_via_trees(210) 2.9-4.2 s
+# (220: 3.8-5.0 s), nearly all of it the family G_0..G_209 (polynomial_via_trees).
 ENUMERATION_MAX = 16
 TRANSFORM_MAX = 240
-TREE_SUM_MAX = 85
+TREE_SUM_MAX = 210
 
 __all__ = [
     "SequenceSpec",
@@ -268,43 +279,101 @@ def expand_step(s: Iterable[int], k: int) -> list[tuple[int, tuple[int, ...]]]:
     return terms
 
 
-def _first_return_weights(values: Sequence[Value]) -> list[Fraction]:
+def _first_return_weights(
+    values: Sequence[Value], c: list[tuple[int, int]] | None = None
+) -> list[tuple[int, int]]:
     """c_0..c_{len(values)-1} of the first-return recurrence over R_1, R_2, ...
 
     c_0 = 1 and c_d = (1/R_{d+1}) * sum_{m<d} c_m * c_{d-1-m}; R_1 is not read.
+    Each c_d is an int pair (numerator, denominator > 0) in lowest terms.
+    The sum is symmetric in m and d-1-m, so it runs over half the terms, on
+    one common denominator, and is reduced once per d (Fraction arithmetic
+    would take a gcd per product and per sum).  Given c, the first weights
+    over the same values, extends it in place and returns it.
     """
-    c = [Fraction(1)]
-    for d in range(1, len(values)):
-        c.append(sum(c[m] * c[d - 1 - m] for m in range(d)) / values[d])
+    c = [(1, 1)] if c is None else c
+    for d in range(len(c), len(values)):
+        num, den = 0, 1
+        for m in range((d + 1) // 2):
+            (a, p), (b, q) = c[m], c[d - 1 - m]
+            pq = p * q
+            shared = math.gcd(den, pq)
+            twice = 2 if 2 * m + 1 < d else 1
+            num = num * (pq // shared) + twice * a * b * (den // shared)
+            den = den // shared * pq
+        r = values[d]
+        num, den = num * r.denominator, den * r.numerator
+        if den < 0:
+            num, den = -num, -den
+        shared = math.gcd(num, den)
+        c.append((num // shared, den // shared))
     return c
+
+
+_cache_lock = threading.Lock()
+# c_0, c_1, ... over ODD_NUMBERS, shared by generalized_transform's default
+# sequence and the polynomial family.
+_odd_weights: list[tuple[int, int]] = [(1, 1)]
+# G_d = gamma_d * g_d in u = x - (k-1) for d = 0, 1, ... (polynomial_via_trees):
+# the content gamma_d > 0 as an int pair in lowest terms, and the primitive
+# part g_d as ascending int coefficients.
+_family: list[tuple[tuple[int, int], list[int]]] = [((1, 1), [1])]
+
+
+def _grow_family(n: int) -> None:
+    """Extend the cache to G_0..G_{n-1}; the caller holds _cache_lock.
+
+    Horner in i keeps acc = alpha * a with a an int list.  Each step
+    acc * w_i + beta * g_i, with beta = c_{d-1-i} * gamma_i, divides out
+    the rational gcd of alpha and beta, so both multipliers are ints; the
+    content of a is taken once, at the end of the step.
+    """
+    values = ODD_NUMBERS.values_upto(n - 1)
+    c = _first_return_weights(values, _odd_weights)
+    for d in range(len(_family), n):
+        (alpha, alpha_den), a = c[d - 1], [1]  # acc = c_{d-1} * G_0
+        for i in range(1, d):
+            (beta, beta_den), ((gamma, gamma_den), g) = c[d - 1 - i], _family[i]
+            beta, beta_den = beta * gamma, beta_den * gamma_den
+            top, bottom = math.gcd(alpha, beta), math.lcm(alpha_den, beta_den)
+            s = alpha // top * (bottom // alpha_den)
+            t = beta // top * (bottom // beta_den)
+            alpha, alpha_den = top, bottom
+            # s * a * (R_i + 2u) + t * g_i, where a and g_i both have degree i-1
+            sr, s2 = s * values[i - 1], 2 * s
+            a = [sr * hi + s2 * lo + t * b for lo, hi, b in zip([0] + a, a + [0], g + [0])]
+        content, a = split_content(a)
+        alpha *= content
+        shared = math.gcd(alpha, alpha_den)
+        _family.append(((alpha // shared, alpha_den // shared), a))
 
 
 def polynomial_via_trees(k: int) -> Polynomial:
     """The k-th recursion polynomial assembled as a tree sum.
 
     The holes left open by the first-return decomposition carry the linear
-    factors w_a(x) = 2x - 2(k-1) + R_a instead of values, so
+    factors w_a = 2x - 2(k-1) + R_a instead of values.  In u = x - (k-1)
+    they are w_a = 2u + R_a, free of k, so one family serves every k:
 
         G_0 = 1,   G_d = sum_{i<d} c_{d-1-i} * G_i * prod_{j=i+1}^{d-1} w_j
 
-    (by Horner in i), and P_k is G_{k-1} times prod_{m=1}^{k-2} R_2...R_{m+1}.
+    (by Horner in i, on content times primitive part), and P_k(x) is
+    S_k * G_{k-1}(x - (k-1)) with S_k = prod_{m=1}^{k-2} R_2...R_{m+1}.
     """
     check_index(k, 2, TREE_SUM_MAX)
-    values = ODD_NUMBERS.values_upto(k)
-    c = _first_return_weights(values)
-    w = [Polynomial((r - 2 * (k - 1), 2)) for r in values]  # w[a-1] is w_a
-    g = [ONE]
-    for d in range(1, k):
-        acc = c[d - 1] * g[0]
-        for i in range(1, d):
-            acc = acc * w[i - 1] + c[d - 1 - i] * g[i]
-        g.append(acc)
+    with _cache_lock:
+        _grow_family(k)
+        (gamma, gamma_den), g = _family[k - 1]
     scale = 1
     running = 1
-    for r in values[1 : k - 1]:
+    for r in ODD_NUMBERS[1 : k - 1]:
         running *= r
         scale *= running
-    return scale * g[k - 1]
+    # the content of P_k: an int, since the integer shift keeps g_{k-1} primitive
+    content, rest = divmod(scale * gamma, gamma_den)
+    if rest:
+        raise InexactDivisionError(f"P_{k} has a non-integer content")
+    return Polynomial(g).compose_affine(1, 1 - k) * content
 
 
 def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
@@ -323,4 +392,10 @@ def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
     """
     check_index(k, 1, TRANSFORM_MAX)
     values = seq.values_upto(k)
-    return _first_return_weights(values)[k - 1] / values[0] ** k
+    if seq is ODD_NUMBERS:
+        with _cache_lock:
+            c = _first_return_weights(values, _odd_weights)
+    else:
+        c = _first_return_weights(values)
+    num, den = c[k - 1]
+    return Fraction(num, den * values[0] ** k)

@@ -195,8 +195,9 @@ class _Suite:
 
 # Each hard bound keeps `verify --suite NAME --max-k BOUND --format json`
 # within about 4.5 s end to end in a fresh process (2-vCPU host, Python
-# 3.11.7; the host's speed drifted by up to 1.5x between runs): trees 44
-# 3.9-4.9 s (45 took 4.1-5.6 s), coeffs 100 2.3-4.1 s, bernoulli 240
+# 3.11.7; the host's speed drifted by up to 1.5x between runs): trees 150
+# 3.6-4.2 s (160 took 4.7-5.2 s, most of it in scaling each route's P_k by
+# its content), coeffs 100 2.3-4.1 s, bernoulli 240
 # 3.6-4.3 s (250 took 4.3-4.4 s), fn 800 3.6-3.9 s, positivity 180
 # 3.1-3.8 s (185 took 3.6-4.1 s), leading 190 3.7-4.0 s (191 took 4.2 s:
 # each k builds P_k from its content and primitive part), lemma-2ni 145
@@ -204,12 +205,12 @@ class _Suite:
 # cycle-index keep 8: their random variable sets have at most 8 variables,
 # and symmetric.CYCLE_INDEX_MAX is 8.  "all" runs every suite at the smaller
 # of its max_k and the suite's bound, and has a bound of its own: ALL_MAX_K
-# 40 took 3.7-4.1 s (41 took 4.3-4.5 s).
-ALL_MAX_K = 40
+# 90 took 2.5-3.4 s (95 took 3.2-4.2 s, 100 5.2 s; coeffs takes the most).
+ALL_MAX_K = 90
 SUITES: dict[str, _Suite] = {
     "newton-girard": _Suite(_suite_newton_girard, 8, 8),
     "cycle-index": _Suite(_suite_cycle_index, 8, 8),
-    "trees": _Suite(_suite_trees, 10, 44),
+    "trees": _Suite(_suite_trees, 10, 150),
     "coeffs": _Suite(_suite_coeffs, 12, 100),
     "bernoulli": _Suite(_suite_bernoulli, 20, 240),
     "fn": _Suite(_suite_fn, 10, 800),

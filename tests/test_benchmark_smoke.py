@@ -5,14 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 END_TO_END = {"setup_s": "s", "solve_s": "s", "max_k": "k", "peak_rss_mb": "MB"}
 
 
-def test_recursion_workload_smoke_run():
+@pytest.mark.parametrize("workload", ["recursion", "trees-odd", "trees-rational"])
+def test_workload_smoke_run(workload):
     proc = subprocess.run(
-        [sys.executable, str(Path("evenbench") / "run.py"), "--workload", "recursion",
+        [sys.executable, str(Path("evenbench") / "run.py"), "--workload", workload,
          "--smoke", "--trace", "0", "--seed", "3", "--seconds", "0.2"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

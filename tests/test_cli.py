@@ -66,6 +66,22 @@ def test_ak_max_k_alias(capsys):
     assert out.splitlines() == ["1", "1", "10"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("k", ["3", "0"])
+def test_format_before_or_after_the_command(capsys, fmt, k):
+    before = run(capsys, "--format", fmt, "ak", "--max", k)
+    assert before == run(capsys, "ak", "--max", k, "--format", fmt)
+    code, out, err = before
+    if fmt == "json":
+        record = json.loads(out)
+        assert (code, record["status"]) == ((0, "ok") if k == "3" else (2, "error"))
+        assert record["result"] == ({"values": ["1", "1", "10"]} if k == "3" else {})
+    elif k == "3":
+        assert (code, out.splitlines(), err) == (0, ["1", "1", "10"], "")
+    else:
+        assert (code, out, err) == (2, "", f"error: --max must be within 1..{AK_MAX}\n")
+
+
 def test_pk_half_scale(capsys):
     code, out, _ = run(capsys, "pk", "--k", "4", "--translated", "--half-scale")
     assert code == 0
@@ -500,11 +516,12 @@ REFUSALS = {
     "transform --k 5 --sequence short.txt": (
         {"k": 5, "sequence": "short.txt"}, "sequence supplies only 3 values; position 4 needed"
     ),
-    "verify --suite all --max-k 41": (
-        {"suite": "all", "max_k": 41}, "suite 'all' accepts max_k between 1 and 40, got 41"
+    "verify --suite all --max-k 91": (
+        {"suite": "all", "max_k": 91}, "suite 'all' accepts max_k between 1 and 90, got 91"
     ),
-    "verify --suite trees --max-k 45": (
-        {"suite": "trees", "max_k": 45}, "suite 'trees' accepts max_k between 1 and 44, got 45"
+    "verify --suite trees --max-k 151": (
+        {"suite": "trees", "max_k": 151},
+        "suite 'trees' accepts max_k between 1 and 150, got 151",
     ),
 }
 

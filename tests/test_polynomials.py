@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from evenzeta.polynomials import ONE, X, ZERO, InexactDivisionError, Polynomial
+from evenzeta.polynomials import ONE, X, ZERO, InexactDivisionError, Polynomial, split_content
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 polys = st.lists(small_rationals, max_size=6).map(Polynomial)
@@ -190,3 +191,16 @@ def test_immutability():
     p = Polynomial((1, 2))
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
+
+
+@given(st.lists(st.integers(-(10**30), 10**30) | st.sampled_from([0, -6, 12]), max_size=8))
+@example([])
+@example([0, 0])
+@example([-6, 0, 9])
+def test_split_content(cs):
+    content, primitive = split_content(cs)
+    assert [content * a for a in primitive] == cs
+    if any(cs):
+        assert content > 0 and math.gcd(*primitive) == 1
+    else:
+        assert content == 0

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evenzeta import trees
 from evenzeta.polynomials import ONE
 from evenzeta.rationals import double_factorial_product
 from evenzeta.recursion import numerator_polynomial, zeta_numerator
@@ -139,6 +142,52 @@ def test_bound_message_counts_no_trees(call, lo, hi):
 
 def test_polynomial_via_trees_base_case():
     assert polynomial_via_trees(2) == ONE
+
+
+def test_cold_family_under_threads(monkeypatch):
+    # the weights and the family grow under one lock: threads racing on a
+    # cold cache must build the same values as one caller did
+    expected = {k: (polynomial_via_trees(k), generalized_transform(k)) for k in range(2, 41)}
+    family, weights = trees._family[:40], trees._odd_weights[:40]
+    monkeypatch.setattr(trees, "_odd_weights", [(1, 1)])
+    monkeypatch.setattr(trees, "_family", [((1, 1), [1])])
+    got = {}
+
+    def build(k):
+        got[k] = (polynomial_via_trees(k), generalized_transform(k))
+
+    ks = range(40, 1, -4)
+    threads = [threading.Thread(target=build, args=(k,)) for k in ks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {k: expected[k] for k in ks}
+    assert trees._family == family
+    assert trees._odd_weights == weights
+
+
+def test_cached_family_is_positive_content_times_primitive():
+    # w_a = 2u + R_a and every c_d are positive, so each G_d is positive in
+    # u = x - (k-1), and P_k(x + k - 1) has positive coefficients
+    polynomial_via_trees(120)
+    for (gamma, gamma_den), g in trees._family[:120]:
+        assert gamma > 0 and gamma_den > 0 and math.gcd(gamma, gamma_den) == 1
+        assert math.gcd(*g) == 1
+        assert all(type(c) is int and c > 0 for c in g)
+    for k in range(2, 40):
+        assert all(c > 0 for c in polynomial_via_trees(k).compose_affine(1, k - 1).coeffs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 10, 57, 128, 199, TRANSFORM_MAX])
+def test_cached_odd_weights_equal_the_uncached_path(k):
+    assert generalized_transform(k) == generalized_transform(k, SequenceSpec(ODD_NUMBERS[:k]))
 
 
 def test_polynomial_via_trees_keeps_integer_coefficients():
