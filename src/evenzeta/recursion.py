@@ -234,5 +234,5 @@ def shifted_product_identity(n: int) -> bool:
     for i in range(n + 1):
         if i > 0:
             partial = partial * Polynomial((2 * i + 1, 1))
-        rhs = rhs + Fraction(2 ** (n - i) * math.factorial(n), math.factorial(i)) * partial
+        rhs = rhs + 2 ** (n - i) * math.factorial(n) // math.factorial(i) * partial
     return lhs == rhs

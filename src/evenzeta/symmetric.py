@@ -27,8 +27,10 @@ __all__ = [
     "cycle_index_elementary",
     "newton_girard_check",
     "CYCLE_INDEX_MAX",
+    "CYCLE_INDEX_VARIABLES_MAX",
     "INVERSE_SQUARES_MAX",
     "NEWTON_GIRARD_MAX",
+    "VARIABLES_MAX",
 ]
 
 CYCLE_INDEX_MAX = 8  # factorial enumeration guard
@@ -37,8 +39,19 @@ CYCLE_INDEX_MAX = 8  # factorial enumeration guard
 INVERSE_SQUARES_MAX = 700_000
 # Largest k of newton_girard_check, by the same rule: k = 170 on
 # inverse_squares(170) took 3.2-3.5 s, 171 3.1-3.7 s, 180 4.1-4.6 s.  Its
-# cost is O(N k) operations on numbers that grow with k.
+# cost is O(N k) operations on numbers that grow with k, and with N too: it
+# also bounds N, the variable count (k = 170 on inverse_squares(N): N = 170
+# 3.0 s, 180 3.6 s, 200 4.3 s, 240 7.7 s).
 NEWTON_GIRARD_MAX = 170
+# Largest N of elementary_symmetric and power_sum, whose k runs up to N:
+# k = N on inverse_squares(N) took 2.2-2.3 s and 2.3-2.5 s at N = 350, 3.4 s
+# for power_sum at 380, 3.6 s and 4.4 s at 400, 7.8 s and 10.5 s at 500.
+VARIABLES_MAX = 350
+# Largest N of cycle_index_elementary: k = 8 on inverse_squares(N) took
+# 3.4-3.7 s at N = 4000, 4.5 s at 4500 and 5.5 s at 5000.
+# INVERSE_SQUARES_MAX stays above every N bound: each is measured on
+# inverse_squares(N), and its own value is set by the cost of building the set.
+CYCLE_INDEX_VARIABLES_MAX = 4000
 
 
 class VariableSet(tuple):
@@ -78,9 +91,10 @@ def _elementary_row(vars: VariableSet, k: int) -> list[Fraction]:
 
 def elementary_symmetric(vars: VariableSet, k: int) -> Fraction:
     """e_k over the variables, by the stable product recurrence on prod(1 + z_i t),
-    for k within 0..N, the variable count.
+    for k within 0..N, the variable count, and N within 1..VARIABLES_MAX.
     """
     check_index(k, 0, len(vars))
+    check_index(len(vars), 1, VARIABLES_MAX, "N")
     return _elementary_row(vars, k)[k]
 
 
@@ -100,8 +114,14 @@ def _power_sum_row(vars: VariableSet, k: int) -> list[Fraction]:
 
 def power_sum(vars: VariableSet, k: int) -> Fraction:
     """p_k = sum z_i^k for k within 1..max(N, CYCLE_INDEX_MAX), N the variable
-    count: every p_k that the Newton-Girard and cycle-index sums read."""
+    count: every p_k that the Newton-Girard and cycle-index sums read.  N is
+    within 1..VARIABLES_MAX."""
     check_index(k, 1, max(len(vars), CYCLE_INDEX_MAX))
+    check_index(len(vars), 1, VARIABLES_MAX, "N")
+    return _power_sum(vars, k)
+
+
+def _power_sum(vars: VariableSet, k: int) -> Fraction:
     return sum((z**k for z in vars), Fraction(0))
 
 
@@ -122,10 +142,12 @@ def cycle_index_elementary(vars: VariableSet, k: int) -> Fraction:
 
     The sum runs over cycle types: the k! / (prod_j j^{m_j} m_j!) permutations
     with m_j cycles of length j share the sign (-1)^(k - number of cycles).
-    k is within 1..CYCLE_INDEX_MAX; elementary_symmetric gives e_k without the sum.
+    k is within 1..CYCLE_INDEX_MAX and N, the variable count, within
+    1..CYCLE_INDEX_VARIABLES_MAX; elementary_symmetric gives e_k without the sum.
     """
     check_index(k, 1, CYCLE_INDEX_MAX)
-    psums = {j: power_sum(vars, j) for j in range(1, k + 1)}
+    check_index(len(vars), 1, CYCLE_INDEX_VARIABLES_MAX, "N")
+    psums = {j: _power_sum(vars, j) for j in range(1, k + 1)}
     total = Fraction(0)
     for parts in _partitions(k):
         mult = math.factorial(k)
@@ -149,9 +171,11 @@ def newton_girard_check(vars: VariableSet, k: int) -> tuple[Fraction, Fraction]:
 
     The identity holds when lhs == rhs.  One row e_0..e_k and one pass for
     p_1..p_k on integers over a common denominator, O(N k) operations.  k is
-    within 1..min(N, NEWTON_GIRARD_MAX), N the variable count.
+    within 1..min(N, NEWTON_GIRARD_MAX), and N, the variable count, within
+    1..NEWTON_GIRARD_MAX.
     """
     check_index(k, 1, min(len(vars), NEWTON_GIRARD_MAX))
+    check_index(len(vars), 1, NEWTON_GIRARD_MAX, "N")
     e = _elementary_row(vars, k)
     p = _power_sum_row(vars, k)
     lhs = p[k] * (-1 if k % 2 == 0 else 1)

@@ -63,9 +63,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .polynomials import InexactDivisionError, Polynomial, split_content
 from .rationals import check_index, check_int, is_exact, parse_rational
@@ -77,6 +76,9 @@ Value = Union[int, Fraction]
 # in a fresh process (2-vCPU host, Python 3.11.7): `transform --k 240 --format
 # json` over 3-digit rationals 0.5-0.6 s, polynomial_via_trees(210) 2.9-4.2 s
 # (220: 3.8-5.0 s), nearly all of it the family G_0..G_209 (polynomial_via_trees).
+# TRANSFORM_MAX also bounds the vertex count of tree_data, which reads the same
+# positions: a 240-vertex chain, star or comb over 3-digit rationals took
+# 0.21-0.23 s (a 1000-vertex comb over 1..999 took 8.0 s in process).
 ENUMERATION_MAX = 16
 TRANSFORM_MAX = 240
 TREE_SUM_MAX = 210
@@ -164,13 +166,12 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True)
-class PlaneTree:
-    """A plane tree encoded by its attachment-level sequence (empty for k=1)."""
+class PlaneTree(tuple):
+    """A plane tree as the tuple of its attachment levels (empty for k=1), checked when built."""
 
-    levels: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, levels=()):
+    def __new__(cls, levels=()):
         levels = tuple(levels)
         for t, lv in enumerate(levels):
             check_int(lv, f"levels[{t}]")
@@ -179,18 +180,21 @@ class PlaneTree:
                 raise ValueError(
                     f"invalid level sequence {levels}: entry {t} is {lv}, allowed 1..{upper}"
                 )
-        object.__setattr__(self, "levels", levels)
+        return super().__new__(cls, levels)
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.levels) + 1
+        return len(self) + 1
 
     def __str__(self):
-        return ",".join(str(lv) for lv in self.levels) or "."
+        return ",".join(map(str, self)) or "."
 
 
-@dataclass(frozen=True)
-class TreeData:
+class TreeData(NamedTuple):
     """Low/high positions (sorted) and the accumulated weight of one plane tree."""
 
     low: tuple[int, ...]
@@ -238,19 +242,20 @@ def _replay_step(s1: set[int], k: int, j: int) -> tuple[set[int], set[int]]:
 def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
     """Replay the attachment history of one tree (reference implementation).
 
-    A k-vertex tree needs values at positions 1..k-1.  The first-return
+    A k-vertex tree needs values at positions 1..k-1, and k is within
+    1..TRANSFORM_MAX, the positions the transform reads.  The first-return
     recurrence sums the same replay over whole families; this per-tree
     version is what it is validated against.
     """
+    check_index(tree.vertex_count, 1, TRANSFORM_MAX, "vertex_count")
     values = seq.values_upto(tree.vertex_count - 1)
     low: set[int] = set()
     high: set[int] = set()
     weight: Value = 1
-    levels = tree.levels
     for t in range(3, tree.vertex_count + 1):
         s1 = {n + 1 for n in low}
         # vertex t at level i is step t-1 of the operator, with i-1 high picks
-        low, high = _replay_step(s1, t - 1, t - 1 - levels[t - 2] - len(s1))
+        low, high = _replay_step(s1, t - 1, t - 1 - tree[t - 2] - len(s1))
         weight = weight * math.prod(values[n - 1] for n in high)
     return TreeData(low=tuple(sorted(low)), high=tuple(sorted(high)), weight=weight)
 

@@ -9,9 +9,8 @@ Randomized suites draw from a fixed seed so output is identical across runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import recursion, symmetric, trees, zeta
 from .rationals import check_int, double_factorial_product
@@ -186,8 +185,7 @@ def _suite_lemma_2ni(max_k: int) -> list[dict]:
     ]
 
 
-@dataclass(frozen=True)
-class _Suite:
+class _Suite(NamedTuple):
     run: Callable[[int], list[dict]]
     default_max_k: int
     hard_max_k: int
@@ -201,7 +199,7 @@ class _Suite:
 # 3.6-4.3 s (250 took 4.3-4.4 s), fn 800 3.6-3.9 s, positivity 180
 # 3.1-3.8 s (185 took 3.6-4.1 s), leading 190 3.7-4.0 s (191 took 4.2 s:
 # each k builds P_k from its content and primitive part), lemma-2ni 145
-# 3.2-4.0 s.  Each suite checks every k up to its bound.  newton-girard and
+# 1.2-1.3 s.  Each suite checks every k up to its bound.  newton-girard and
 # cycle-index keep 8: their random variable sets have at most 8 variables,
 # and symmetric.CYCLE_INDEX_MAX is 8.  "all" runs every suite at the smaller
 # of its max_k and the suite's bound, and has a bound of its own: ALL_MAX_K

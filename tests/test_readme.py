@@ -11,7 +11,12 @@ from evenzeta.cli import (
 )
 from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
 from evenzeta.recursion import BASIS_COEFFICIENTS_MAX, RECURSION_MAX
-from evenzeta.symmetric import INVERSE_SQUARES_MAX, NEWTON_GIRARD_MAX
+from evenzeta.symmetric import (
+    CYCLE_INDEX_VARIABLES_MAX,
+    INVERSE_SQUARES_MAX,
+    NEWTON_GIRARD_MAX,
+    VARIABLES_MAX,
+)
 from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX, TREE_SUM_MAX
 from evenzeta.verify import ALL_MAX_K, SUITES
 from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX
@@ -40,6 +45,7 @@ ROW_BOUNDS = {
     ],
     "`verify --suite all --max-k N`": [ALL_MAX_K],
     "`polynomial_via_trees(k)`": [TREE_SUM_MAX],
+    "`tree_data(tree, seq)`, on the tree's vertex count": [TRANSFORM_MAX],
     "`catalan(n)`": [TRANSFORM_MAX - 1],
     "`double_factorial_product(k)`, `double_factorial_odd(i)`": [DOUBLE_FACTORIAL_PRODUCT_MAX],
     "`numerator_polynomial(k)`, `zeta_numerator(k)`, `zeta_even_rational(k)`, "
@@ -54,6 +60,8 @@ ROW_BOUNDS = {
     "`bernoulli_classical(n)`": [BERNOULLI_CLASSICAL_MAX],
     "`VariableSet.inverse_squares(n)`": [INVERSE_SQUARES_MAX],
     "`newton_girard_check(vars, k)`": [NEWTON_GIRARD_MAX],
+    "`elementary_symmetric(vars, k)`, `power_sum(vars, k)`, on `N`": [VARIABLES_MAX],
+    "`cycle_index_elementary(vars, k)`, on `N`": [CYCLE_INDEX_VARIABLES_MAX],
 }
 
 

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import evenzeta
@@ -143,3 +146,16 @@ def test_output_format_is_read_only_where_output_is_printed():
     # each command returns its result and text lines: _run prints one of them,
     # and _fail prints a failure, in the requested format
     assert _format_readers("cli") == {"_run", "_fail"}
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # every value type is a checked tuple, so importing the package and its
+    # CLI loads neither; -S keeps what the host's site module imports out
+    code = (
+        "import sys, evenzeta, evenzeta.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

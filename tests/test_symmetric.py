@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evenzeta import recursion
+from evenzeta import recursion, trees
 from evenzeta.polynomials import ONE
 from evenzeta.rationals import (
     DOUBLE_FACTORIAL_PRODUCT_MAX,
@@ -26,8 +26,10 @@ from evenzeta.recursion import (
 )
 from evenzeta.symmetric import (
     CYCLE_INDEX_MAX,
+    CYCLE_INDEX_VARIABLES_MAX,
     INVERSE_SQUARES_MAX,
     NEWTON_GIRARD_MAX,
+    VARIABLES_MAX,
     VariableSet,
     cycle_index_elementary,
     elementary_symmetric,
@@ -38,11 +40,13 @@ from evenzeta.trees import (
     ENUMERATION_MAX,
     TRANSFORM_MAX,
     TREE_SUM_MAX,
+    PlaneTree,
     catalan,
     enumerate_trees,
     expand_step,
     generalized_transform,
     polynomial_via_trees,
+    tree_data,
 )
 from evenzeta.zeta import (
     BERNOULLI_CLASSICAL_MAX,
@@ -160,6 +164,11 @@ def test_permutation_walk_matches_cycle_index():
 
 VARS = VariableSet([1, 2, 3])
 
+
+def variables(n):
+    return VariableSet(range(1, n + 1))
+
+
 # Every __all__ callable of rationals, recursion, zeta, trees and symmetric
 # that takes an index: id -> (call on that index, lo, hi, argument name).
 # factor_product and expand_basis are not here: their k shifts the linear
@@ -169,6 +178,16 @@ INDEXED = {
     "elementary_symmetric": (lambda k: elementary_symmetric(VARS, k), 0, 3, "k"),
     "cycle_index_elementary": (lambda k: cycle_index_elementary(VARS, k), 1, CYCLE_INDEX_MAX, "k"),
     "newton_girard_check": (lambda k: newton_girard_check(VARS, k), 1, 3, "k"),
+    "power_sum.N": (lambda n: power_sum(variables(n), 1), 1, VARIABLES_MAX, "N"),
+    "elementary_symmetric.N": (
+        lambda n: elementary_symmetric(variables(n), 1), 1, VARIABLES_MAX, "N"
+    ),
+    "cycle_index_elementary.N": (
+        lambda n: cycle_index_elementary(variables(n), 1), 1, CYCLE_INDEX_VARIABLES_MAX, "N"
+    ),
+    "newton_girard_check.N": (
+        lambda n: newton_girard_check(variables(n), 1), 1, NEWTON_GIRARD_MAX, "N"
+    ),
     "VariableSet.inverse_squares": (VariableSet.inverse_squares, 1, INVERSE_SQUARES_MAX, "n"),
     "double_factorial_odd": (double_factorial_odd, 0, DOUBLE_FACTORIAL_PRODUCT_MAX, "i"),
     "double_factorial_product": (double_factorial_product, 0, DOUBLE_FACTORIAL_PRODUCT_MAX, "k"),
@@ -183,6 +202,9 @@ INDEXED = {
     "expand_step": (lambda k: expand_step((), k), 2, TRANSFORM_MAX, "k"),
     "expand_step.position": (lambda n: expand_step([n], 5), 1, 3, "position"),
     "polynomial_via_trees": (polynomial_via_trees, 2, TREE_SUM_MAX, "k"),
+    "tree_data": (
+        lambda k: tree_data(PlaneTree([1] * (k - 1))), 1, TRANSFORM_MAX, "vertex_count"
+    ),
     "generalized_transform": (generalized_transform, 1, TRANSFORM_MAX, "k"),
     "elementary_zeta": (elementary_zeta, 0, ELEMENTARY_ZETA_MAX, "k"),
     "zeta_even_rational": (zeta_even_rational, 1, RECURSION_MAX, "k"),
@@ -203,14 +225,31 @@ def _work_done():
     return (
         len(recursion._parts),
         tuple(recursion._rising),
+        len(trees._family),
+        len(trees._odd_weights),
         bernoulli_classical.cache_info().currsize,
         double_factorial_odd.cache_info().currsize,
         double_factorial_product.cache_info().currsize,
     )
 
 
-@pytest.mark.parametrize("fn", list(INDEXED))
-@pytest.mark.parametrize("bad", [2.0, True, Fraction(2), "lo-1", "hi+1"])
+# A size (a tree's vertex count, a variable count N) is an int by
+# construction and at least 1, so only its upper bound can be passed.
+SIZES = {"power_sum.N", "elementary_symmetric.N", "cycle_index_elementary.N",
+         "newton_girard_check.N", "tree_data"}
+# each bad index by its test id
+BAD = {"2.0": 2.0, "True": True, "bad2": Fraction(2), "lo-1": "lo-1", "hi+1": "hi+1"}
+
+
+@pytest.mark.parametrize(
+    "fn, bad",
+    [
+        pytest.param(fn, bad, id=f"{bad_id}-{fn}")
+        for bad_id, bad in BAD.items()
+        for fn in INDEXED
+        if fn not in SIZES or bad == "hi+1"
+    ],
+)
 def test_index_must_be_an_int(fn, bad):
     # a bool, float or Fraction index and one just outside the bound are
     # refused with the documented message before any work is done

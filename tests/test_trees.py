@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evenzeta import trees
+from evenzeta import trees, verify
 from evenzeta.polynomials import ONE
 from evenzeta.rationals import double_factorial_product
 from evenzeta.recursion import numerator_polynomial, zeta_numerator
@@ -18,6 +20,7 @@ from evenzeta.trees import (
     TREE_SUM_MAX,
     PlaneTree,
     SequenceSpec,
+    TreeData,
     catalan,
     enumerate_trees,
     expand_step,
@@ -66,6 +69,35 @@ def test_plane_tree_validation():
         PlaneTree((True, 2.0))
     with pytest.raises(TypeError, match=r"^levels\[1\]=2\.0 is not an int$"):
         PlaneTree((1, 2.0))
+
+
+VALUES = {
+    "PlaneTree": (PlaneTree((1, 2, 2)), "levels"),
+    "TreeData": (TreeData((1,), (2, 3), Fraction(5, 3)), "weight"),
+    "SUITES entry": (verify.SUITES["trees"], "hard_max_k"),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_value_types_are_immutable_and_pickle(name):
+    value, field = VALUES[name]
+    for attribute in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, attribute, 1)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(copied) is type(value) and copied == value
+        assert getattr(copied, field) == getattr(value, field)
+
+
+def test_plane_tree_is_its_checked_levels():
+    tree = PlaneTree([1, 2, 2])
+    assert tree == (1, 2, 2) and tree.levels == (1, 2, 2) and type(tree.levels) is tuple
+    assert (tree.vertex_count, str(tree), str(PlaneTree())) == (4, "1,2,2", ".")
+    assert repr(TreeData((), (), 1)) == "TreeData(low=(), high=(), weight=1)"
+    # loading a pickle builds the tree again, so an invalid level still raises
+    forged = pickle.dumps(tuple.__new__(PlaneTree, (1, 3)))
+    with pytest.raises(ValueError, match=r"entry 1 is 3, allowed 1\.\.2$"):
+        pickle.loads(forged)
 
 
 def test_tree_data_base_cases():
