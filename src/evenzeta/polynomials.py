@@ -73,7 +73,7 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if is_exact(other):  # a bool is not a constant polynomial
             return self == Polynomial((other,))
         return NotImplemented
 

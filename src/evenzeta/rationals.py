@@ -29,7 +29,8 @@ __all__ = [
 # process (2-vCPU host, Python 3.11.7), 750 took 2.7-4.4 s and 800 5.5 s.
 DOUBLE_FACTORIAL_PRODUCT_MAX = 700
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# ASCII digits only: \d and int() also take full-width and other Unicode digits
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 def parse_rational(text: str) -> Fraction:

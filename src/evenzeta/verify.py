@@ -1,16 +1,18 @@
 """Named verification suites backing the CLI `verify` subcommand.
 
-A check is the record the CLI prints, {"name": ..., "passed": ...}, plus a
-"witness" with the two sides that disagreed when it fails.  run_suite
-returns one report per suite, {"suite", "max_k", "passed", "checks"}.
-Randomized suites draw from a fixed seed so output is identical across runs.
+Each suite yields one (name, got, expected) triple per check, and run_suite
+alone turns them into the records the CLI prints: {"name": ..., "passed":
+...}, plus a "witness" with str() of both sides when got != expected.
+run_suite returns one report per suite, {"suite", "max_k", "passed",
+"checks"}.  Randomized suites draw from a fixed seed so output is identical
+across runs.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import recursion, symmetric, trees, zeta
 from .rationals import check_int, double_factorial_product
@@ -19,45 +21,40 @@ __all__ = ["SUITES", "ALL_MAX_K", "run_suite", "suite_names"]
 
 _SEED = 0x5EED
 
+_Checks = Iterator[tuple]  # of (name, got, expected)
 
-def _check(name: str, witness: Optional[dict]) -> dict:
-    """A check record; a witness of what disagreed makes it a failure."""
-    if witness is None:
+
+def _check(name: str, got, expected) -> dict:
+    """A check record; a failure carries both sides as its witness."""
+    if got == expected:
         return {"name": name, "passed": True}
+    witness = {"got": str(got), "expected": str(expected)}
     return {"name": name, "passed": False, "witness": witness}
 
 
-def _equal(name: str, got, expected) -> dict:
-    if got == expected:
-        return _check(name, None)
-    return _check(name, {"got": str(got), "expected": str(expected)})
-
-
-def _random_variables(rng: random.Random) -> symmetric.VariableSet:
-    n = rng.randint(1, 8)
-    return symmetric.VariableSet(
-        Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)
-    )
-
-
-def _trials(seed: int, label: str, max_k: int, sides: Callable) -> list[dict]:
-    """50 random variable sets, each checked at k = 1..min(size, max_k).
+def _trials(seed: int, label: str, sides: Callable, squares: tuple, max_k: int) -> _Checks:
+    """50 random variable sets, each checked at k = 1..min(size, max_k), then
+    the inverse squares 1, 1/4, ..., 1/N^2 at k, for squares = (N, k).
 
     sides(vars, k) returns the two values that must agree; a trial is
     reported at its first failing k and stops there.
     """
     rng = random.Random(seed)
-    checks = []
     for trial in range(50):
-        vars = _random_variables(rng)
-        check = _check(f"{label} trial {trial}", None)
-        for k in range(1, min(len(vars), max_k) + 1):
-            failed = _equal(f"{label} trial {trial} k={k}", *sides(vars, k))
-            if not failed["passed"]:
-                check = failed
+        size = rng.randint(1, 8)
+        vars = symmetric.VariableSet(
+            Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(size)
+        )
+        for k in range(1, min(size, max_k) + 1):
+            got, expected = sides(vars, k)
+            if got != expected:
+                yield f"{label} trial {trial} k={k}", got, expected
                 break
-        checks.append(check)
-    return checks
+        else:
+            yield f"{label} trial {trial}", True, True
+    n, k = squares
+    inverse_squares = symmetric.VariableSet.inverse_squares(n)
+    yield f"{label} inverse squares N={n} k={k}", *sides(inverse_squares, k)
 
 
 def _cycle_index_sides(vars: symmetric.VariableSet, k: int) -> tuple:
@@ -67,126 +64,69 @@ def _cycle_index_sides(vars: symmetric.VariableSet, k: int) -> tuple:
     )
 
 
-def _suite_newton_girard(max_k: int) -> list[dict]:
-    checks = _trials(_SEED, "newton-girard", max_k, symmetric.newton_girard_check)
-    inv_squares = symmetric.VariableSet.inverse_squares(12)
-    name = "newton-girard inverse squares N=12 k=5"
-    checks.append(_equal(name, *symmetric.newton_girard_check(inv_squares, 5)))
-    return checks
+# each looks its sides up when it runs, so a patched or traced function is the one checked
+def _suite_newton_girard(max_k: int) -> _Checks:
+    return _trials(_SEED, "newton-girard", symmetric.newton_girard_check, (12, 5), max_k)
 
 
-def _suite_cycle_index(max_k: int) -> list[dict]:
-    checks = _trials(_SEED + 1, "cycle-index", max_k, _cycle_index_sides)
-    inv_squares = symmetric.VariableSet.inverse_squares(4)
-    name = "cycle-index inverse squares N=4 k=4"
-    checks.append(_equal(name, *_cycle_index_sides(inv_squares, 4)))
-    return checks
+def _suite_cycle_index(max_k: int) -> _Checks:
+    return _trials(_SEED + 1, "cycle-index", _cycle_index_sides, (4, 4), max_k)
 
 
-def _suite_trees(max_k: int) -> list[dict]:
-    checks = []
+def _suite_trees(max_k: int) -> _Checks:
     for k in range(2, max_k + 1):
         # with every value 1 each tree weighs 1, so the transform counts the trees
         count = trees.generalized_transform(k, trees.SequenceSpec([1] * k))
-        checks.append(_equal(f"tree count k={k}", count, trees.catalan(k - 1)))
-        checks.append(
-            _equal(
-                f"polynomial via trees k={k}",
-                trees.polynomial_via_trees(k),
-                recursion.numerator_polynomial(k),
-            )
-        )
-        checks.append(
-            _equal(
-                f"numerator via trees k={k}",
-                trees.generalized_transform(k),
-                Fraction(recursion.zeta_numerator(k), double_factorial_product(k)),
-            )
-        )
-    return checks
+        yield f"tree count k={k}", count, trees.catalan(k - 1)
+        poly = trees.polynomial_via_trees(k)
+        yield f"polynomial via trees k={k}", poly, recursion.numerator_polynomial(k)
+        transform = trees.generalized_transform(k)
+        numerator = Fraction(recursion.zeta_numerator(k), double_factorial_product(k))
+        yield f"numerator via trees k={k}", transform, numerator
 
 
-def _suite_coeffs(max_k: int) -> list[dict]:
-    checks = []
+def _suite_coeffs(max_k: int) -> _Checks:
     for k in range(2, max_k + 1):
         expanded = recursion.expand_basis(recursion.basis_coefficients(k), k)
-        checks.append(
-            _equal(f"basis expansion k={k}", expanded, recursion.numerator_polynomial(k))
-        )
-    return checks
+        yield f"basis expansion k={k}", expanded, recursion.numerator_polynomial(k)
 
 
-def _suite_bernoulli(max_k: int) -> list[dict]:
-    checks = []
+def _suite_bernoulli(max_k: int) -> _Checks:
     for k in range(1, max_k + 1):
-        checks.append(
-            _equal(
-                f"bernoulli k={k}",
-                zeta.bernoulli_even(k),
-                zeta.bernoulli_classical(2 * k),
-            )
-        )
-    return checks
+        yield f"bernoulli k={k}", zeta.bernoulli_even(k), zeta.bernoulli_classical(2 * k)
 
 
-def _suite_fn(max_k: int) -> list[dict]:
-    checks = []
+def _suite_fn(max_k: int) -> _Checks:
     for n in range(2, 9):
         for k in range(max(1, n - 1), max_k + 1):
-            checks.append(
-                _equal(
-                    f"partial sum n={n} k={k}",
-                    zeta.newton_partial_sum(n, k),
-                    zeta.newton_partial_closed(n, k),
-                )
-            )
+            partial_sum = zeta.newton_partial_sum(n, k)
+            yield f"partial sum n={n} k={k}", partial_sum, zeta.newton_partial_closed(n, k)
     for n in range(2, 9):
-        sign = 1 if n % 2 else -1
-        checks.append(
-            _equal(
-                f"partial sum closes to zeta(2n) n={n}",
-                sign * zeta.newton_partial_sum(n, n),
-                zeta.zeta_even_rational(n),
-            )
-        )
-    return checks
+        closed = (1 if n % 2 else -1) * zeta.newton_partial_sum(n, n)
+        yield f"partial sum closes to zeta(2n) n={n}", closed, zeta.zeta_even_rational(n)
 
 
-def _suite_positivity(max_k: int) -> list[dict]:
-    checks = []
+def _suite_positivity(max_k: int) -> _Checks:
     for k in range(1, max_k + 1):
         coeffs = recursion.translated_polynomial(k).coeffs
-        bad = [str(c) for c in coeffs if c <= 0]
-        checks.append(
-            _check(f"translated positivity k={k}", {"nonpositive": bad} if bad else None)
-        )
-    return checks
+        yield f"translated positivity k={k}", ", ".join(str(c) for c in coeffs if c <= 0), ""
 
 
-def _suite_leading(max_k: int) -> list[dict]:
-    checks = []
+def _suite_leading(max_k: int) -> _Checks:
     for k in range(2, max_k + 1):
         poly = recursion.numerator_polynomial(k)
-        checks.append(_equal(f"degree k={k}", poly.degree, k - 2))
-        checks.append(
-            _equal(
-                f"leading coefficient k={k}",
-                poly.coeffs[-1],
-                recursion.zeta_numerator(k - 1) * 2 ** (k - 2),
-            )
-        )
-    return checks
+        yield f"degree k={k}", poly.degree, k - 2
+        leading = recursion.zeta_numerator(k - 1) * 2 ** (k - 2)
+        yield f"leading coefficient k={k}", poly.coeffs[-1], leading
 
 
-def _suite_lemma_2ni(max_k: int) -> list[dict]:
-    return [
-        _equal(f"shifted product identity n={n}", recursion.shifted_product_identity(n), True)
-        for n in range(0, max_k + 1)
-    ]
+def _suite_lemma_2ni(max_k: int) -> _Checks:
+    for n in range(0, max_k + 1):
+        yield f"shifted product identity n={n}", recursion.shifted_product_identity(n), True
 
 
 class _Suite(NamedTuple):
-    run: Callable[[int], list[dict]]
+    run: Callable[[int], _Checks]
     default_max_k: int
     hard_max_k: int
 
@@ -198,12 +138,14 @@ class _Suite(NamedTuple):
 # its content), coeffs 100 2.3-4.1 s, bernoulli 240
 # 3.6-4.3 s (250 took 4.3-4.4 s), fn 800 3.6-3.9 s, positivity 180
 # 3.1-3.8 s (185 took 3.6-4.1 s), leading 190 3.7-4.0 s (191 took 4.2 s:
-# each k builds P_k from its content and primitive part), lemma-2ni 145
-# 1.2-1.3 s.  Each suite checks every k up to its bound.  newton-girard and
-# cycle-index keep 8: their random variable sets have at most 8 variables,
-# and symmetric.CYCLE_INDEX_MAX is 8.  "all" runs every suite at the smaller
-# of its max_k and the suite's bound, and has a bound of its own: ALL_MAX_K
-# 90 took 2.5-3.4 s (95 took 3.2-4.2 s, 100 5.2 s; coeffs takes the most).
+# each k builds P_k from its content and primitive part), lemma-2ni 210
+# 3.0-4.3 s (recursion.BASIS_COEFFICIENTS_MAX, the largest n that
+# shifted_product_identity takes).  Each suite checks every k up to its
+# bound.  newton-girard and cycle-index keep 8: their random variable sets
+# have at most 8 variables, and symmetric.CYCLE_INDEX_MAX is 8.  "all" runs
+# every suite at the smaller of its max_k and the suite's bound, and has a
+# bound of its own: ALL_MAX_K 90 took 2.5-3.4 s (95 took 3.2-4.2 s, 100
+# 5.2 s; coeffs takes the most).
 ALL_MAX_K = 90
 SUITES: dict[str, _Suite] = {
     "newton-girard": _Suite(_suite_newton_girard, 8, 8),
@@ -214,7 +156,7 @@ SUITES: dict[str, _Suite] = {
     "fn": _Suite(_suite_fn, 10, 800),
     "positivity": _Suite(_suite_positivity, 15, 180),
     "leading": _Suite(_suite_leading, 12, 190),
-    "lemma-2ni": _Suite(_suite_lemma_2ni, 6, 145),
+    "lemma-2ni": _Suite(_suite_lemma_2ni, 6, 210),
 }
 
 
@@ -250,6 +192,6 @@ def run_suite(name: str, max_k: Optional[int] = None) -> list[dict]:
         raise ValueError(
             f"suite {name!r} accepts max_k between 1 and {suite.hard_max_k}, got {k}"
         )
-    checks = suite.run(k)
+    checks = [_check(*sides) for sides in suite.run(k)]
     passed = all(check["passed"] for check in checks)
     return [{"suite": name, "max_k": k, "passed": passed, "checks": checks}]

@@ -330,6 +330,56 @@ def test_failing_trial_record(capsys, monkeypatch):
     assert out.splitlines()[-1] == "suite newton-girard (max_k=8): 50/51 passed"
 
 
+def test_failing_check_record(capsys, monkeypatch):
+    # a two-sided identity that fails at one k: its record carries both sides
+    from evenzeta import zeta
+
+    real = zeta.bernoulli_even
+    monkeypatch.setattr(zeta, "bernoulli_even", lambda k: real(k) + 1 if k == 3 else real(k))
+    code, out, _ = run(capsys, "verify", "--suite", "bernoulli", "--max-k", "4", "--format", "json")
+    assert code == 1
+    failure = {"name": "bernoulli k=3", "passed": False, "witness": {"got": "43/42", "expected": "1/42"}}
+    checks = [
+        {"name": "bernoulli k=1", "passed": True},
+        {"name": "bernoulli k=2", "passed": True},
+        failure,
+        {"name": "bernoulli k=4", "passed": True},
+    ]
+    suite = {"suite": "bernoulli", "max_k": 4, "passed": False, "checks": checks}
+    assert json.loads(out)["result"] == {"passed": False, "suites": [suite]}
+    code, out, _ = run(capsys, "verify", "--suite", "bernoulli", "--max-k", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS bernoulli k=1",
+        "PASS bernoulli k=2",
+        "FAIL bernoulli k=3: {'got': '43/42', 'expected': '1/42'}",
+        "PASS bernoulli k=4",
+        "suite bernoulli (max_k=4): 3/4 passed",
+    ]
+
+
+def test_failing_positivity_record(capsys, monkeypatch):
+    # the nonpositive coefficients, joined, are the got side; none is expected
+    from evenzeta import recursion
+    from evenzeta.polynomials import Polynomial
+
+    real = recursion.translated_polynomial
+    bad = Polynomial((Fraction(-1, 2), 0, 3))
+    monkeypatch.setattr(recursion, "translated_polynomial", lambda k: bad if k == 2 else real(k))
+    code, out, _ = run(capsys, "verify", "--suite", "positivity", "--max-k", "3", "--format", "json")
+    assert code == 1
+    [suite] = json.loads(out)["result"]["suites"]
+    assert suite["checks"][1] == {
+        "name": "translated positivity k=2",
+        "passed": False,
+        "witness": {"got": "-1/2, 0", "expected": ""},
+    }
+    assert [check["passed"] for check in suite["checks"]] == [True, False, True]
+    code, out, _ = run(capsys, "verify", "--suite", "positivity", "--max-k", "3")
+    assert code == 1
+    assert "FAIL translated positivity k=2: {'got': '-1/2, 0', 'expected': ''}" in out.splitlines()
+
+
 def test_verify_bad_bound(capsys):
     bound = SUITES["trees"].hard_max_k
     code, _, err = run(capsys, "verify", "--suite", "trees", "--max-k", str(bound + 1))

@@ -43,6 +43,13 @@ def test_multiplication():
     assert Polynomial((-1, 2)) * Polynomial((1, 2)) == Polynomial((-1, 0, 4))
 
 
+def test_comparison_with_a_bool_is_false():
+    # a bool is not an exact value, so it is no constant polynomial, and == does not raise
+    assert (Polynomial((1,)) == True) is False  # noqa: E712
+    assert (ZERO != False) is True  # noqa: E712
+    assert Polynomial((1,)) == 1 and Polynomial((Fraction(1, 2),)) == Fraction(1, 2)
+
+
 def test_zero_degree_sentinel():
     assert ZERO.degree is None
     assert ONE.degree == 0

@@ -56,7 +56,10 @@ def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "1.5", "a/b", "1/2/3", "1 / 2"])
+# full-width, Arabic-Indic and Devanagari digits are not base-10 text
+@pytest.mark.parametrize(
+    "bad", ["", "1/0", "1.5", "a/b", "1/2/3", "1 / 2", "１２/٣", "١٢", "12/３", "-४"]
+)
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

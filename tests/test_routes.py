@@ -148,6 +148,22 @@ def test_output_format_is_read_only_where_output_is_printed():
     assert _format_readers("cli") == {"_run", "_fail"}
 
 
+def _dict_builders(module):
+    """The functions of a module that contain a dict display."""
+    return {
+        function.name
+        for function in ast.walk(_parse(module))
+        if isinstance(function, ast.FunctionDef)
+        and any(isinstance(node, ast.Dict) for node in ast.walk(function))
+    }
+
+
+def test_check_records_are_built_only_in_check_and_run_suite():
+    # each verify suite yields (name, got, expected): _check alone makes a
+    # check record of it, and run_suite alone makes a suite's report
+    assert _dict_builders("verify") == {"_check", "run_suite"}
+
+
 def test_import_leaves_out_dataclasses_and_inspect():
     # every value type is a checked tuple, so importing the package and its
     # CLI loads neither; -S keeps what the host's site module imports out

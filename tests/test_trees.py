@@ -450,3 +450,9 @@ def test_sequence_spec_from_file(tmp_path):
     zero.write_text("3\n0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="zero.txt:2"):
         SequenceSpec.from_file(str(zero))
+
+    # a full-width digit is not canonical base-10 text, and its line is named
+    wide = tmp_path / "wide.txt"
+    wide.write_text("3\n\uff15\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="wide.txt:2: not a rational literal"):
+        SequenceSpec.from_file(str(wide))
