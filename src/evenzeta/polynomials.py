@@ -28,6 +28,7 @@ __all__ = [
     "InexactDivisionError",
     "polynomial_text",
     "split_content",
+    "taylor_shift",
     "X",
     "ONE",
     "ZERO",
@@ -129,13 +130,10 @@ class Polynomial:
     def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
         """The polynomial q with q(x) = p(a*x + b), computed exactly.
 
-        An integer Taylor shift: with a = A/D, b = B/D and the coefficients
-        c_i = n_i/E over common denominators,
-
-            E * D^n * p(a*x + b) = sum_i n_i * D^(n-i) * (A*x + B)^i,
-
-        evaluated by Horner's rule on int lists; each output coefficient is
-        divided by E * D^n once, at the end.
+        With a = A/D, b = B/D and the coefficients c_i = n_i/E over common
+        denominators, E * D^n * p(a*x + b) is the integer Taylor shift of the
+        n_i (taylor_shift); each of its coefficients is divided by E * D^n
+        once, at the end.
         """
         for v in (a, b):
             if not is_exact(v):
@@ -143,17 +141,10 @@ class Polynomial:
         if not self.coeffs:
             return ZERO
         d = math.lcm(a.denominator, b.denominator)
-        big_a, big_b = (a * d).numerator, (b * d).numerator
         e = math.lcm(*(c.denominator for c in self.coeffs))
-        n = len(self.coeffs) - 1
-        acc: list[int] = []
-        scale = 1  # D^(n-i)
-        for c in reversed(self.coeffs):
-            # acc * (A*x + B) + n_i * D^(n-i)
-            acc = [big_a * lo + big_b * hi for lo, hi in zip([0] + acc, acc + [0])]
-            acc[0] += c.numerator * (e // c.denominator) * scale
-            scale *= d
-        den = e * d**n
+        numerators = [c.numerator * (e // c.denominator) for c in self.coeffs]
+        acc = taylor_shift(numerators, (a * d).numerator, (b * d).numerator, d)
+        den = e * d ** (len(self.coeffs) - 1)
         if den == 1:
             return Polynomial(acc)
         return Polynomial(Fraction(c, den) for c in acc)
@@ -194,6 +185,25 @@ class Polynomial:
     def coefficient_strings(self) -> list[str]:
         """Ascending coefficients as canonical rational strings (JSON form)."""
         return [str(c) for c in self.coeffs]
+
+
+def taylor_shift(coeffs: Sequence[int], a: int, b: int, d: int = 1) -> list[int]:
+    """The ascending int coefficients of D^n * p((A*x + B)/D), for p with the
+    ascending int coefficients coeffs, n = len(coeffs) - 1 and D >= 1:
+
+        D^n * p((A*x + B)/D) = sum_i c_i * D^(n-i) * (A*x + B)^i,
+
+    by Horner's rule on int lists.  The zero polynomial, no coefficients,
+    gives none.
+    """
+    acc: list[int] = []
+    scale = 1  # D^(n-i)
+    for c in reversed(coeffs):
+        # acc * (A*x + B) + c_i * D^(n-i)
+        acc = [a * lo + b * hi for lo, hi in zip([0] + acc, acc + [0])]
+        acc[0] += c * scale
+        scale *= d
+    return acc
 
 
 def split_content(coeffs: Sequence[int]) -> tuple[int, list[int]]:

@@ -26,6 +26,16 @@ ConsistencyError.  Most of c is h = gcd(p(k), (2k+1)!!): it divides every
 coefficient of the bracket, and so of q since x - k is monic.  The step
 divides p(k) and (2k+1)!! by h before the products and takes the gcd of
 what is left, a few bits.
+
+The step is one backward pass over the coefficients, from the top: it
+grows R_k = (2x - 2k + 3) * R_{k-1} by one linear factor, forms the
+bracket coefficient, and divides by (x - k) synthetically, which yields q
+from the top down, so the same pass evaluates q at k + 1 by Horner.  A
+nonzero remainder raises InexactDivisionError.  Each cache entry holds
+g_k, p_k and the value p_k(k), which is both the next step's p(k) and
+what zeta_numerator scales by g_k.  translated_polynomial shifts p_k with
+polynomials.taylor_shift, the integer Taylor shift that compose_affine
+also runs, and scales by g_k on ints.
 """
 
 from __future__ import annotations
@@ -33,15 +43,16 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .polynomials import ONE, Polynomial, Scalar, split_content
+from .polynomials import ONE, InexactDivisionError, Polynomial, split_content, taylor_shift
 from .rationals import check_index, double_factorial_odd
 
 __all__ = [
     "ConsistencyError",
     "factor_product",
     "apply_step",
+    "numerator_parts",
     "numerator_polynomial",
     "zeta_numerator",
     "translated_polynomial",
@@ -54,9 +65,10 @@ __all__ = [
 
 # Largest k of the recursion route: one cold call within about 4.5 s in a
 # fresh process (2-vCPU host, Python 3.11.7; README has the ranges).
-# RECURSION_MAX bounds numerator_polynomial and apply_step, and through them
-# zeta_numerator, zeta.zeta_even_rational, translated_polynomial (0.8-1.1 s
-# at 260 with half_scale=True) and the n of zeta's Newton partial sums, the
+# RECURSION_MAX bounds the cache and apply_step, and through them
+# numerator_parts, numerator_polynomial, zeta_numerator,
+# zeta.zeta_even_rational, translated_polynomial (0.46-0.63 s at 260 with
+# half_scale=True) and the n of zeta's Newton partial sums, the
 # slowest of them: newton_partial_sum(260, 2000) took 3.3-4.0 s (261:
 # 4.0-4.1 s, 270: 3.8-4.9 s), most of it rationals.double_factorial_product
 # for each i < n.
@@ -82,63 +94,73 @@ def factor_product(positions: Iterable[int], k: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _step_numerator(a: Scalar, rising: Sequence[int], b: int, f: Polynomial) -> Polynomial:
-    """a * R_k - b * f, with R_k as ascending coefficients: with a = f(k) and
-    b = (2k+1)!! the numerator of the k-th step operator on f."""
-    numerator = [a * r for r in rising]
-    numerator += [0] * (len(f.coeffs) - len(numerator))
-    for i, c in enumerate(f.coeffs):
-        numerator[i] -= b * c
-    return Polynomial(numerator)
-
-
 def apply_step(f: Polynomial, k: int) -> Polynomial:
     """Apply the k-th step operator to f (module docstring), k within 1..RECURSION_MAX."""
     check_index(k, 1, RECURSION_MAX)
     rising = factor_product(range(1, k + 1), k).coeffs
-    numerator = _step_numerator(f.evaluate(k), rising, double_factorial_odd(k), f)
-    return numerator.divide_linear_exact(k)
+    a, b = f.evaluate(k), double_factorial_odd(k)
+    numerator = [a * r for r in rising] + [0] * (len(f.coeffs) - len(rising))
+    for i, c in enumerate(f.coeffs):
+        numerator[i] -= b * c
+    return Polynomial(numerator).divide_linear_exact(k)
 
 
 _cache_lock = threading.Lock()
-# P_j = g_j * p_j as the pair (g_j, p_j) for j = 0 (unused), 1, 2, ...: the
-# content g_j > 0 (the gcd of P_j's coefficients) and the primitive part p_j.
-_parts: list[tuple[int, Polynomial]] = [(1, ONE), (1, ONE)]
+# P_j = g_j * p_j as the entry (g_j, p_j, p_j(j)) for j = 0 (unused), 1, 2,
+# ...: the content g_j > 0 (the gcd of P_j's coefficients), the primitive
+# part p_j and its value at x = j.
+_parts: list[tuple[int, Polynomial, int]] = [(1, ONE, 1), (1, ONE, 1)]
 # The rising product R_j = prod_{i=1}^{j} (2x - 2j + 2i+1) of the last step
 # taken, j = len(_parts) - 2, as ascending int coefficients (R_0 = 1).
 _rising: list[int] = [1]
 
 
-def _content_and_primitive(k: int) -> tuple[int, Polynomial]:
-    """(g_k, p_k) with P_k = g_k * p_k, growing the cache to k (module docstring).
+def _entry(k: int) -> tuple[int, Polynomial, int]:
+    """(g_k, p_k, p_k(k)) with P_k = g_k * p_k, growing the cache to k.
 
-    Each new step grows the rising product by one linear factor,
-    R_j = (2x - 2j + 3) * R_{j-1}: O(j) small-int operations per step.  The
-    step divides h = gcd(p_j(j), (2j+1)!!) out of the bracket first, so its
-    products and the gcd of q run on integers of a few thousand bits.
+    Each step is one backward pass (module docstring) with a = p_j(j)/h and
+    b = (2j+1)!!/h: O(j) operations on integers of a few thousand bits.  It
+    grows a copy of the rising product and commits it with its entry, so a
+    step that raises leaves the cache as it was.
     """
+    global _rising
     check_index(k, 1, RECURSION_MAX)
     with _cache_lock:
         while len(_parts) <= k:
             j = len(_parts) - 1
-            c = 3 - 2 * j
-            _rising.append(0)
-            for i in range(len(_rising) - 1, 0, -1):
-                _rising[i] = c * _rising[i] + 2 * _rising[i - 1]
-            _rising[0] *= c
-            content, primitive = _parts[j]
-            fj, odd = primitive.evaluate(j), double_factorial_odd(j)
+            content, primitive, fj = _parts[j]
+            odd = double_factorial_odd(j)
             shared = math.gcd(fj, odd)
-            q = _step_numerator(fj // shared, _rising, odd // shared, primitive)
-            q = q.divide_root_exact(j)
-            divisor, coeffs = split_content(q.coeffs)
+            a, b, c = fj // shared, odd // shared, 3 - 2 * j
+            p, m = primitive.coeffs, len(primitive.coeffs)
+            rising, q = _rising + [0], [0] * j
+            acc = value = 0  # value: q(j + 1) by Horner, as q fills from the top
+            for i in range(j, 0, -1):
+                r = rising[i] = c * rising[i] + 2 * rising[i - 1]
+                acc = acc * j + a * r - (b * p[i] if i < m else 0)
+                q[i - 1] = acc
+                value = value * (j + 1) + acc
+            rising[0] *= c
+            acc = acc * j + a * rising[0] - b * p[0]
+            if acc:
+                raise InexactDivisionError(
+                    f"remainder {acc} dividing by (x - {j}); expected exact division"
+                )
+            divisor, q = split_content(q)
             content *= shared * divisor
             if content & 1:
                 raise ConsistencyError(f"P_{j + 1} has a non-integer coefficient")
-            if divisor > 1:
-                q = Polynomial(coeffs)
-            _parts.append((content >> 1, q))
+            _parts.append((content >> 1, Polynomial(q), value // divisor))
+            _rising = rising
         return _parts[k]
+
+
+def numerator_parts(k: int) -> tuple[int, Polynomial]:
+    """(g_k, p_k): the content and primitive part of the k-th polynomial, P_k =
+    g_k * p_k, from the cache, for k within 1..RECURSION_MAX.  Read these
+    where a degree, a leading coefficient or a value is all that is needed."""
+    content, primitive, _ = _entry(k)
+    return content, primitive
 
 
 def numerator_polynomial(k: int) -> Polynomial:
@@ -148,14 +170,14 @@ def numerator_polynomial(k: int) -> Polynomial:
     part (module docstring): the content is exact because the step is linear
     in f, and P_k's coefficients are integers.
     """
-    content, primitive = _content_and_primitive(k)
+    content, primitive = numerator_parts(k)
     return primitive * content
 
 
 def zeta_numerator(k: int) -> int:
     """The positive integer value of the k-th polynomial at x = k, k within 1..RECURSION_MAX."""
-    content, primitive = _content_and_primitive(k)
-    value = content * primitive.evaluate(k)
+    content, _, value = _entry(k)
+    value *= content
     if value <= 0:
         raise ConsistencyError(f"expected a positive integer at k={k}, got {value}")
     return value
@@ -166,11 +188,22 @@ def translated_polynomial(k: int, *, half_scale: bool = False) -> Polynomial:
 
     With half_scale the variable is additionally rescaled to x/2, the form
     in which the small cases are usually displayed.  k is within 1..RECURSION_MAX.
-    The shift runs on the primitive part, then the result is scaled by the content.
+
+    The shift runs on the primitive part p_k of degree n, as the int Taylor
+    shift 2^n * p_k((A*x + 2k - 3)/2) with A = 1 or 2.  The content's factors
+    of 2 cancel against 2^n, what is left of 2^n is shifted out, and the
+    rest of the content multiplies each coefficient once; a coefficient that
+    2^n does not divide becomes an exact Fraction.
     """
-    content, primitive = _content_and_primitive(k)
-    a = Fraction(1, 2) if half_scale else Fraction(1)
-    return primitive.compose_affine(a, k - Fraction(3, 2)) * content
+    content, primitive = numerator_parts(k)
+    n = len(primitive.coeffs) - 1
+    shifted = taylor_shift(primitive.coeffs, 1 if half_scale else 2, 2 * k - 3, 2)
+    twos = min((content & -content).bit_length() - 1, n)  # 2^twos divides both
+    rest, drop = content >> twos, n - twos
+    mask = (1 << drop) - 1
+    return Polynomial(
+        Fraction(content * c, 1 << n) if c & mask else (c >> drop) * rest for c in shifted
+    )
 
 
 def basis_coefficients(k: int) -> tuple[int, ...]:

@@ -66,7 +66,7 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .polynomials import InexactDivisionError, Polynomial, split_content
+from .polynomials import InexactDivisionError, Polynomial, split_content, taylor_shift
 from .rationals import check_index, check_int, is_exact, parse_rational
 
 Value = Union[int, Fraction]
@@ -378,7 +378,7 @@ def polynomial_via_trees(k: int) -> Polynomial:
     content, rest = divmod(scale * gamma, gamma_den)
     if rest:
         raise InexactDivisionError(f"P_{k} has a non-integer content")
-    return Polynomial(g).compose_affine(1, 1 - k) * content
+    return Polynomial([c * content for c in taylor_shift(g, 1, 1 - k)])
 
 
 def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
@@ -402,5 +402,5 @@ def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
             c = _first_return_weights(values, _odd_weights)
     else:
         c = _first_return_weights(values)
-    num, den = c[k - 1]
-    return Fraction(num, den * values[0] ** k)
+    (num, den), r = c[k - 1], values[0]
+    return Fraction(num * r.denominator**k, den * r.numerator**k)

@@ -114,10 +114,10 @@ def _suite_positivity(max_k: int) -> _Checks:
 
 def _suite_leading(max_k: int) -> _Checks:
     for k in range(2, max_k + 1):
-        poly = recursion.numerator_polynomial(k)
-        yield f"degree k={k}", poly.degree, k - 2
+        content, primitive = recursion.numerator_parts(k)
+        yield f"degree k={k}", primitive.degree, k - 2
         leading = recursion.zeta_numerator(k - 1) * 2 ** (k - 2)
-        yield f"leading coefficient k={k}", poly.coeffs[-1], leading
+        yield f"leading coefficient k={k}", content * primitive.coeffs[-1], leading
 
 
 def _suite_lemma_2ni(max_k: int) -> _Checks:
@@ -137,8 +137,9 @@ class _Suite(NamedTuple):
 # 3.6-4.2 s (160 took 4.7-5.2 s, most of it in scaling each route's P_k by
 # its content), coeffs 100 2.3-4.1 s, bernoulli 240
 # 3.6-4.3 s (250 took 4.3-4.4 s), fn 800 3.6-3.9 s, positivity 180
-# 3.1-3.8 s (185 took 3.6-4.1 s), leading 190 3.7-4.0 s (191 took 4.2 s:
-# each k builds P_k from its content and primitive part), lemma-2ni 210
+# 3.1-3.8 s (185 took 3.6-4.1 s), leading 0.40-0.56 s at
+# recursion.RECURSION_MAX, the largest k it can read (it checks the cached
+# content and primitive part, not a built P_k), lemma-2ni 210
 # 3.0-4.3 s (recursion.BASIS_COEFFICIENTS_MAX, the largest n that
 # shifted_product_identity takes).  Each suite checks every k up to its
 # bound.  newton-girard and cycle-index keep 8: their random variable sets
@@ -155,7 +156,7 @@ SUITES: dict[str, _Suite] = {
     "bernoulli": _Suite(_suite_bernoulli, 20, 240),
     "fn": _Suite(_suite_fn, 10, 800),
     "positivity": _Suite(_suite_positivity, 15, 180),
-    "leading": _Suite(_suite_leading, 12, 190),
+    "leading": _Suite(_suite_leading, 12, recursion.RECURSION_MAX),
     "lemma-2ni": _Suite(_suite_lemma_2ni, 6, 210),
 }
 

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from evenzeta.polynomials import ONE, X, ZERO, InexactDivisionError, Polynomial, split_content
+from evenzeta.polynomials import (
+    ONE,
+    X,
+    ZERO,
+    InexactDivisionError,
+    Polynomial,
+    split_content,
+    taylor_shift,
+)
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 polys = st.lists(small_rationals, max_size=6).map(Polynomial)
@@ -117,6 +125,22 @@ def test_compose_affine_identity():
 @given(polys, small_rationals, small_rationals, small_rationals)
 def test_compose_affine_evaluation_law(p, a, b, x):
     assert p.compose_affine(a, b).evaluate(x) == p.evaluate(a * x + b)
+
+
+@given(
+    st.lists(st.integers(-(10**6), 10**6), max_size=8),
+    st.integers(-9, 9),
+    st.integers(-30, 30),
+    st.integers(1, 8),
+    small_rationals,
+)
+@example([], 2, -3, 2, Fraction(1, 3))  # the zero polynomial
+@example([7, 0, -2, 5], 1, -61, 2, Fraction(-5, 4))  # a negative B
+def test_taylor_shift_matches_naive(cs, a, b, d, x):
+    shifted = taylor_shift(cs, a, b, d)
+    assert len(shifted) == len(cs) and all(type(c) is int for c in shifted)
+    n = len(cs) - 1
+    assert naive_eval(shifted, x) == Fraction(d) ** n * naive_eval(cs, (a * x + b) / Fraction(d))
 
 
 def test_divide_linear_exact():

@@ -48,8 +48,9 @@ ROW_BOUNDS = {
     "`tree_data(tree, seq)`, on the tree's vertex count": [TRANSFORM_MAX],
     "`catalan(n)`": [TRANSFORM_MAX - 1],
     "`double_factorial_product(k)`, `double_factorial_odd(i)`": [DOUBLE_FACTORIAL_PRODUCT_MAX],
-    "`numerator_polynomial(k)`, `zeta_numerator(k)`, `zeta_even_rational(k)`, "
-    "`apply_step(f, k)`, `translated_polynomial(k)`, the Newton partial sums' `n`": [
+    "`numerator_parts(k)`, `numerator_polynomial(k)`, `zeta_numerator(k)`, "
+    "`zeta_even_rational(k)`, `apply_step(f, k)`, `translated_polynomial(k)`, "
+    "the Newton partial sums' `n`": [
         RECURSION_MAX
     ],
     "`basis_coefficients(k)`, `shifted_product_identity(n)`": [BASIS_COEFFICIENTS_MAX],

@@ -5,14 +5,17 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from evenzeta import recursion
-from evenzeta.polynomials import ONE, Polynomial
+from evenzeta.polynomials import ONE, InexactDivisionError, Polynomial
 from evenzeta.recursion import (
     apply_step,
     basis_coefficients,
     expand_basis,
     factor_product,
+    numerator_parts,
     numerator_polynomial,
     shifted_product_identity,
     translated_polynomial,
@@ -81,7 +84,7 @@ def test_cold_cache_under_threads(monkeypatch):
     # the cache and its rising product grow under one lock: threads racing
     # on a cold cache must build the same polynomials as one caller did
     expected = {k: numerator_polynomial(k) for k in range(1, 41)}
-    monkeypatch.setattr(recursion, "_parts", [(1, ONE), (1, ONE)])
+    monkeypatch.setattr(recursion, "_parts", [(1, ONE, 1), (1, ONE, 1)])
     monkeypatch.setattr(recursion, "_rising", [1])
     got = {}
 
@@ -101,7 +104,8 @@ def test_cold_cache_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {k: expected[k] for k in ks}
-    assert [g * p for g, p in recursion._parts] == [ONE] + [expected[k] for k in range(1, 41)]
+    assert [g * p for g, p, _ in recursion._parts] == [ONE] + [expected[k] for k in range(1, 41)]
+    assert [g * v for g, _, v in recursion._parts[1:]] == [p.evaluate(k) for k, p in expected.items()]
 
 
 def test_zeta_numerator_matches_the_built_polynomial():
@@ -113,10 +117,72 @@ def test_zeta_numerator_matches_the_built_polynomial():
 
 def test_cached_parts_are_content_times_primitive():
     numerator_polynomial(120)
-    for content, primitive in recursion._parts[1:121]:
+    for content, primitive, _ in recursion._parts[1:121]:
         assert type(content) is int and content > 0
         assert math.gcd(*primitive.coeffs) == 1
         assert all(type(c) is int for c in primitive.coeffs)
+
+
+def test_cached_values_are_the_primitive_part_at_k():
+    # the step takes p_k(k) by Horner as it fills p_k; the next step and
+    # zeta_numerator both read it from the entry
+    numerator_polynomial(120)
+    for k, (_, primitive, value) in enumerate(recursion._parts[1:121], start=1):
+        assert type(value) is int and value == primitive.evaluate(k)
+
+
+def test_numerator_parts_read_the_cache():
+    for k in (1, 2, 7, 60):
+        content, primitive = numerator_parts(k)
+        assert (content, primitive) == recursion._parts[k][:2]
+        assert primitive * content == numerator_polynomial(k)
+
+
+def test_wrong_double_factorial_makes_the_step_raise(monkeypatch):
+    # on a cold cache the bracket of step 5 does not vanish at x = 5: the step
+    # raises and commits nothing, and the cache grows on correctly afterwards
+    expected = [zeta_numerator(k) for k in range(1, 11)]
+    monkeypatch.setattr(recursion, "_parts", [(1, ONE, 1), (1, ONE, 1)])
+    monkeypatch.setattr(recursion, "_rising", [1])
+    right = recursion.double_factorial_odd
+    monkeypatch.setattr(
+        recursion, "double_factorial_odd", lambda j: right(j) + 2 if j == 5 else right(j)
+    )
+    with pytest.raises(InexactDivisionError, match=r"dividing by \(x - 5\); expected exact"):
+        zeta_numerator(10)
+    assert len(recursion._parts) == 6 and len(recursion._rising) == 5
+    monkeypatch.setattr(recursion, "double_factorial_odd", right)
+    assert [zeta_numerator(k) for k in range(1, 11)] == expected
+
+
+@pytest.mark.parametrize("half_scale", [False, True])
+def test_translated_polynomial_is_the_full_shift(half_scale):
+    a = Fraction(1, 2) if half_scale else 1
+    for k in range(1, 81):
+        translated = translated_polynomial(k, half_scale=half_scale)
+        assert all(type(c) is int for c in translated.coeffs)
+        assert translated == numerator_polynomial(k).compose_affine(a, k - Fraction(3, 2))
+
+
+@given(
+    st.integers(1, 2**40),
+    st.lists(st.integers(-(2**20), 2**20), min_size=1, max_size=8).filter(lambda cs: cs[-1]),
+    st.integers(1, 40),
+    st.booleans(),
+)
+@example(1, [1, 1, 1], 3, True)  # 2^2 does not divide every shifted coefficient
+@example(2**9 * 3, [5, -1, 2], 4, False)  # the content's twos outnumber 2^n
+def test_translated_polynomial_of_any_parts(content, coeffs, k, half_scale):
+    # integer shifting, cancelling twos and the exact Fraction fallback all
+    # agree with composing the full polynomial
+    primitive = Polynomial(coeffs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "numerator_parts", lambda _: (content, primitive))
+        got = translated_polynomial(k, half_scale=half_scale)
+    a = Fraction(1, 2) if half_scale else 1
+    assert got == (primitive * content).compose_affine(a, k - Fraction(3, 2))
+    for c in got.coeffs:
+        assert type(c) is int or c.denominator > 1
 
 
 def test_cache_holds_a_fraction_of_the_full_polynomials():
@@ -125,7 +191,7 @@ def test_cache_holds_a_fraction_of_the_full_polynomials():
         return sum(abs(c).bit_length() for c in poly.coeffs)
 
     full = [bits(numerator_polynomial(k)) for k in range(1, 101)]
-    cached = [g.bit_length() + bits(p) for g, p in recursion._parts[1:101]]
+    cached = [g.bit_length() + bits(p) for g, p, _ in recursion._parts[1:101]]
     assert cached[-1] < full[-1] / 10
     assert sum(cached) < sum(full) / 10
 
