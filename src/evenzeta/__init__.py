@@ -9,10 +9,8 @@ from .polynomials import InexactDivisionError, Polynomial
 from .rationals import double_factorial_odd, double_factorial_product, parse_rational
 from .recursion import (
     ConsistencyError,
-    apply_step,
     basis_coefficients,
     expand_basis,
-    factor_product,
     numerator_polynomial,
     shifted_product_identity,
     translated_polynomial,
@@ -32,7 +30,6 @@ from .trees import (
     TreeData,
     catalan,
     enumerate_trees,
-    expand_step,
     generalized_transform,
     polynomial_via_trees,
     tree_data,

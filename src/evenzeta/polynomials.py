@@ -8,9 +8,9 @@ arithmetic), any other as a reduced ``Fraction``, and a float, bool or string
 raises TypeError.  Values are immutable, so they are safe to share between
 threads and to use as dict keys.
 
-Division is provided only for the exact linear case the recursion needs:
-dividing by (x - c) or (2x - 2c) when c is a root, with a nonzero remainder
-treated as an internal consistency violation rather than truncated.
+There is no polynomial division: the routes divide by (x - c) inside their
+own integer loops, and raise InexactDivisionError for a nonzero remainder,
+an internal consistency violation rather than something to truncate.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "polynomial_text",
     "split_content",
     "taylor_shift",
-    "X",
     "ONE",
     "ZERO",
 ]
@@ -127,56 +126,6 @@ class Polynomial:
             acc = acc * x0 + c
         return acc
 
-    def compose_affine(self, a: Scalar, b: Scalar) -> "Polynomial":
-        """The polynomial q with q(x) = p(a*x + b), computed exactly.
-
-        With a = A/D, b = B/D and the coefficients c_i = n_i/E over common
-        denominators, E * D^n * p(a*x + b) is the integer Taylor shift of the
-        n_i (taylor_shift); each of its coefficients is divided by E * D^n
-        once, at the end.
-        """
-        for v in (a, b):
-            if not is_exact(v):
-                raise TypeError(f"affine coefficient {v!r} is not an int or a Fraction")
-        if not self.coeffs:
-            return ZERO
-        d = math.lcm(a.denominator, b.denominator)
-        e = math.lcm(*(c.denominator for c in self.coeffs))
-        numerators = [c.numerator * (e // c.denominator) for c in self.coeffs]
-        acc = taylor_shift(numerators, (a * d).numerator, (b * d).numerator, d)
-        den = e * d ** (len(self.coeffs) - 1)
-        if den == 1:
-            return Polynomial(acc)
-        return Polynomial(Fraction(c, den) for c in acc)
-
-    def divide_root_exact(self, c: Scalar) -> "Polynomial":
-        """Divide by (x - c), requiring a remainder of exactly zero.
-
-        Synthetic division, so an integer polynomial and an integer root give
-        an integer quotient.  A nonzero remainder means the caller fed a
-        polynomial that does not vanish at c, which in this package is always
-        a bug upstream.
-        """
-        if not is_exact(c):
-            raise TypeError(f"root {c!r} is not an int or a Fraction")
-        if not self.coeffs:
-            return ZERO
-        n = len(self.coeffs) - 1
-        quot = [0] * n
-        acc = self.coeffs[n]
-        for i in range(n - 1, -1, -1):
-            quot[i] = acc
-            acc = self.coeffs[i] + c * acc
-        if acc != 0:
-            raise InexactDivisionError(
-                f"remainder {acc} dividing by (x - {c}); expected exact division"
-            )
-        return Polynomial(quot)
-
-    def divide_linear_exact(self, c: Scalar) -> "Polynomial":
-        """Divide by (2x - 2c): divide_root_exact(c), then halved exactly."""
-        return self.divide_root_exact(c) * Fraction(1, 2)
-
     # -- canonical text / JSON forms -----------------------------------------
 
     def __str__(self) -> str:
@@ -239,4 +188,3 @@ def polynomial_text(strings: list[str]) -> str:
 
 ZERO = Polynomial()
 ONE = Polynomial((1,))
-X = Polynomial((0, 1))

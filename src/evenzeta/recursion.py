@@ -33,9 +33,10 @@ bracket coefficient, and divides by (x - k) synthetically, which yields q
 from the top down, so the same pass evaluates q at k + 1 by Horner.  A
 nonzero remainder raises InexactDivisionError.  Each cache entry holds
 g_k, p_k and the value p_k(k), which is both the next step's p(k) and
-what zeta_numerator scales by g_k.  translated_polynomial shifts p_k with
-polynomials.taylor_shift, the integer Taylor shift that compose_affine
-also runs, and scales by g_k on ints.
+what zeta_numerator scales by g_k.  The cache's step (_entry) is the only
+implementation of the operator in the package.  translated_polynomial
+shifts p_k with polynomials.taylor_shift, the package's one affine
+substitution, and scales by g_k on ints.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ from .rationals import check_index, double_factorial_odd
 
 __all__ = [
     "ConsistencyError",
-    "factor_product",
-    "apply_step",
     "numerator_parts",
     "numerator_polynomial",
     "zeta_numerator",
@@ -65,7 +64,7 @@ __all__ = [
 
 # Largest k of the recursion route: one cold call within about 4.5 s in a
 # fresh process (2-vCPU host, Python 3.11.7; README has the ranges).
-# RECURSION_MAX bounds the cache and apply_step, and through them
+# RECURSION_MAX bounds the cache, and through it
 # numerator_parts, numerator_polynomial, zeta_numerator,
 # zeta.zeta_even_rational, translated_polynomial (0.46-0.63 s at 260 with
 # half_scale=True) and the n of zeta's Newton partial sums, the
@@ -80,29 +79,6 @@ BASIS_COEFFICIENTS_MAX = 210
 
 class ConsistencyError(RuntimeError):
     """An internal invariant failed (e.g. a value that must be a positive integer is not)."""
-
-
-def factor_product(positions: Iterable[int], k: int) -> Polynomial:
-    """prod_{n in positions} (2x - 2k + 2n+1), the constant 1 for no positions."""
-    coeffs = [1]
-    for n in positions:
-        c = 2 * n + 1 - 2 * k
-        nxt = [c * a for a in coeffs] + [0]  # times (c + 2x)
-        for i, a in enumerate(coeffs):
-            nxt[i + 1] += 2 * a
-        coeffs = nxt
-    return Polynomial(coeffs)
-
-
-def apply_step(f: Polynomial, k: int) -> Polynomial:
-    """Apply the k-th step operator to f (module docstring), k within 1..RECURSION_MAX."""
-    check_index(k, 1, RECURSION_MAX)
-    rising = factor_product(range(1, k + 1), k).coeffs
-    a, b = f.evaluate(k), double_factorial_odd(k)
-    numerator = [a * r for r in rising] + [0] * (len(f.coeffs) - len(rising))
-    for i, c in enumerate(f.coeffs):
-        numerator[i] -= b * c
-    return Polynomial(numerator).divide_linear_exact(k)
 
 
 _cache_lock = threading.Lock()
@@ -209,9 +185,9 @@ def translated_polynomial(k: int, *, half_scale: bool = False) -> Polynomial:
 def basis_coefficients(k: int) -> tuple[int, ...]:
     """Coefficients (c_0..c_{k-2}) of the k-th polynomial in its nested-product basis.
 
-    The basis element for index i is prod_{j=1}^{i} (2x - 2(k-1) + 2j+1),
-    i.e. factor_product(range(1, i + 1), k-1).  Computed by the linear
-    recurrence
+    The basis element for index i is the product of linear factors
+    prod_{j=1}^{i} (2x - 2(k-1) + 2j+1), the constant 1 for i = 0
+    (expand_basis assembles them).  Computed by the linear recurrence
 
         c_{i,k+1} = ( prod_{j=i+1}^{k-1} (2j+3) ) * sum_{n=0}^{i} (2n+1)!! * S_n,
         S_n = sum_{m=n}^{k-2} c_{m,k} * 2^(m-n) * m!/n! = c_{n,k} + 2(n+1) * S_{n+1},

@@ -25,7 +25,8 @@ is how the shift generalizes to arbitrary sequences.
 For the default odd sequence, summing weight * (value product over the
 shifted low set) over all k-vertex trees yields the zeta numerator;
 keeping the low sets as polynomial factors instead reproduces the k-th
-recursion polynomial term by term (see expand_step).
+recursion polynomial term by term: one replay step (_replay_step), summed
+over its picks with the low positions as factors, is one operator step.
 
 Summed over a whole family, the replay regroups by first return.  The
 positions outside the low set (the holes) behave as a stack: each step
@@ -64,7 +65,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .polynomials import InexactDivisionError, Polynomial, split_content, taylor_shift
 from .rationals import check_index, check_int, is_exact, parse_rational
@@ -91,7 +92,6 @@ __all__ = [
     "catalan",
     "enumerate_trees",
     "tree_data",
-    "expand_step",
     "polynomial_via_trees",
     "generalized_transform",
     "ENUMERATION_MAX",
@@ -125,21 +125,27 @@ class SequenceSpec(tuple):
         """Load values from a text file, one canonical rational per line.
 
         Line n supplies the value at position n.  Blank or malformed lines
-        and zero values are rejected with the offending line number.
+        and zero values are rejected with the offending line number.  The
+        text is UTF-8, a leading byte-order mark is no part of line 1, and
+        a file that is not UTF-8 is rejected by its path.
         """
+        try:
+            with open(path, encoding="utf-8-sig") as fh:
+                lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text") from exc
         values: list[Fraction] = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text:
-                    raise ValueError(f"{path}:{lineno}: blank line in sequence file")
-                try:
-                    value = parse_rational(text)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                if value == 0:
-                    raise ValueError(f"{path}:{lineno}: sequence value must be nonzero")
-                values.append(value)
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if not text:
+                raise ValueError(f"{path}:{lineno}: blank line in sequence file")
+            try:
+                value = parse_rational(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if value == 0:
+                raise ValueError(f"{path}:{lineno}: sequence value must be nonzero")
+            values.append(value)
         if not values:
             raise ValueError(f"{path}: empty sequence file")
         return cls(values)
@@ -247,6 +253,10 @@ def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
     recurrence sums the same replay over whole families; this per-tree
     version is what it is validated against.
     """
+    if not isinstance(tree, PlaneTree):
+        raise TypeError(f"tree is a {type(tree).__name__}, not a PlaneTree")
+    if not isinstance(seq, SequenceSpec):
+        raise TypeError(f"seq is a {type(seq).__name__}, not a SequenceSpec")
     check_index(tree.vertex_count, 1, TRANSFORM_MAX, "vertex_count")
     values = seq.values_upto(tree.vertex_count - 1)
     low: set[int] = set()
@@ -258,30 +268,6 @@ def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
         low, high = _replay_step(s1, t - 1, t - 1 - tree[t - 2] - len(s1))
         weight = weight * math.prod(values[n - 1] for n in high)
     return TreeData(low=tuple(sorted(low)), high=tuple(sorted(high)), weight=weight)
-
-
-def expand_step(s: Iterable[int], k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Expand the k-th step operator applied to prod_{n in s} (2x - 2(k-1) + 2n+1).
-
-    k is within 2..TRANSFORM_MAX and s is any iterable of distinct positions
-    within {1..k-2}.  Returns (weight, low positions) terms, the positions
-    sorted, one per j in 0..k-1-|s|, from the replay step with j smallest
-    picks; the weight is the odd-value product over the high set.  Assembling
-    weight * prod_{n in low} (2x - 2k + 2n+1) over all terms reproduces the
-    operator's action exactly, so the replay is checked against it.
-    """
-    check_index(k, 2, TRANSFORM_MAX)
-    positions = sorted(s)
-    for n in positions:
-        check_index(n, 1, k - 2, "position")
-    if len(set(positions)) != len(positions):
-        raise ValueError(f"positions {positions} are not distinct")
-    s1 = {n + 1 for n in positions}
-    terms = []
-    for j in range(k - len(positions)):
-        low, high = _replay_step(s1, k, j)
-        terms.append((math.prod(2 * n + 1 for n in high), tuple(sorted(low))))
-    return terms
 
 
 def _first_return_weights(
@@ -396,6 +382,8 @@ def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
     the zeta numerator A_k.
     """
     check_index(k, 1, TRANSFORM_MAX)
+    if not isinstance(seq, SequenceSpec):
+        raise TypeError(f"seq is a {type(seq).__name__}, not a SequenceSpec")
     values = seq.values_upto(k)
     if seq is ODD_NUMBERS:
         with _cache_lock:

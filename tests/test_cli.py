@@ -210,6 +210,9 @@ def test_transform_sequence_file(capsys, tmp_path):
     code, out, _ = run(capsys, "transform", "--k", "3", "--sequence", str(path))
     assert code == 0
     assert out.strip() == "2"
+    # a leading byte-order mark is no part of line 1
+    path.write_text("\ufeff1\n1\n1\n", encoding="utf-8")
+    assert run(capsys, "transform", "--k", "3", "--sequence", str(path)) == (0, "2\n", "")
 
 
 def test_transform_bad_sequence_file_names_line(capsys, tmp_path):
@@ -566,6 +569,9 @@ REFUSALS = {
     "transform --k 5 --sequence short.txt": (
         {"k": 5, "sequence": "short.txt"}, "sequence supplies only 3 values; position 4 needed"
     ),
+    "transform --k 2 --sequence latin1.txt": (
+        {"k": 2, "sequence": "latin1.txt"}, "latin1.txt: not UTF-8 text"
+    ),
     "verify --suite all --max-k 91": (
         {"suite": "all", "max_k": 91}, "suite 'all' accepts max_k between 1 and 90, got 91"
     ),
@@ -580,6 +586,7 @@ REFUSALS = {
 def test_refusal_record(capsys, monkeypatch, tmp_path, command):
     (tmp_path / "bad.txt").write_text("1\noops\n", encoding="utf-8")
     (tmp_path / "short.txt").write_text("1\n1\n1\n", encoding="utf-8")
+    (tmp_path / "latin1.txt").write_bytes("1\n\xbd\n".encode("latin-1"))
     monkeypatch.chdir(tmp_path)
     inputs, detail = REFUSALS[command]
     record = {

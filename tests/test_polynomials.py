@@ -5,15 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from evenzeta.polynomials import (
-    ONE,
-    X,
-    ZERO,
-    InexactDivisionError,
-    Polynomial,
-    split_content,
-    taylor_shift,
-)
+from evenzeta.polynomials import ONE, ZERO, Polynomial, split_content, taylor_shift
+from evenzeta.trees import PlaneTree, generalized_transform, tree_data
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 polys = st.lists(small_rationals, max_size=6).map(Polynomial)
@@ -35,7 +28,7 @@ def assert_stored_form(p):
 
 
 def test_addition_trims_and_cancels():
-    assert Polynomial((7, 1)) + Polynomial((-7,)) == X
+    assert Polynomial((7, 1)) + Polynomial((-7,)) == Polynomial((0, 1))
     assert Polynomial((1, 1)) + Polynomial((1, -1)) == Polynomial((2,))
 
 
@@ -70,15 +63,14 @@ def test_horner_matches_naive(p, x):
     assert p.evaluate(x) == naive_eval(p.coeffs, x)
 
 
-@given(mixed_coeffs, mixed_coeffs, small_rationals, small_rationals, small_rationals)
-def test_mixed_coefficients_match_fraction_reference(cs, ds, a, b, x):
+@given(mixed_coeffs, mixed_coeffs, small_rationals)
+def test_mixed_coefficients_match_fraction_reference(cs, ds, x):
     p, q = Polynomial(cs), Polynomial(ds)
-    for r in (p, q, p + q, p * q, p.compose_affine(a, b)):
+    for r in (p, q, p + q, p * q):
         assert_stored_form(r)
     assert p.evaluate(x) == naive_eval(cs, x)
     assert (p + q).evaluate(x) == naive_eval(cs, x) + naive_eval(ds, x)
     assert (p * q).evaluate(x) == naive_eval(cs, x) * naive_eval(ds, x)
-    assert p.compose_affine(a, b).evaluate(x) == naive_eval(cs, a * x + b)
 
 
 def test_stored_form_examples():
@@ -88,9 +80,9 @@ def test_stored_form_examples():
     assert repr(p) == "Polynomial([65, 60, 40])"
     assert type(p.coefficient(7)) is int and p.coefficient(7) == 0
     assert type(p.evaluate(2)) is int
-    assert Polynomial((-16, 0, 4)).divide_linear_exact(2).coeffs == (4, 2)
-    assert Polynomial((1, 2)).divide_linear_exact(Fraction(-1, 2)).coeffs == (1,)
-    assert Polynomial((-1, 1)).divide_linear_exact(1).coeffs == (Fraction(1, 2),)
+    # an integral product is stored as an int, any other as a Fraction
+    assert (Polynomial((4, 2)) * Fraction(1, 2)).coeffs == (2, 1)
+    assert (Polynomial((-1, 1)) * Fraction(1, 2)).coeffs == (Fraction(-1, 2), Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
@@ -100,31 +92,17 @@ def test_stored_form_examples():
         lambda: Polynomial(("1/3",)),
         lambda: Polynomial((True, 1)),
         lambda: Polynomial((1, 2)).evaluate(0.5),
-        lambda: Polynomial((1, 2)).divide_linear_exact(0.5),
-        lambda: Polynomial((1, 2)).compose_affine(0.5, 1),
-        lambda: Polynomial((1, 2)).compose_affine(1, 0.5),
-        lambda: Polynomial((1, 2)).compose_affine(True, 1),
+        # the tree route takes a SequenceSpec and a PlaneTree, not the plain
+        # tuple or list of their entries
+        lambda: generalized_transform(3, [3, 5, 7]),
+        lambda: generalized_transform(3, (3, 5, 7)),
+        lambda: tree_data((1, 1)),
+        lambda: tree_data(PlaneTree((1, 1)), [3, 5]),
     ],
 )
 def test_inexact_values_are_rejected(make):
     with pytest.raises(TypeError):
         make()
-
-
-def test_compose_affine_linear_case():
-    assert X.compose_affine(Fraction(1, 2), Fraction(5, 2)) == Polynomial(
-        (Fraction(5, 2), Fraction(1, 2))
-    )
-
-
-def test_compose_affine_identity():
-    p = Polynomial((1, -3, 5))
-    assert p.compose_affine(1, 0) == p
-
-
-@given(polys, small_rationals, small_rationals, small_rationals)
-def test_compose_affine_evaluation_law(p, a, b, x):
-    assert p.compose_affine(a, b).evaluate(x) == p.evaluate(a * x + b)
 
 
 @given(
@@ -143,58 +121,6 @@ def test_taylor_shift_matches_naive(cs, a, b, d, x):
     assert naive_eval(shifted, x) == Fraction(d) ** n * naive_eval(cs, (a * x + b) / Fraction(d))
 
 
-def test_divide_linear_exact():
-    # (2x-4)(2x+4) = 4x^2 - 16
-    assert Polynomial((-16, 0, 4)).divide_linear_exact(2) == Polynomial((4, 2))
-    assert ZERO.divide_linear_exact(Fraction(5)) == ZERO
-
-
-def test_divide_linear_exact_halves_ints_exactly():
-    # an even int quotient entry is halved to an int, an odd one to a Fraction
-    q = Polynomial((-16, 0, 4)).divide_linear_exact(2)
-    assert [type(c) for c in q.coeffs] == [int, int]
-    q = (Polynomial((2, -6, 4)) * Polynomial((-10**40, 3))).divide_linear_exact(1)
-    assert q == Polynomial((10**40, -2 * 10**40 - 3, 6))
-    assert all(type(c) is int for c in q.coeffs)
-    q = Polynomial((-1, 1)).divide_linear_exact(1)
-    assert q.coeffs == (Fraction(1, 2),) and type(q.coeffs[0]) is Fraction
-
-
-def test_compose_affine_keeps_integral_results_int():
-    # (2x-1)(2x-3) at x/2 + 3/2 is (x+2)x
-    q = Polynomial((3, -8, 4)).compose_affine(Fraction(1, 2), Fraction(3, 2))
-    assert q == Polynomial((0, 2, 1))
-    assert all(type(c) is int for c in q.coeffs)
-    q = Polynomial((Fraction(1, 2), Fraction(3, 2))).compose_affine(2, Fraction(-1, 3))
-    assert q == Polynomial((0, 3))
-    assert all(type(c) is int for c in q.coeffs)
-    assert ZERO.compose_affine(Fraction(1, 2), 7) == ZERO
-    assert Polynomial((1, 2, 3)).compose_affine(0, Fraction(1, 3)) == Polynomial((2,))
-
-
-def test_divide_root_exact():
-    # (x - 2)(x + 3) = x^2 + x - 6; an int root leaves an int quotient
-    q = Polynomial((-6, 1, 1)).divide_root_exact(2)
-    assert q.coeffs == (3, 1) and all(type(c) is int for c in q.coeffs)
-    assert Polynomial((-1, 2)).divide_root_exact(Fraction(1, 2)) == Polynomial((2,))
-    assert ZERO.divide_root_exact(7) == ZERO
-    with pytest.raises(InexactDivisionError):
-        Polynomial((1, 1)).divide_root_exact(3)
-    with pytest.raises(TypeError):
-        Polynomial((1, 1)).divide_root_exact(0.5)
-
-
-def test_divide_linear_inexact_raises():
-    with pytest.raises(InexactDivisionError):
-        Polynomial((1, 1)).divide_linear_exact(3)
-
-
-@given(polys, small_rationals)
-def test_divide_round_trip(p, c):
-    divisor = Polynomial((-2 * c, 2))
-    assert (divisor * p).divide_linear_exact(c) == p
-
-
 @given(polys, polys)
 def test_degree_law(p, q):
     if p and q:
@@ -204,7 +130,7 @@ def test_degree_law(p, q):
 def test_text_form():
     assert str(Polynomial((465, 130, 10))) == "465 + 130*x + 10*x^2"
     assert str(ZERO) == "0"
-    assert str(X) == "x"
+    assert str(Polynomial((0, 1))) == "x"
     assert str(Polynomial((0, -1, 0, Fraction(1, 2)))) == "-x + 1/2*x^3"
     assert str(Polynomial((Fraction(-1, 30),))) == "-1/30"
 

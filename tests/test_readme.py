@@ -49,7 +49,7 @@ ROW_BOUNDS = {
     "`catalan(n)`": [TRANSFORM_MAX - 1],
     "`double_factorial_product(k)`, `double_factorial_odd(i)`": [DOUBLE_FACTORIAL_PRODUCT_MAX],
     "`numerator_parts(k)`, `numerator_polynomial(k)`, `zeta_numerator(k)`, "
-    "`zeta_even_rational(k)`, `apply_step(f, k)`, `translated_polynomial(k)`, "
+    "`zeta_even_rational(k)`, `translated_polynomial(k)`, "
     "the Newton partial sums' `n`": [
         RECURSION_MAX
     ],

@@ -56,7 +56,7 @@ def test_recursion_imports_neither_trees_nor_sequences():
     assert not imports & {"trees", "sequences"}
 
 
-REPLAY = {"tree_data", "expand_step"}
+REPLAY = {"tree_data", "_replay_step"}
 
 
 def test_replay_is_defined_only_in_trees():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evenzeta import recursion, trees
-from evenzeta.polynomials import ONE
 from evenzeta.rationals import (
     DOUBLE_FACTORIAL_PRODUCT_MAX,
     double_factorial_odd,
@@ -17,7 +16,6 @@ from evenzeta.rationals import (
 from evenzeta.recursion import (
     BASIS_COEFFICIENTS_MAX,
     RECURSION_MAX,
-    apply_step,
     basis_coefficients,
     numerator_polynomial,
     shifted_product_identity,
@@ -43,7 +41,6 @@ from evenzeta.trees import (
     PlaneTree,
     catalan,
     enumerate_trees,
-    expand_step,
     generalized_transform,
     polynomial_via_trees,
     tree_data,
@@ -171,8 +168,8 @@ def variables(n):
 
 # Every __all__ callable of rationals, recursion, zeta, trees and symmetric
 # that takes an index: id -> (call on that index, lo, hi, argument name).
-# factor_product and expand_basis are not here: their k shifts the linear
-# factors, and their cost is the length of their first argument.
+# expand_basis is not here: its k shifts the linear factors, and its cost
+# is the length of its first argument.
 INDEXED = {
     "power_sum": (lambda k: power_sum(VARS, k), 1, CYCLE_INDEX_MAX, "k"),
     "elementary_symmetric": (lambda k: elementary_symmetric(VARS, k), 0, 3, "k"),
@@ -191,7 +188,6 @@ INDEXED = {
     "VariableSet.inverse_squares": (VariableSet.inverse_squares, 1, INVERSE_SQUARES_MAX, "n"),
     "double_factorial_odd": (double_factorial_odd, 0, DOUBLE_FACTORIAL_PRODUCT_MAX, "i"),
     "double_factorial_product": (double_factorial_product, 0, DOUBLE_FACTORIAL_PRODUCT_MAX, "k"),
-    "apply_step": (lambda k: apply_step(ONE, k), 1, RECURSION_MAX, "k"),
     "numerator_polynomial": (numerator_polynomial, 1, RECURSION_MAX, "k"),
     "zeta_numerator": (zeta_numerator, 1, RECURSION_MAX, "k"),
     "translated_polynomial": (translated_polynomial, 1, RECURSION_MAX, "k"),
@@ -199,8 +195,6 @@ INDEXED = {
     "shifted_product_identity": (shifted_product_identity, 0, BASIS_COEFFICIENTS_MAX, "n"),
     "catalan": (catalan, 0, TRANSFORM_MAX - 1, "n"),
     "enumerate_trees": (lambda k: next(enumerate_trees(k)), 1, ENUMERATION_MAX, "k"),
-    "expand_step": (lambda k: expand_step((), k), 2, TRANSFORM_MAX, "k"),
-    "expand_step.position": (lambda n: expand_step([n], 5), 1, 3, "position"),
     "polynomial_via_trees": (polynomial_via_trees, 2, TREE_SUM_MAX, "k"),
     "tree_data": (
         lambda k: tree_data(PlaneTree([1] * (k - 1))), 1, TRANSFORM_MAX, "vertex_count"

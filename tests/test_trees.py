@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evenzeta import trees, verify
-from evenzeta.polynomials import ONE
+from evenzeta.polynomials import ONE, Polynomial
 from evenzeta.rationals import double_factorial_product
 from evenzeta.recursion import numerator_polynomial, zeta_numerator
 from evenzeta.trees import (
@@ -23,7 +23,6 @@ from evenzeta.trees import (
     TreeData,
     catalan,
     enumerate_trees,
-    expand_step,
     generalized_transform,
     polynomial_via_trees,
     tree_data,
@@ -213,8 +212,13 @@ def test_cached_family_is_positive_content_times_primitive():
         assert gamma > 0 and gamma_den > 0 and math.gcd(gamma, gamma_den) == 1
         assert math.gcd(*g) == 1
         assert all(type(c) is int and c > 0 for c in g)
+    # P_k(x + k - 1) = r * g_{k-1}(x) with r > 0, checked by Horner at
+    # deg + 1 points, so its coefficients are positive as g_{k-1}'s are
     for k in range(2, 40):
-        assert all(c > 0 for c in polynomial_via_trees(k).compose_affine(1, k - 1).coeffs)
+        p, (_, g) = polynomial_via_trees(k), trees._family[k - 1]
+        r = Fraction(p.evaluate(k - 1), g[0])
+        assert r > 0 and p.degree == len(g) - 1
+        assert all(p.evaluate(x + k - 1) == r * Polynomial(g).evaluate(x) for x in range(len(g)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 9, 10, 57, 128, 199, TRANSFORM_MAX])
@@ -412,6 +416,13 @@ def test_sequence_spec_errors():
     assert short.values_upto(-1) == ()
     with pytest.raises(TypeError, match=r"^n=2\.0 is not an int$"):
         short.values_upto(2.0)
+    # a plain list or tuple is refused by the parameter's name, before any work
+    with pytest.raises(TypeError, match="^seq is a list, not a SequenceSpec$"):
+        generalized_transform(3, [3, 5, 7])
+    with pytest.raises(TypeError, match="^seq is a tuple, not a SequenceSpec$"):
+        tree_data(PlaneTree((1,)), (3,))
+    with pytest.raises(TypeError, match="^tree is a tuple, not a PlaneTree$"):
+        tree_data((1, 1))
 
 
 @pytest.mark.parametrize(
@@ -431,7 +442,6 @@ def test_sequence_spec_rejects_inexact_values(seq, position):
 def test_odd_numbers_cover_every_position_the_route_reads():
     assert len(ODD_NUMBERS) == TRANSFORM_MAX
     assert all(ODD_NUMBERS[n - 1] == 2 * n + 1 for n in range(1, TRANSFORM_MAX + 1))
-    assert len(expand_step((), TRANSFORM_MAX)) == TRANSFORM_MAX
 
 
 def test_sequence_spec_from_file(tmp_path):
@@ -456,3 +466,14 @@ def test_sequence_spec_from_file(tmp_path):
     wide.write_text("3\n\uff15\n", encoding="utf-8")
     with pytest.raises(ValueError, match="wide.txt:2: not a rational literal"):
         SequenceSpec.from_file(str(wide))
+
+    # a leading byte-order mark is no part of line 1
+    bom = tmp_path / "bom.txt"
+    bom.write_text("\ufeff3\n5\n7\n", encoding="utf-8")
+    assert SequenceSpec.from_file(str(bom)) == (3, 5, 7)
+
+    # text that is not UTF-8 is refused by the file's path
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"3\n5\xff\n")
+    with pytest.raises(ValueError, match=r"^.*latin\.txt: not UTF-8 text$"):
+        SequenceSpec.from_file(str(latin))
