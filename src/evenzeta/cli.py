@@ -132,8 +132,8 @@ def _tree_rows(k: int):
     """Each k-vertex tree with its low and high values and its weight, as text."""
     for tree in trees.enumerate_trees(k):
         data = trees.tree_data(tree)
-        low = [str(2 * n + 1) for n in data.low]
-        high = [str(2 * n + 1) for n in data.high]
+        low = [str(trees.ODD_NUMBERS[n - 1]) for n in data.low]
+        high = [str(trees.ODD_NUMBERS[n - 1]) for n in data.high]
         yield tree, low, high, str(data.weight)
 
 
@@ -270,7 +270,9 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="tree-sum transform of a value sequence")
     p.add_argument("--k", type=int, required=True, help=f"1..{trees.TRANSFORM_MAX}")
     p.add_argument("--sequence", metavar="FILE", default=None,
-                   help="text file, one rational per line (default: odd numbers)")
+                   help=f"text file, one rational per line, at most {trees.TRANSFORM_MAX} lines "
+                   f"of at most {trees.SEQUENCE_DIGITS_MAX}-digit numerators and denominators "
+                   "(default: odd numbers)")
     add_common(p, _cmd_transform, "k", "sequence")
 
     p = sub.add_parser("verify", help="run a named verification suite")

@@ -34,9 +34,9 @@ from the top down, so the same pass evaluates q at k + 1 by Horner.  A
 nonzero remainder raises InexactDivisionError.  Each cache entry holds
 g_k, p_k and the value p_k(k), which is both the next step's p(k) and
 what zeta_numerator scales by g_k.  The cache's step (_entry) is the only
-implementation of the operator in the package.  translated_polynomial
-shifts p_k with polynomials.taylor_shift, the package's one affine
-substitution, and scales by g_k on ints.
+implementation of the operator in the package.  translated_polynomial and
+expand_basis shift with polynomials.taylor_shift, the package's only
+affine substitution; the basis half runs on int lists too.
 """
 
 from __future__ import annotations
@@ -71,10 +71,11 @@ __all__ = [
 # slowest of them: newton_partial_sum(260, 2000) took 3.3-4.0 s (261:
 # 4.0-4.1 s, 270: 3.8-4.9 s), most of it rationals.double_factorial_product
 # for each i < n.
-# BASIS_COEFFICIENTS_MAX: basis_coefficients(210) 3.7-4.0 s;
-# shifted_product_identity, the identity behind the basis recurrence, shares it.
+# BASIS_COEFFICIENTS_MAX bounds basis_coefficients (280: 1.7-1.8 s; 330: 3.4-3.5 s)
+# and shifted_product_identity, the identity behind its recurrence; the
+# lemma-2ni suite, which checks every n up to it, binds it: 2.1-2.8 s at 280 (300: 4.0 s).
 RECURSION_MAX = 260
-BASIS_COEFFICIENTS_MAX = 210
+BASIS_COEFFICIENTS_MAX = 280
 
 
 class ConsistencyError(RuntimeError):
@@ -192,42 +193,47 @@ def basis_coefficients(k: int) -> tuple[int, ...]:
         c_{i,k+1} = ( prod_{j=i+1}^{k-1} (2j+3) ) * sum_{n=0}^{i} (2n+1)!! * S_n,
         S_n = sum_{m=n}^{k-2} c_{m,k} * 2^(m-n) * m!/n! = c_{n,k} + 2(n+1) * S_{n+1},
 
-    seeded with c_{0,2} = 1.  S_n does not depend on i, so each step is one
-    backward pass for S, a prefix sum over n and a suffix product over j:
-    O(k) integer operations per step, and the coefficients are positive
-    integers by construction.  k is within 2..BASIS_COEFFICIENTS_MAX.
+    seeded with c_{0,2} = 1.  Each step is three passes over one list (S
+    backward, the prefix sums forward, the suffix products backward) on the
+    primitive part: the recurrence is linear, so each step splits off its
+    content, and the contents multiply back once, at the end.  The
+    coefficients are positive ints.  k is within 2..BASIS_COEFFICIENTS_MAX.
     """
     check_index(k, 2, BASIS_COEFFICIENTS_MAX)
-    coeffs = [1]
+    content, s = 1, [1]
     for cur in range(2, k):
-        s = [0] * cur  # s[cur-1] = 0: the sum over m in n..cur-2 is empty
+        s.append(0)  # S_{cur-1} = 0: the sum over m in n..cur-2 is empty
         for n in range(cur - 2, -1, -1):
-            s[n] = coeffs[n] + 2 * (n + 1) * s[n + 1]
-        prefix = []
+            s[n] += 2 * (n + 1) * s[n + 1]
         total = 0
         odd_df = 1
         for n in range(cur):
             odd_df *= 2 * n + 1  # (2n+1)!!
             total += odd_df * s[n]
-            prefix.append(total)
-        nxt = [0] * cur
+            s[n] = total
         suffix = 1
         for i in range(cur - 1, -1, -1):
-            nxt[i] = suffix * prefix[i]
+            s[i] *= suffix
             suffix *= 2 * i + 3
-        coeffs = nxt
-    return tuple(coeffs)
+        divisor, s = split_content(s)
+        content *= divisor
+    return tuple(c * content for c in s)
+
+
+def _nested_sum(coeffs: list[int], a: int, b: int) -> list[int]:
+    """Ascending int coefficients in u of sum_i c_i * prod_{j=1}^{i} (a*u + 2j+b),
+    by Horner's rule: c_0 + (a*u + 2+b) * (c_1 + (a*u + 4+b) * (c_2 + ...))."""
+    acc: list[int] = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        acc = [a * lo + (2 * i + 2 + b) * hi for lo, hi in zip([0] + acc, acc + [0])]
+        acc[0] += coeffs[i]
+    return acc
 
 
 def expand_basis(coeffs: Iterable[int], k: int) -> Polynomial:
-    """Assemble nested-product basis coefficients back into a polynomial."""
-    out = Polynomial()
-    basis = ONE
-    for i, c in enumerate(coeffs):
-        if i > 0:
-            basis = basis * Polynomial((2 * i + 1 - 2 * (k - 1), 2))
-        out = out + c * basis
-    return out
+    """Assemble nested-product basis coefficients back into a polynomial: the
+    sum in u = x - (k-1), whose factors are 2u + 2j+1, shifted by taylor_shift."""
+    return Polynomial(taylor_shift(_nested_sum(list(coeffs), 2, 1), 1, 1 - k))
 
 
 def shifted_product_identity(n: int) -> bool:
@@ -235,13 +241,5 @@ def shifted_product_identity(n: int) -> bool:
     sum_{i=0}^{n} 2^(n-i) * (n!/i!) * prod_{j=1}^{i} (u + 2j+1),
     for n within 0..BASIS_COEFFICIENTS_MAX."""
     check_index(n, 0, BASIS_COEFFICIENTS_MAX, "n")
-    lhs = ONE
-    for i in range(1, n + 1):
-        lhs = lhs * Polynomial((2 * i + 3, 1))
-    rhs = Polynomial()
-    partial = ONE
-    for i in range(n + 1):
-        if i > 0:
-            partial = partial * Polynomial((2 * i + 1, 1))
-        rhs = rhs + 2 ** (n - i) * math.factorial(n) // math.factorial(i) * partial
-    return lhs == rhs
+    rhs = [2 ** (n - i) * math.factorial(n) // math.factorial(i) for i in range(n + 1)]
+    return _nested_sum([0] * n + [1], 1, 3) == _nested_sum(rhs, 1, 1)

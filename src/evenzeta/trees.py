@@ -80,8 +80,13 @@ Value = Union[int, Fraction]
 # TRANSFORM_MAX also bounds the vertex count of tree_data, which reads the same
 # positions: a 240-vertex chain, star or comb over 3-digit rationals took
 # 0.21-0.23 s (a 1000-vertex comb over 1..999 took 8.0 s in process).
+# The cost grows with the size of the values too: SEQUENCE_DIGITS_MAX bounds
+# the digits of each numerator and denominator that SequenceSpec.from_file
+# reads, and `transform --k 240 --format json` over 240 such 6-digit values
+# took 2.3-3.9 s (7 digits: 4.0-4.8 s).
 ENUMERATION_MAX = 16
 TRANSFORM_MAX = 240
+SEQUENCE_DIGITS_MAX = 6
 TREE_SUM_MAX = 210
 
 __all__ = [
@@ -96,6 +101,7 @@ __all__ = [
     "generalized_transform",
     "ENUMERATION_MAX",
     "TRANSFORM_MAX",
+    "SEQUENCE_DIGITS_MAX",
     "TREE_SUM_MAX",
 ]
 
@@ -124,28 +130,43 @@ class SequenceSpec(tuple):
     def from_file(cls, path: str) -> "SequenceSpec":
         """Load values from a text file, one canonical rational per line.
 
-        Line n supplies the value at position n.  Blank or malformed lines
-        and zero values are rejected with the offending line number.  The
-        text is UTF-8, a leading byte-order mark is no part of line 1, and
-        a file that is not UTF-8 is rejected by its path.
+        Line n supplies the value at position n.  Blank or malformed lines,
+        zero values, values past SEQUENCE_DIGITS_MAX, lines longer than
+        the longest such value and lines past TRANSFORM_MAX are rejected
+        with the offending line number; reading stops at the first one.
+        The text is UTF-8, a leading byte-order mark is no part of line 1,
+        and a file that is not UTF-8 is rejected by its path.
         """
+        width = 2 * SEQUENCE_DIGITS_MAX + 2  # "-" + digits + "/" + digits
+        values: list[Fraction] = []
         try:
             with open(path, encoding="utf-8-sig") as fh:
-                lines = list(fh)
+                while line := fh.readline(width + 1):
+                    where = f"{path}:{len(values) + 1}"
+                    if len(values) == TRANSFORM_MAX:
+                        raise ValueError(f"{where}: more than {TRANSFORM_MAX} values")
+                    if len(line.rstrip("\n")) > width:
+                        raise ValueError(
+                            f"{where}: line longer than {width} characters, the longest"
+                            f" value of {SEQUENCE_DIGITS_MAX}-digit parts"
+                        )
+                    text = line.strip()
+                    if not text:
+                        raise ValueError(f"{where}: blank line in sequence file")
+                    try:
+                        value = parse_rational(text)
+                    except ValueError as exc:
+                        raise ValueError(f"{where}: {exc}") from exc
+                    if value == 0:
+                        raise ValueError(f"{where}: sequence value must be nonzero")
+                    if max(abs(value.numerator), value.denominator) >= 10**SEQUENCE_DIGITS_MAX:
+                        raise ValueError(
+                            f"{where}: more than {SEQUENCE_DIGITS_MAX} digits"
+                            " in a numerator or denominator"
+                        )
+                    values.append(value)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text") from exc
-        values: list[Fraction] = []
-        for lineno, line in enumerate(lines, start=1):
-            text = line.strip()
-            if not text:
-                raise ValueError(f"{path}:{lineno}: blank line in sequence file")
-            try:
-                value = parse_rational(text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if value == 0:
-                raise ValueError(f"{path}:{lineno}: sequence value must be nonzero")
-            values.append(value)
         if not values:
             raise ValueError(f"{path}: empty sequence file")
         return cls(values)

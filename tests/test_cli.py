@@ -25,7 +25,7 @@ from evenzeta.recursion import (
     RECURSION_MAX,
     ConsistencyError,
 )
-from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX, TREE_SUM_MAX
+from evenzeta.trees import ENUMERATION_MAX, SEQUENCE_DIGITS_MAX, TRANSFORM_MAX, TREE_SUM_MAX
 from evenzeta.verify import ALL_MAX_K, SUITES, run_suite
 from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX
 
@@ -213,6 +213,23 @@ def test_transform_sequence_file(capsys, tmp_path):
     # a leading byte-order mark is no part of line 1
     path.write_text("\ufeff1\n1\n1\n", encoding="utf-8")
     assert run(capsys, "transform", "--k", "3", "--sequence", str(path)) == (0, "2\n", "")
+
+
+def test_transform_refuses_a_sequence_file_past_its_bounds(capsys, tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_text("1\n" * (TRANSFORM_MAX + 1), encoding="utf-8")
+    code, _, err = run(capsys, "transform", "--k", "1", "--sequence", str(path))
+    assert code == 2
+    assert err == f"error: {path}:{TRANSFORM_MAX + 1}: more than {TRANSFORM_MAX} values\n"
+    path.write_text(f"1\n2/{10 ** SEQUENCE_DIGITS_MAX + 1}\n", encoding="utf-8")
+    code, _, err = run(capsys, "transform", "--k", "1", "--sequence", str(path))
+    assert code == 2
+    assert err == (
+        f"error: {path}:2: more than {SEQUENCE_DIGITS_MAX} digits in a numerator or denominator\n"
+    )
+    assert f"at most {TRANSFORM_MAX} lines of at most {SEQUENCE_DIGITS_MAX}-digit" in help_text(
+        capsys, "transform"
+    )
 
 
 def test_transform_bad_sequence_file_names_line(capsys, tmp_path):
@@ -406,6 +423,22 @@ def test_run_suite_refuses_a_non_int_max_k(name, bad):
         run_suite(name, bad)
 
 
+def test_run_suite_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match=r"^unknown suite 'nope'; choose from \['all', "):
+        run_suite("nope")
+
+
+def test_format_without_a_value_is_a_usage_error(capsys):
+    # the probe that looks for --format json cannot read it either, so the
+    # error is argparse's own usage message
+    with pytest.raises(SystemExit) as exc:
+        main(["--format"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: evenzeta ")
+    assert err.endswith("evenzeta: error: argument --format: expected one argument\n")
+
+
 def test_command_bounds_nest_in_library_bounds():
     # a command or suite bound past the library bound of a function it calls
     # at that k would turn a valid call into exit code 3
@@ -415,7 +448,7 @@ def test_command_bounds_nest_in_library_bounds():
     # and within the library: bernoulli_even -> zeta_even_rational -> double_factorial_product
     assert BERNOULLI_EVEN_MAX <= RECURSION_MAX <= DOUBLE_FACTORIAL_PRODUCT_MAX
     assert max(PK_MAX, suite["positivity"]) <= RECURSION_MAX  # translated_polynomial
-    assert suite["coeffs"] <= BASIS_COEFFICIENTS_MAX
+    assert suite["coeffs"] <= min(BASIS_COEFFICIENTS_MAX, RECURSION_MAX)  # and numerator_polynomial
     assert suite["lemma-2ni"] <= BASIS_COEFFICIENTS_MAX  # shifted_product_identity
     assert suite["fn"] <= ELEMENTARY_ZETA_MAX  # the Newton partial sums' k
     assert max(BERNOULLI_MAX["recursion"], suite["bernoulli"]) <= BERNOULLI_EVEN_MAX
@@ -572,8 +605,8 @@ REFUSALS = {
     "transform --k 2 --sequence latin1.txt": (
         {"k": 2, "sequence": "latin1.txt"}, "latin1.txt: not UTF-8 text"
     ),
-    "verify --suite all --max-k 91": (
-        {"suite": "all", "max_k": 91}, "suite 'all' accepts max_k between 1 and 90, got 91"
+    "verify --suite all --max-k 101": (
+        {"suite": "all", "max_k": 101}, "suite 'all' accepts max_k between 1 and 100, got 101"
     ),
     "verify --suite trees --max-k 151": (
         {"suite": "trees", "max_k": 151},

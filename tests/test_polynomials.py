@@ -150,6 +150,16 @@ def test_immutability():
         p.coeffs = (3,)
 
 
+def test_equal_polynomials_are_equal_keys():
+    # Fraction(4, 2) is stored as the int 2, and trailing zeros are trimmed
+    p, q = Polynomial((1, Fraction(4, 2), 0)), Polynomial([1, 2])
+    assert p == q and hash(p) == hash(q)
+    table = {p: "p"}
+    table[q] = "q"
+    assert table == {Polynomial((1, 2)): "q"}
+    assert {ZERO: 0}[Polynomial([0, 0])] == 0
+
+
 @given(st.lists(st.integers(-(10**30), 10**30) | st.sampled_from([0, -6, 12]), max_size=8))
 @example([])
 @example([0, 0])

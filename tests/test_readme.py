@@ -17,7 +17,7 @@ from evenzeta.symmetric import (
     NEWTON_GIRARD_MAX,
     VARIABLES_MAX,
 )
-from evenzeta.trees import ENUMERATION_MAX, TRANSFORM_MAX, TREE_SUM_MAX
+from evenzeta.trees import ENUMERATION_MAX, SEQUENCE_DIGITS_MAX, TRANSFORM_MAX, TREE_SUM_MAX
 from evenzeta.verify import ALL_MAX_K, SUITES
 from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX
 
@@ -32,6 +32,9 @@ ROW_BOUNDS = {
     "`bernoulli --method classical`": [BERNOULLI_MAX["classical"]],
     "`bernoulli --approx`": [BERNOULLI_APPROX_MAX],
     "`bernoulli --method tree`, `transform`": [BERNOULLI_MAX["tree"], TRANSFORM_MAX],
+    "`transform --sequence FILE`, on the digits of each numerator and denominator": [
+        SEQUENCE_DIGITS_MAX
+    ],
     "`trees --k K`": [ENUMERATION_MAX],
     "`trees --k K --list`": [TREES_LIST_MAX],
     **{

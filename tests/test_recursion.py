@@ -59,6 +59,14 @@ def apply_step(f, k):
     return Polynomial(reversed(quotient)) * Fraction(1, 2)
 
 
+def expand_basis_reference(coeffs, k):
+    """sum_i c_i * prod_{j=1}^{i} (2x - 2(k-1) + 2j+1), on Polynomial arithmetic in x."""
+    out = Polynomial()
+    for i, c in enumerate(coeffs):
+        out = out + c * factor_product(range(1, i + 1), k - 1)
+    return out
+
+
 def expand_step(s, k):
     """The replay step of the tree route on the positions s, as one
     (weight, sorted low positions) term per count j of smallest picks."""
@@ -183,6 +191,23 @@ def test_numerator_parts_read_the_cache():
         assert primitive * content == numerator_polynomial(k)
 
 
+def test_odd_content_makes_the_step_raise(monkeypatch):
+    # on a cold cache, a step whose g * c is odd would give P_2 a half-integer
+    # coefficient: it raises and commits nothing
+    monkeypatch.setattr(recursion, "_parts", [(1, ONE, 1), (1, ONE, 1)])
+    monkeypatch.setattr(recursion, "_rising", [1])
+    monkeypatch.setattr(recursion, "split_content", lambda q: (1, q))
+    with pytest.raises(recursion.ConsistencyError, match="P_2 has a non-integer coefficient"):
+        zeta_numerator(2)
+    assert len(recursion._parts) == 2 and recursion._rising == [1]
+
+
+def test_value_that_is_not_positive_raises(monkeypatch):
+    monkeypatch.setattr(recursion, "_parts", [(1, ONE, 1), (1, ONE, -1)])
+    with pytest.raises(recursion.ConsistencyError, match="positive integer at k=1, got -1"):
+        zeta_numerator(1)
+
+
 def test_wrong_double_factorial_makes_the_step_raise(monkeypatch):
     # on a cold cache the bracket of step 5 does not vanish at x = 5: the step
     # raises and commits nothing, and the cache grows on correctly afterwards
@@ -293,6 +318,17 @@ def test_basis_expansion_matches_recursion(k):
     coeffs = basis_coefficients(k)
     assert len(coeffs) == k - 1
     assert expand_basis(coeffs, k) == numerator_polynomial(k)
+
+
+@given(st.lists(st.integers(-(2**40), 2**40), max_size=10), st.integers(-20, 260))
+@example([], 2)
+@example([0, 0], 5)
+def test_expand_basis_matches_reference(coeffs, k):
+    # the Horner sum in u = x - (k-1) and its Taylor shift against the
+    # product of linear factors in x
+    got = expand_basis(tuple(coeffs), k)
+    assert got == expand_basis_reference(coeffs, k)
+    assert all(type(c) is int for c in got.coeffs)
 
 
 def test_basis_coefficients_observed_integrality():

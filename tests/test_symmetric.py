@@ -108,6 +108,11 @@ def test_variable_set_rejects_inexact_values(bad):
         VariableSet((bad, 2))
 
 
+def test_variable_set_needs_a_variable():
+    with pytest.raises(ValueError, match="^a variable set needs at least one variable$"):
+        VariableSet([])
+
+
 def test_elementary_symmetric_bounds():
     vs = VariableSet([1, 2])
     with pytest.raises(ValueError):

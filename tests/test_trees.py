@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evenzeta import trees, verify
-from evenzeta.polynomials import ONE, Polynomial
+from evenzeta.polynomials import ONE, InexactDivisionError, Polynomial
 from evenzeta.rationals import double_factorial_product
 from evenzeta.recursion import numerator_polynomial, zeta_numerator
 from evenzeta.trees import (
     ENUMERATION_MAX,
     ODD_NUMBERS,
+    SEQUENCE_DIGITS_MAX,
     TRANSFORM_MAX,
     TREE_SUM_MAX,
     PlaneTree,
@@ -202,6 +203,13 @@ def test_cold_family_under_threads(monkeypatch):
     assert got == {k: expected[k] for k in ks}
     assert trees._family == family
     assert trees._odd_weights == weights
+
+
+def test_content_that_is_not_an_integer_raises(monkeypatch):
+    # on a cold cache, G_1 with content 1/7: S_2 = 1 leaves P_2 a content of 1/7
+    monkeypatch.setattr(trees, "_family", [((1, 1), [1]), ((1, 7), [1])])
+    with pytest.raises(InexactDivisionError, match="P_2 has a non-integer content"):
+        polynomial_via_trees(2)
 
 
 def test_cached_family_is_positive_content_times_primitive():
@@ -477,3 +485,62 @@ def test_sequence_spec_from_file(tmp_path):
     latin.write_bytes(b"3\n5\xff\n")
     with pytest.raises(ValueError, match=r"^.*latin\.txt: not UTF-8 text$"):
         SequenceSpec.from_file(str(latin))
+
+    blank = tmp_path / "blank.txt"
+    blank.write_text("3\n\n5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"blank\.txt:2: blank line in sequence file$"):
+        SequenceSpec.from_file(str(blank))
+
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"empty\.txt: empty sequence file$"):
+        SequenceSpec.from_file(str(empty))
+
+
+class CountingFile:
+    """A file that records each line it hands out."""
+
+    def __init__(self, fh, lines):
+        self.fh, self.lines = fh, lines
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def readline(self, limit=-1):
+        line = self.fh.readline(limit)
+        self.lines.append(line)
+        return line
+
+
+def test_sequence_file_bounds(tmp_path, monkeypatch):
+    d = SEQUENCE_DIGITS_MAX
+    widest = f"-{'9' * d}/{'7' * d}"  # the longest line a value within the bound needs
+    path = tmp_path / "seq.txt"
+    path.write_text(f"{widest}\n" * TRANSFORM_MAX, encoding="utf-8")
+    assert SequenceSpec.from_file(str(path)) == (Fraction(widest),) * TRANSFORM_MAX
+
+    for line in (f"1{'0' * d}", f"1/1{'0' * d}", f"{'0' * d}1/{'0' * d}2"):
+        path.write_text(f"3\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"seq\.txt:2: (more than {d} digits|line longer)"):
+            SequenceSpec.from_file(str(path))
+
+    # reading stops at the bound: one line past the count, a bounded slice of a long line
+    lines = []
+    monkeypatch.setattr(
+        trees, "open", lambda *a, **kw: CountingFile(open(*a, **kw), lines), raising=False
+    )
+    path.write_text("3\n" * (TRANSFORM_MAX + 1000), encoding="utf-8")
+    past = rf"seq\.txt:{TRANSFORM_MAX + 1}: more than {TRANSFORM_MAX} values$"
+    with pytest.raises(ValueError, match=past):
+        SequenceSpec.from_file(str(path))
+    assert len(lines) == TRANSFORM_MAX + 1
+
+    lines.clear()
+    path.write_text("3\n" + "1" * 10**6 + "\n", encoding="utf-8")
+    longer = rf"seq\.txt:2: line longer than {len(widest)} characters, the longest value"
+    with pytest.raises(ValueError, match=longer):
+        SequenceSpec.from_file(str(path))
+    assert len(lines) == 2 and len(lines[1]) == len(widest) + 1
