@@ -3,44 +3,25 @@
 An operator recursion over exact rational polynomials, a weighted sum over
 plane trees, and the classical Bernoulli recursion all produce the same
 numbers; the package computes each route exactly and cross-checks them.
+
+Every name in a module's __all__ is importable from the package; the CLI
+and its verification suites (cli, verify) are not imported here.
 """
 
-from .polynomials import InexactDivisionError, Polynomial
-from .rationals import double_factorial_odd, double_factorial_product, parse_rational
-from .recursion import (
-    ConsistencyError,
-    basis_coefficients,
-    expand_basis,
-    numerator_polynomial,
-    shifted_product_identity,
-    translated_polynomial,
-    zeta_numerator,
-)
-from .symmetric import (
-    VariableSet,
-    cycle_index_elementary,
-    elementary_symmetric,
-    newton_girard_check,
-    power_sum,
-)
-from .trees import (
-    ODD_NUMBERS,
-    PlaneTree,
-    SequenceSpec,
-    TreeData,
-    catalan,
-    enumerate_trees,
-    generalized_transform,
-    polynomial_via_trees,
-    tree_data,
-)
-from .zeta import (
-    bernoulli_classical,
-    bernoulli_even,
-    elementary_zeta,
-    newton_partial_closed,
-    newton_partial_sum,
-    zeta_even_rational,
+from .polynomials import *
+from .rationals import *
+from .recursion import *
+from .symmetric import *
+from .trees import *
+from .zeta import *
+
+__all__ = (
+    polynomials.__all__
+    + rationals.__all__
+    + recursion.__all__
+    + symmetric.__all__
+    + trees.__all__
+    + zeta.__all__
 )
 
 __version__ = "0.1.0"

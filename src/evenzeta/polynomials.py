@@ -111,7 +111,7 @@ class Polynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return Polynomial(out)
-        if isinstance(other, (int, Fraction)):
+        if is_exact(other):  # a bool is not a scalar
             return Polynomial(c * other for c in self.coeffs)
         return NotImplemented
 

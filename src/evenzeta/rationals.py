@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -75,9 +76,16 @@ def double_factorial_odd(i: int) -> int:
     return math.prod(range(3, 2 * i + 2, 2))
 
 
-@lru_cache(maxsize=None)
+_tower_lock = threading.Lock()
+# prod_{i=1}^{j} (2i+1)!! at index j, grown one factor per level
+_tower: list[int] = [1]
+
+
 def double_factorial_product(k: int) -> int:
     """prod_{i=1}^{k} (2i+1)!!, the denominator tower of the even zeta values,
     for k within 0..DOUBLE_FACTORIAL_PRODUCT_MAX."""
     check_index(k, 0, DOUBLE_FACTORIAL_PRODUCT_MAX)
-    return math.prod(double_factorial_odd(i) for i in range(1, k + 1))
+    with _tower_lock:
+        while len(_tower) <= k:
+            _tower.append(_tower[-1] * double_factorial_odd(len(_tower)))
+        return _tower[k]

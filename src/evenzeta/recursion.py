@@ -67,10 +67,10 @@ __all__ = [
 # RECURSION_MAX bounds the cache, and through it
 # numerator_parts, numerator_polynomial, zeta_numerator,
 # zeta.zeta_even_rational, translated_polynomial (0.46-0.63 s at 260 with
-# half_scale=True) and the n of zeta's Newton partial sums, the
-# slowest of them: newton_partial_sum(260, 2000) took 3.3-4.0 s (261:
-# 4.0-4.1 s, 270: 3.8-4.9 s), most of it rationals.double_factorial_product
-# for each i < n.
+# half_scale=True) and the n of zeta's Newton partial sums:
+# newton_partial_sum(260, 2000) took 0.70-0.76 s (bounds lifted, 300:
+# 1.3-1.6 s, 400: 4.3-4.5 s), 1.9-2.4 s on the same host when the tower was
+# rebuilt for each i < n.
 # BASIS_COEFFICIENTS_MAX bounds basis_coefficients (280: 1.7-1.8 s; 330: 3.4-3.5 s)
 # and shifted_product_identity, the identity behind its recurrence; the
 # lemma-2ni suite, which checks every n up to it, binds it: 2.1-2.8 s at 280 (300: 4.0 s).
@@ -200,16 +200,15 @@ def basis_coefficients(k: int) -> tuple[int, ...]:
     coefficients are positive ints.  k is within 2..BASIS_COEFFICIENTS_MAX.
     """
     check_index(k, 2, BASIS_COEFFICIENTS_MAX)
+    odd = [double_factorial_odd(n) for n in range(k - 1)]  # (2n+1)!!
     content, s = 1, [1]
     for cur in range(2, k):
         s.append(0)  # S_{cur-1} = 0: the sum over m in n..cur-2 is empty
         for n in range(cur - 2, -1, -1):
             s[n] += 2 * (n + 1) * s[n + 1]
         total = 0
-        odd_df = 1
         for n in range(cur):
-            odd_df *= 2 * n + 1  # (2n+1)!!
-            total += odd_df * s[n]
+            total += odd[n] * s[n]
             s[n] = total
         suffix = 1
         for i in range(cur - 1, -1, -1):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import recursion, symmetric, trees, zeta
-from .rationals import check_int, double_factorial_product
+from .rationals import check_int
 
 __all__ = ["SUITES", "ALL_MAX_K", "run_suite", "suite_names"]
 
@@ -81,8 +81,7 @@ def _suite_trees(max_k: int) -> _Checks:
         poly = trees.polynomial_via_trees(k)
         yield f"polynomial via trees k={k}", poly, recursion.numerator_polynomial(k)
         transform = trees.generalized_transform(k)
-        numerator = Fraction(recursion.zeta_numerator(k), double_factorial_product(k))
-        yield f"numerator via trees k={k}", transform, numerator
+        yield f"numerator via trees k={k}", transform, 2 * zeta.zeta_even_rational(k)
 
 
 def _suite_coeffs(max_k: int) -> _Checks:

@@ -447,6 +447,8 @@ def test_command_bounds_nest_in_library_bounds():
     assert max(AK_MAX, ZETA_EVEN_MAX, BERNOULLI_MAX["recursion"], suite["leading"]) <= RECURSION_MAX
     # and within the library: bernoulli_even -> zeta_even_rational -> double_factorial_product
     assert BERNOULLI_EVEN_MAX <= RECURSION_MAX <= DOUBLE_FACTORIAL_PRODUCT_MAX
+    # basis_coefficients reads (2n+1)!! for n < k - 1 from double_factorial_odd
+    assert BASIS_COEFFICIENTS_MAX <= DOUBLE_FACTORIAL_PRODUCT_MAX
     assert max(PK_MAX, suite["positivity"]) <= RECURSION_MAX  # translated_polynomial
     assert suite["coeffs"] <= min(BASIS_COEFFICIENTS_MAX, RECURSION_MAX)  # and numerator_polynomial
     assert suite["lemma-2ni"] <= BASIS_COEFFICIENTS_MAX  # shifted_product_identity

@@ -51,6 +51,17 @@ def test_comparison_with_a_bool_is_false():
     assert Polynomial((1,)) == 1 and Polynomial((Fraction(1, 2),)) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("scale", [True, False, 0.5])
+def test_a_bool_or_float_is_no_scalar_factor(scale):
+    # as in the constructor and evaluate, a bool is not an exact value:
+    # p * True used to return p
+    p = Polynomial((1, 2))
+    with pytest.raises(TypeError):
+        p * scale
+    with pytest.raises(TypeError):
+        scale * p
+
+
 def test_zero_degree_sentinel():
     assert ZERO.degree is None
     assert ONE.degree == 0

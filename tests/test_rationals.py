@@ -1,10 +1,14 @@
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import evenzeta.rationals
 from evenzeta.rationals import (
     DOUBLE_FACTORIAL_PRODUCT_MAX,
     double_factorial_odd,
@@ -85,11 +89,45 @@ def test_double_factorial_product():
         )
 
 
-def test_double_factorial_product_past_recursion_limit():
-    # one product, so a cold call needs no call depth per k; a recursion
-    # through the cache ran out of stack at k = 500
-    double_factorial_product.cache_clear()
+def test_double_factorial_product_past_recursion_limit(monkeypatch):
+    # the tower grows in a loop, so a cold call needs no call depth per k; a
+    # recursion through the cache ran out of stack at k = 500
+    monkeypatch.setattr(evenzeta.rationals, "_tower", [1])
     assert double_factorial_product(500) % double_factorial_odd(500) == 0
+    assert len(evenzeta.rationals._tower) == 501
+
+
+def test_cold_tower_under_threads(monkeypatch):
+    # the tower grows under one lock: more threads than cores (on up to 32
+    # cores), released together on a cold tower, must read the same levels
+    # as one caller did, round after round
+    expected = [double_factorial_product(k) for k in range(301)]
+    count = min(os.cpu_count() or 1, 32) + 2
+    ks = [300 - 300 * i // count for i in range(count)]
+
+    def build(k):
+        start.wait()
+        got[k] = double_factorial_product(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(evenzeta.rationals, "_tower", [1])
+            # a cold (2i+1)!! is a Python call inside each level, where a
+            # thread can be switched out between reading the top and appending
+            double_factorial_odd.cache_clear()
+            got, start = {}, threading.Barrier(count, timeout=60)
+            threads = [threading.Thread(target=build, args=(k,)) for k in ks]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == {k: expected[k] for k in ks}
+            assert evenzeta.rationals._tower == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_double_factorial_product_bound():

@@ -109,6 +109,28 @@ def test_every_all_name_is_bound():
     assert {"rationals", "symmetric", "zeta"} <= checked
 
 
+LIBRARY = ("polynomials", "rationals", "recursion", "symmetric", "trees", "zeta")
+
+
+def test_package_publishes_every_module_name_once():
+    # evenzeta.__all__ is the six modules' lists and nothing else: each name
+    # is the module's own object, and no name is published twice
+    published = []
+    for short in LIBRARY:
+        module = importlib.import_module(f"evenzeta.{short}")
+        for name in module.__all__:
+            assert getattr(evenzeta, name) is getattr(module, name), (short, name)
+        published += module.__all__
+    assert sorted(evenzeta.__all__) == sorted(published)
+    assert len(set(published)) == len(published)
+    # the CLI and its suites stay out of `import evenzeta`
+    code = "import sys, evenzeta; print(sorted(m for m in sys.modules if m.startswith('evenzeta')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(["evenzeta", *(f"evenzeta.{m}" for m in LIBRARY)])
+
+
 def _float_uses(module):
     """The float(...) calls and math.pi reads in a module."""
     return [

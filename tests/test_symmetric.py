@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evenzeta import recursion, trees
+from evenzeta import rationals, recursion, trees
 from evenzeta.rationals import (
     DOUBLE_FACTORIAL_PRODUCT_MAX,
     double_factorial_odd,
@@ -228,7 +228,7 @@ def _work_done():
         len(trees._odd_weights),
         bernoulli_classical.cache_info().currsize,
         double_factorial_odd.cache_info().currsize,
-        double_factorial_product.cache_info().currsize,
+        len(rationals._tower),
     )
 
 
