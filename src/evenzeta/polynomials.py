@@ -78,7 +78,10 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its scalar, and ZERO equals 0, so each hashes as that number
+        if len(self.coeffs) > 1:
+            return hash(self.coeffs)
+        return hash(self.coeffs[0] if self.coeffs else 0)
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .polynomials import ONE, InexactDivisionError, Polynomial, split_content, taylor_shift
-from .rationals import check_index, double_factorial_odd
+from .rationals import check_index, check_int, double_factorial_odd
 
 __all__ = [
     "ConsistencyError",
@@ -231,8 +231,17 @@ def _nested_sum(coeffs: list[int], a: int, b: int) -> list[int]:
 
 def expand_basis(coeffs: Iterable[int], k: int) -> Polynomial:
     """Assemble nested-product basis coefficients back into a polynomial: the
-    sum in u = x - (k-1), whose factors are 2u + 2j+1, shifted by taylor_shift."""
-    return Polynomial(taylor_shift(_nested_sum(list(coeffs), 2, 1), 1, 1 - k))
+    sum in u = x - (k-1), whose factors are 2u + 2j+1, shifted by taylor_shift.
+
+    k is any int; coeffs holds ints, at most BASIS_COEFFICIENTS_MAX - 1 of them,
+    as many as basis_coefficients returns.  Both are checked before any work.
+    """
+    check_int(k)
+    coeffs = list(coeffs)
+    check_index(len(coeffs), 0, BASIS_COEFFICIENTS_MAX - 1, "len(coeffs)")
+    for i, c in enumerate(coeffs):
+        check_int(c, f"coeffs[{i}]")
+    return Polynomial(taylor_shift(_nested_sum(coeffs, 2, 1), 1, 1 - k))
 
 
 def shifted_product_identity(n: int) -> bool:

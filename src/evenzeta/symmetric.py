@@ -1,4 +1,4 @@
-"""Brute-force symmetric-function checks on finitely many variables.
+"""Exact symmetric-function checks on finitely many variables.
 
 Everything here works over a concrete tuple of rational variables, so the
 classical identities relating elementary symmetric functions, power sums and
@@ -10,12 +10,14 @@ e_k = (1/k!) sum_sigma sgn(sigma) prod p_{cycle lengths of sigma}, grouped
 by cycle type (the cycle-index formula, Macdonald, Symmetric Functions and
 Hall Polynomials, I.2); the tests keep the walk over all k! permutations as
 the reference it is checked against.  newton_girard_check(vars, k) returns
-the two sides (lhs, rhs) of the k-th Newton-Girard identity.
+the two sides (lhs, rhs) of the k-th Newton-Girard identity.  Each runs on
+integers over one denominator and makes its Fractions once, at the end.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .rationals import check_index, is_exact
@@ -35,26 +37,24 @@ __all__ = [
 
 # Largest k of cycle_index_elementary, the most variables a verify trial
 # draws.  Its cost does not set it: the sum runs over the partitions of k,
-# not the k! permutations (k = 30 on inverse_squares(30): 0.63 s).
+# not the k! permutations (k = 30 on inverse_squares(30): 0.12-0.16 s).
 CYCLE_INDEX_MAX = 8
 # Largest n of VariableSet.inverse_squares: n = 700000 takes 3.4-4.3 s in a
 # fresh process (2-vCPU host, Python 3.11.7), 10**6 5.1 s.
 INVERSE_SQUARES_MAX = 700_000
-# Largest k of newton_girard_check, by the same rule: k = 170 on
-# inverse_squares(170) took 3.2-3.5 s, 171 3.1-3.7 s, 180 4.1-4.6 s.  Its
-# cost is O(N k) operations on numbers that grow with k, and with N too: it
-# also bounds N, the variable count (k = 170 on inverse_squares(N): N = 170
-# 3.0 s, 180 3.6 s, 200 4.3 s, 240 7.7 s).
-NEWTON_GIRARD_MAX = 170
-# Largest N of elementary_symmetric and power_sum, whose k runs up to N:
-# k = N on inverse_squares(N) took 2.2-2.3 s and 2.3-2.5 s at N = 350, 3.4 s
-# for power_sum at 380, 3.6 s and 4.4 s at 400, 7.8 s and 10.5 s at 500.
-VARIABLES_MAX = 350
+# Largest k of newton_girard_check by the same rule, and its largest N, the
+# variable count, as k <= N: k = N on inverse_squares(N) took 2.7-3.9 s at
+# N = 230, 2.7-4.5 s at 240 and 3.3-5.3 s at 250.
+NEWTON_GIRARD_MAX = 230
+# Largest N of elementary_symmetric and power_sum, whose k runs up to N;
+# power_sum at k = N on inverse_squares(N) binds it: 2.6-3.7 s at N = 600,
+# 3.3-4.6 s at 650, 3.6-6.0 s at 700 (elementary_symmetric at 800: 0.3-0.5 s).
+VARIABLES_MAX = 600
 # Largest N of cycle_index_elementary: k = 8 on inverse_squares(N) took
-# 3.4-3.7 s at N = 4000, 4.5 s at 4500 and 5.5 s at 5000.
+# 1.9-2.8 s at N = 20000, 2.7-4.6 s at 25000 and 4.7-5.3 s at 30000.
 # INVERSE_SQUARES_MAX stays above every N bound: each is measured on
 # inverse_squares(N), and its own value is set by the cost of building the set.
-CYCLE_INDEX_VARIABLES_MAX = 4000
+CYCLE_INDEX_VARIABLES_MAX = 20_000
 
 
 class VariableSet(tuple):
@@ -82,13 +82,15 @@ class VariableSet(tuple):
         return cls(Fraction(1, m * m) for m in range(1, n + 1))
 
 
-def _elementary_row(vars: VariableSet, k: int) -> list[Fraction]:
-    """[e_0, ..., e_k] by the stable product recurrence on prod(1 + z_i t)."""
-    row = [Fraction(0)] * (k + 1)
-    row[0] = Fraction(1)
+def _elementary_row(vars: VariableSet, k: int) -> list[int]:
+    """[E_0, ..., E_k] with e_j = E_j / E_0, by the stable product recurrence
+    on prod(b + a t) over the variables z = a/b; E_0 = prod b."""
+    row = [1] + [0] * k
     for z in vars:
+        a, b = z.numerator, z.denominator
         for j in range(k, 0, -1):
-            row[j] += z * row[j - 1]
+            row[j] = b * row[j] + a * row[j - 1]
+        row[0] *= b
     return row
 
 
@@ -98,21 +100,27 @@ def elementary_symmetric(vars: VariableSet, k: int) -> Fraction:
     """
     check_index(k, 0, len(vars))
     check_index(len(vars), 1, VARIABLES_MAX, "N")
-    return _elementary_row(vars, k)[k]
+    row = _elementary_row(vars, k)
+    return Fraction(row[k], row[0])
 
 
-def _power_sum_row(vars: VariableSet, k: int) -> list[Fraction]:
-    """[p_0, ..., p_k] on integers: with every z = a_z/D over one common
-    denominator D, p_i = (sum_z a_z^i) / D^i, one Fraction per i."""
-    den = math.lcm(*(z.denominator for z in vars))
-    sums = [len(vars)] + [0] * k
-    for z in vars:
-        a = z.numerator * (den // z.denominator)
-        power = 1
-        for i in range(1, k + 1):
-            power *= a
-            sums[i] += power
-    return [Fraction(s, den**i) for i, s in enumerate(sums)]
+def _power_sums(vars: VariableSet, exponents: range) -> tuple[int, list[int]]:
+    """(D, [P_i for i in exponents]) with p_i = P_i / D^i, D the lcm of the
+    denominators.  Each z = a/b starts as (b, [a^i]); neighbours merge pairwise,
+    level by level, over the lcm of their denominators, so operands grow together."""
+    level = [(z.denominator, [z.numerator**i for i in exponents]) for z in vars]
+    while len(level) > 1:
+        merged = []
+        for (d1, s1), (d2, s2) in zip(level[::2], level[1::2]):
+            d = math.lcm(d1, d2)
+            m1, m2 = d // d1, d // d2
+            w1, w2, row = m1**exponents.start, m2**exponents.start, []
+            for x, y in zip(s1, s2):  # exponents.step is 1
+                row.append(x * w1 + y * w2)
+                w1, w2 = w1 * m1, w2 * m2
+            merged.append((d, row))
+        level = merged + level[2 * len(merged):]
+    return level[0]
 
 
 def power_sum(vars: VariableSet, k: int) -> Fraction:
@@ -121,11 +129,8 @@ def power_sum(vars: VariableSet, k: int) -> Fraction:
     within 1..VARIABLES_MAX."""
     check_index(k, 1, max(len(vars), CYCLE_INDEX_MAX))
     check_index(len(vars), 1, VARIABLES_MAX, "N")
-    return _power_sum(vars, k)
-
-
-def _power_sum(vars: VariableSet, k: int) -> Fraction:
-    return sum((z**k for z in vars), Fraction(0))
+    den, (total,) = _power_sums(vars, range(k, k + 1))
+    return Fraction(total, den**k)
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -150,21 +155,14 @@ def cycle_index_elementary(vars: VariableSet, k: int) -> Fraction:
     """
     check_index(k, 1, CYCLE_INDEX_MAX)
     check_index(len(vars), 1, CYCLE_INDEX_VARIABLES_MAX, "N")
-    psums = {j: _power_sum(vars, j) for j in range(1, k + 1)}
-    total = Fraction(0)
+    den, sums = _power_sums(vars, range(k + 1))
+    total = 0
     for parts in _partitions(k):
         mult = math.factorial(k)
-        counts: dict[int, int] = {}
-        for p in parts:
-            counts[p] = counts.get(p, 0) + 1
-        for j, m in counts.items():
+        for j, m in Counter(parts).items():
             mult //= j**m * math.factorial(m)
-        sign = -1 if (k - len(parts)) % 2 else 1
-        term = Fraction(sign * mult)
-        for p in parts:
-            term *= psums[p]
-        total += term
-    return total / math.factorial(k)
+        total += (-1) ** (k - len(parts)) * mult * math.prod(sums[p] for p in parts)
+    return Fraction(total, math.factorial(k) * den**k)
 
 
 def newton_girard_check(vars: VariableSet, k: int) -> tuple[Fraction, Fraction]:
@@ -172,18 +170,18 @@ def newton_girard_check(vars: VariableSet, k: int) -> tuple[Fraction, Fraction]:
 
         (-1)^(k-1) p_k = k e_k - sum_{i<k} (-1)^(i-1) e_{k-i} p_i
 
-    The identity holds when lhs == rhs.  One row e_0..e_k and one pass for
-    p_1..p_k on integers over a common denominator, O(N k) operations.  k is
-    within 1..min(N, NEWTON_GIRARD_MAX), and N, the variable count, within
+    The identity holds when lhs == rhs.  Both sides are ints over D^k and
+    E_0 D^k, from the rows E_0..E_k and P_0..P_k.  k is within
+    1..min(N, NEWTON_GIRARD_MAX), and N, the variable count, within
     1..NEWTON_GIRARD_MAX.
     """
     check_index(k, 1, min(len(vars), NEWTON_GIRARD_MAX))
     check_index(len(vars), 1, NEWTON_GIRARD_MAX, "N")
     e = _elementary_row(vars, k)
-    p = _power_sum_row(vars, k)
-    lhs = p[k] * (-1 if k % 2 == 0 else 1)
+    den, p = _power_sums(vars, range(k + 1))
+    # rhs times E_0 D^k, by Horner in D: k E_k D^k + sum (-1)^i E_{k-i} P_i D^(k-i)
     rhs = k * e[k]
     for i in range(1, k):
         term = e[k - i] * p[i]
-        rhs -= term if i % 2 else -term
-    return lhs, rhs
+        rhs = rhs * den + (term if i % 2 == 0 else -term)
+    return Fraction(p[k] if k % 2 else -p[k], den**k), Fraction(rhs * den, e[0] * den**k)

@@ -169,6 +169,12 @@ def test_equal_polynomials_are_equal_keys():
     table[q] = "q"
     assert table == {Polynomial((1, 2)): "q"}
     assert {ZERO: 0}[Polynomial([0, 0])] == 0
+    # a constant polynomial equals its scalar, so it is the same key
+    for c in (3, Fraction(3, 2), Fraction(4, 2), -7, 0):
+        const = Polynomial((c,))
+        assert const == c and hash(const) == hash(c)
+        assert c in {const} and const in {c}
+    assert 0 in {ZERO} and {0: "zero"}[ZERO] == "zero"
 
 
 @given(st.lists(st.integers(-(10**30), 10**30) | st.sampled_from([0, -6, 12]), max_size=8))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from evenzeta import recursion
 from evenzeta.polynomials import ONE, InexactDivisionError, Polynomial
 from evenzeta.recursion import (
+    BASIS_COEFFICIENTS_MAX,
     basis_coefficients,
     expand_basis,
     numerator_parts,
@@ -329,6 +331,33 @@ def test_expand_basis_matches_reference(coeffs, k):
     got = expand_basis(tuple(coeffs), k)
     assert got == expand_basis_reference(coeffs, k)
     assert all(type(c) is int for c in got.coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, k, error, message",
+    [
+        ([1.5, 2], 3, TypeError, "coeffs[0]=1.5 is not an int"),
+        ([2, True], 3, TypeError, "coeffs[1]=True is not an int"),
+        ([1, Fraction(2)], 3, TypeError, "coeffs[1]=Fraction(2, 1) is not an int"),
+        ([1, 2], 3.0, TypeError, "k=3.0 is not an int"),
+        ([1, 2], True, TypeError, "k=True is not an int"),
+        (
+            [1] * BASIS_COEFFICIENTS_MAX,
+            3,
+            ValueError,
+            f"len(coeffs)={BASIS_COEFFICIENTS_MAX} outside 0..{BASIS_COEFFICIENTS_MAX - 1}",
+        ),
+    ],
+)
+def test_expand_basis_refuses_bad_input(monkeypatch, coeffs, k, error, message):
+    # refused with a message that names the input, before any arithmetic
+    def no_arithmetic(*args):
+        raise AssertionError("expand_basis did arithmetic on a refused input")
+
+    monkeypatch.setattr(recursion, "_nested_sum", no_arithmetic)
+    monkeypatch.setattr(recursion, "taylor_shift", no_arithmetic)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        expand_basis(coeffs, k)
 
 
 def test_basis_coefficients_observed_integrality():

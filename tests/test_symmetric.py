@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evenzeta import rationals, recursion, trees
@@ -132,6 +132,23 @@ def test_power_sum_examples():
     assert power_sum(VariableSet([1, Fraction(1, 4)]), 2) == Fraction(17, 16)
     with pytest.raises(ValueError):
         power_sum(VariableSet([1]), 0)
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=8) | st.just(Fraction(0)),
+        min_size=1,
+        max_size=9,
+    ).map(VariableSet)
+)
+@example(VariableSet([0]))
+@example(VariableSet([0, -1, Fraction(-2, 3)]))
+@example(VariableSet([Fraction(1, 2), 0, -3, Fraction(5, 7), Fraction(-4, 9)]))
+@example(VariableSet([-2, Fraction(1, 6), 0, Fraction(-3, 4), 5, Fraction(7, 8), -1]))
+def test_power_sum_matches_the_sum_of_powers(vs):
+    # an odd variable count leaves one sum unpaired at some merge level
+    for k in range(1, max(len(vs), CYCLE_INDEX_MAX) + 1):
+        assert power_sum(vs, k) == sum(z**k for z in vs)
 
 
 def test_cycle_index_examples():
@@ -290,15 +307,18 @@ def test_newton_girard_holds(vs):
 
 
 def newton_girard_by_fractions(vars, k):
-    # the power sums as one Fraction sum per variable and index, as the
-    # check computed them before it moved to integers
+    # both sides from Fraction sums over the variables, sharing no code with
+    # the package's integer rows: p_i summed power by power, e_j by the product
+    # recurrence on prod(1 + z t)
     p = [Fraction(0)] * (k + 1)
+    e = [Fraction(1)] + [Fraction(0)] * k
     for z in vars:
         power = Fraction(1)
         for i in range(1, k + 1):
             power *= z
             p[i] += power
-    e = [elementary_symmetric(vars, i) for i in range(k + 1)]
+        for j in range(k, 0, -1):
+            e[j] += z * e[j - 1]
     rhs = k * e[k]
     for i in range(1, k):
         rhs -= (-1) ** (i - 1) * e[k - i] * p[i]
