@@ -1,12 +1,12 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored ascending (index i holds the coefficient of x^i)
-with trailing zeros trimmed; the zero polynomial is the empty tuple and its
-degree is None rather than a numeric sentinel.  Coefficients are exact:
-an integral one is stored as an ``int`` (integer polynomials run on integer
-arithmetic), any other as a reduced ``Fraction``, and a float, bool or string
-raises TypeError.  Values are immutable, so they are safe to share between
-threads and to use as dict keys.
+A Polynomial is the unique pair (content, primitive), the routes' own form:
+a positive int or reduced Fraction, and the ascending int coefficients
+(index i for x^i) with gcd 1, a nonzero last entry and every sign.  ZERO is
+(0, ()), of degree None rather than a numeric sentinel.  .coeffs is built
+when read: an integral coefficient as an ``int``, any other as a reduced
+``Fraction``.  A float, bool or string raises TypeError.  Values are
+immutable, so they are safe to share between threads and to use as dict keys.
 
 There is no polynomial division: the routes divide by (x - c) inside their
 own integer loops, and raise InexactDivisionError for a nonzero remainder,
@@ -38,96 +38,102 @@ class InexactDivisionError(ArithmeticError):
     """Raised when an exact division leaves a nonzero remainder."""
 
 
+def _scalar(q: Scalar) -> Scalar:
+    """An integral value as an int, any other as the Fraction itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Polynomial:
-    __slots__ = ("coeffs",)
+    __slots__ = ("content", "primitive")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = []
-        for c in coeffs:
-            if type(c) is not int:
-                if not is_exact(c):
-                    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
-                if c.denominator == 1:
-                    c = c.numerator
-            cs.append(c)
+        cs = list(coeffs)
+        for c in cs:
+            if not is_exact(c):
+                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        content, primitive = split_content([c.numerator * (den // c.denominator) for c in cs])
+        object.__setattr__(self, "content", _scalar(Fraction(content, den)))
+        object.__setattr__(self, "primitive", tuple(primitive))
+
+    @classmethod
+    def from_parts(cls, content: Scalar, primitive: Iterable[int]) -> "Polynomial":
+        """content * primitive from a route's own pair, checked as the module
+        docstring states; positivity rests on the content's check."""
+        primitive = tuple(primitive)
+        if not (is_exact(content) and content > 0):
+            raise ValueError(f"content {content!r} is not a positive int or Fraction")
+        ints = all(type(a) is int for a in primitive)
+        if not (ints and primitive and primitive[-1] and math.gcd(*primitive) == 1):
+            raise ValueError(f"primitive part {primitive!r} is not ints of gcd 1, nonzero last")
+        self = object.__new__(cls)
+        object.__setattr__(self, "content", _scalar(content))
+        object.__setattr__(self, "primitive", primitive)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):  # loading builds the value again through a checking constructor
+        return (Polynomial.from_parts, (self.content, self.primitive)) if self else (Polynomial, ())
+
     # -- basic structure ----------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """The ascending coefficients, trailing zeros trimmed."""
+        return tuple(_scalar(self.content * a) for a in self.primitive)
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.primitive) - 1 if self.primitive else None
 
     def coefficient(self, i: int) -> Scalar:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        return _scalar(self.content * self.primitive[i]) if 0 <= i < len(self.primitive) else 0
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.primitive)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.primitive == other.primitive and self.content == other.content
         if is_exact(other):  # a bool is not a constant polynomial
             return self == Polynomial((other,))
         return NotImplemented
 
     def __hash__(self):
         # a constant equals its scalar, and ZERO equals 0, so each hashes as that number
-        if len(self.coeffs) > 1:
-            return hash(self.coeffs)
-        return hash(self.coeffs[0] if self.coeffs else 0)
+        if len(self.primitive) > 1:
+            return hash((self.content, self.primitive))
+        return hash(self.coefficient(0))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+    # -- scalar arithmetic -----------------------------------------------------
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if not self.coeffs or not other.coeffs:
-                return ZERO
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        if is_exact(other):  # a bool is not a scalar
-            return Polynomial(c * other for c in self.coeffs)
-        return NotImplemented
+        """A scalar multiple: the scalar's size goes to the content, its sign to the primitive."""
+        if not is_exact(other):  # a bool is not a scalar, and there is no polynomial product
+            return NotImplemented
+        if not other or not self:
+            return ZERO
+        primitive = self.primitive if other > 0 else tuple(-a for a in self.primitive)
+        return Polynomial.from_parts(self.content * abs(other), primitive)
 
     __rmul__ = __mul__
 
     def evaluate(self, x0: Scalar) -> Scalar:
-        """Exact value at x0, by Horner's rule."""
+        """Exact value at x0: the content times Horner's rule on the primitive part."""
         if not is_exact(x0):
             raise TypeError(f"evaluation point {x0!r} is not an int or a Fraction")
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        for a in reversed(self.primitive):
+            acc = acc * x0 + a
+        return self.content * acc
 
     # -- canonical text / JSON forms -----------------------------------------
 

@@ -26,8 +26,8 @@ __all__ = [
     "DOUBLE_FACTORIAL_PRODUCT_MAX",
 ]
 
-# Largest k of double_factorial_product: k = 700 takes 3.1 s in a fresh
-# process (2-vCPU host, Python 3.11.7), 750 took 2.7-4.4 s and 800 5.5 s.
+# Largest k of double_factorial_product: a cold k = 700 took 1.8-2.8 s in a fresh
+# process (2-vCPU host, Python 3.11.7), 750 took 2.0-2.4 s and 800 3.5-4.7 s.
 DOUBLE_FACTORIAL_PRODUCT_MAX = 700
 
 # ASCII digits only: \d and int() also take full-width and other Unicode digits

@@ -32,11 +32,13 @@ grows R_k = (2x - 2k + 3) * R_{k-1} by one linear factor, forms the
 bracket coefficient, and divides by (x - k) synthetically, which yields q
 from the top down, so the same pass evaluates q at k + 1 by Horner.  A
 nonzero remainder raises InexactDivisionError.  Each cache entry holds
-g_k, p_k and the value p_k(k), which is both the next step's p(k) and
-what zeta_numerator scales by g_k.  The cache's step (_entry) is the only
-implementation of the operator in the package.  translated_polynomial and
-expand_basis shift with polynomials.taylor_shift, the package's only
-affine substitution; the basis half runs on int lists too.
+g_k, p_k as an int tuple and the value p_k(k), which is both the next
+step's p(k) and what zeta_numerator scales by g_k; numerator_polynomial
+hands out the pair (g_k, p_k) as a Polynomial, whose form it already is.
+The cache's step (_entry) is the only implementation of the operator in
+the package.  translated_polynomial and expand_basis shift with
+polynomials.taylor_shift, the package's only affine substitution; the
+basis half runs on int lists too.
 """
 
 from __future__ import annotations
@@ -46,12 +48,11 @@ import threading
 from fractions import Fraction
 from typing import Iterable
 
-from .polynomials import ONE, InexactDivisionError, Polynomial, split_content, taylor_shift
+from .polynomials import InexactDivisionError, Polynomial, split_content, taylor_shift
 from .rationals import check_index, check_int, double_factorial_odd
 
 __all__ = [
     "ConsistencyError",
-    "numerator_parts",
     "numerator_polynomial",
     "zeta_numerator",
     "translated_polynomial",
@@ -64,10 +65,9 @@ __all__ = [
 
 # Largest k of the recursion route: one cold call within about 4.5 s in a
 # fresh process (2-vCPU host, Python 3.11.7; README has the ranges).
-# RECURSION_MAX bounds the cache, and through it
-# numerator_parts, numerator_polynomial, zeta_numerator,
-# zeta.zeta_even_rational, translated_polynomial (0.46-0.63 s at 260 with
-# half_scale=True) and the n of zeta's Newton partial sums:
+# RECURSION_MAX bounds the cache, and through it numerator_polynomial,
+# zeta_numerator, zeta.zeta_even_rational, translated_polynomial (0.26-0.33 s
+# at 260 with half_scale=True) and the n of zeta's Newton partial sums:
 # newton_partial_sum(260, 2000) took 0.70-0.76 s (bounds lifted, 300:
 # 1.3-1.6 s, 400: 4.3-4.5 s), 1.9-2.4 s on the same host when the tower was
 # rebuilt for each i < n.
@@ -85,14 +85,14 @@ class ConsistencyError(RuntimeError):
 _cache_lock = threading.Lock()
 # P_j = g_j * p_j as the entry (g_j, p_j, p_j(j)) for j = 0 (unused), 1, 2,
 # ...: the content g_j > 0 (the gcd of P_j's coefficients), the primitive
-# part p_j and its value at x = j.
-_parts: list[tuple[int, Polynomial, int]] = [(1, ONE, 1), (1, ONE, 1)]
+# part p_j as ascending int coefficients and its value at x = j.
+_parts: list[tuple[int, tuple[int, ...], int]] = [(1, (1,), 1), (1, (1,), 1)]
 # The rising product R_j = prod_{i=1}^{j} (2x - 2j + 2i+1) of the last step
 # taken, j = len(_parts) - 2, as ascending int coefficients (R_0 = 1).
 _rising: list[int] = [1]
 
 
-def _entry(k: int) -> tuple[int, Polynomial, int]:
+def _entry(k: int) -> tuple[int, tuple[int, ...], int]:
     """(g_k, p_k, p_k(k)) with P_k = g_k * p_k, growing the cache to k.
 
     Each step is one backward pass (module docstring) with a = p_j(j)/h and
@@ -105,11 +105,11 @@ def _entry(k: int) -> tuple[int, Polynomial, int]:
     with _cache_lock:
         while len(_parts) <= k:
             j = len(_parts) - 1
-            content, primitive, fj = _parts[j]
+            content, p, fj = _parts[j]
             odd = double_factorial_odd(j)
             shared = math.gcd(fj, odd)
             a, b, c = fj // shared, odd // shared, 3 - 2 * j
-            p, m = primitive.coeffs, len(primitive.coeffs)
+            m = len(p)
             rising, q = _rising + [0], [0] * j
             acc = value = 0  # value: q(j + 1) by Horner, as q fills from the top
             for i in range(j, 0, -1):
@@ -127,28 +127,22 @@ def _entry(k: int) -> tuple[int, Polynomial, int]:
             content *= shared * divisor
             if content & 1:
                 raise ConsistencyError(f"P_{j + 1} has a non-integer coefficient")
-            _parts.append((content >> 1, Polynomial(q), value // divisor))
+            _parts.append((content >> 1, tuple(q), value // divisor))
             _rising = rising
         return _parts[k]
-
-
-def numerator_parts(k: int) -> tuple[int, Polynomial]:
-    """(g_k, p_k): the content and primitive part of the k-th polynomial, P_k =
-    g_k * p_k, from the cache, for k within 1..RECURSION_MAX.  Read these
-    where a degree, a leading coefficient or a value is all that is needed."""
-    content, primitive, _ = _entry(k)
-    return content, primitive
 
 
 def numerator_polynomial(k: int) -> Polynomial:
     """The k-th polynomial of the recursion (degree k-2), k within 1..RECURSION_MAX.
 
-    Built on each call as g_k * p_k from its cached content and primitive
-    part (module docstring): the content is exact because the step is linear
-    in f, and P_k's coefficients are integers.
+    The cached content g_k and primitive part p_k (module docstring) are
+    the value's own pair, so no coefficient is scaled: read .content and
+    .primitive where a degree, a leading coefficient or a value is all that
+    is needed.  The content is exact because the step is linear in f, and
+    P_k's coefficients are integers.
     """
-    content, primitive = numerator_parts(k)
-    return primitive * content
+    content, primitive, _ = _entry(k)
+    return Polynomial.from_parts(content, primitive)
 
 
 def zeta_numerator(k: int) -> int:
@@ -167,20 +161,13 @@ def translated_polynomial(k: int, *, half_scale: bool = False) -> Polynomial:
     in which the small cases are usually displayed.  k is within 1..RECURSION_MAX.
 
     The shift runs on the primitive part p_k of degree n, as the int Taylor
-    shift 2^n * p_k((A*x + 2k - 3)/2) with A = 1 or 2.  The content's factors
-    of 2 cancel against 2^n, what is left of 2^n is shifted out, and the
-    rest of the content multiplies each coefficient once; a coefficient that
-    2^n does not divide becomes an exact Fraction.
+    shift s = 2^n * p_k((A*x + 2k - 3)/2) with A = 1 or 2.  With c = gcd(s),
+    the result is the pair (g_k * c / 2^n, s / c).
     """
-    content, primitive = numerator_parts(k)
-    n = len(primitive.coeffs) - 1
-    shifted = taylor_shift(primitive.coeffs, 1 if half_scale else 2, 2 * k - 3, 2)
-    twos = min((content & -content).bit_length() - 1, n)  # 2^twos divides both
-    rest, drop = content >> twos, n - twos
-    mask = (1 << drop) - 1
-    return Polynomial(
-        Fraction(content * c, 1 << n) if c & mask else (c >> drop) * rest for c in shifted
-    )
+    poly = numerator_polynomial(k)
+    shifted = taylor_shift(poly.primitive, 1 if half_scale else 2, 2 * k - 3, 2)
+    c, primitive = split_content(shifted)
+    return Polynomial.from_parts(Fraction(poly.content * c, 1 << poly.degree), primitive)
 
 
 def basis_coefficients(k: int) -> tuple[int, ...]:

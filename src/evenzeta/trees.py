@@ -75,8 +75,8 @@ Value = Union[int, Fraction]
 # Largest k of each route.  ENUMERATION_MAX guards the Catalan growth of
 # tree streams; the other two keep one call within about 4.5 s end to end
 # in a fresh process (2-vCPU host, Python 3.11.7): `transform --k 240 --format
-# json` over 3-digit rationals 0.5-0.6 s, polynomial_via_trees(210) 2.9-4.2 s
-# (220: 3.8-5.0 s), nearly all of it the family G_0..G_209 (polynomial_via_trees).
+# json` over 3-digit rationals 0.5-0.6 s, polynomial_via_trees(210) 1.9-2.5 s
+# (220 took 3.8-5.0 s on older code), nearly all of it the family G_0..G_209.
 # TRANSFORM_MAX also bounds the vertex count of tree_data, which reads the same
 # positions: a 240-vertex chain, star or comb over 3-digit rationals took
 # 0.21-0.23 s (a 1000-vertex comb over 1..999 took 8.0 s in process).
@@ -370,7 +370,8 @@ def polynomial_via_trees(k: int) -> Polynomial:
         G_0 = 1,   G_d = sum_{i<d} c_{d-1-i} * G_i * prod_{j=i+1}^{d-1} w_j
 
     (by Horner in i, on content times primitive part), and P_k(x) is
-    S_k * G_{k-1}(x - (k-1)) with S_k = prod_{m=1}^{k-2} R_2...R_{m+1}.
+    S_k * G_{k-1}(x - (k-1)) with S_k = prod_{m=1}^{k-2} R_2...R_{m+1}: the
+    pair of S_k times G_{k-1}'s content and its shifted primitive part.
     """
     check_index(k, 2, TREE_SUM_MAX)
     with _cache_lock:
@@ -385,7 +386,7 @@ def polynomial_via_trees(k: int) -> Polynomial:
     content, rest = divmod(scale * gamma, gamma_den)
     if rest:
         raise InexactDivisionError(f"P_{k} has a non-integer content")
-    return Polynomial([c * content for c in taylor_shift(g, 1, 1 - k)])
+    return Polynomial.from_parts(content, taylor_shift(g, 1, 1 - k))
 
 
 def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:

@@ -107,16 +107,16 @@ def _suite_fn(max_k: int) -> _Checks:
 
 def _suite_positivity(max_k: int) -> _Checks:
     for k in range(1, max_k + 1):
-        coeffs = recursion.translated_polynomial(k).coeffs
-        yield f"translated positivity k={k}", ", ".join(str(c) for c in coeffs if c <= 0), ""
+        primitive = recursion.translated_polynomial(k).primitive
+        yield f"translated positivity k={k}", ", ".join(str(a) for a in primitive if a <= 0), ""
 
 
 def _suite_leading(max_k: int) -> _Checks:
     for k in range(2, max_k + 1):
-        content, primitive = recursion.numerator_parts(k)
-        yield f"degree k={k}", primitive.degree, k - 2
+        poly = recursion.numerator_polynomial(k)
+        yield f"degree k={k}", poly.degree, k - 2
         leading = recursion.zeta_numerator(k - 1) * 2 ** (k - 2)
-        yield f"leading coefficient k={k}", content * primitive.coeffs[-1], leading
+        yield f"leading coefficient k={k}", poly.content * poly.primitive[-1], leading
 
 
 def _suite_lemma_2ni(max_k: int) -> _Checks:
@@ -132,29 +132,28 @@ class _Suite(NamedTuple):
 
 # Each hard bound keeps `verify --suite NAME --max-k BOUND --format json`
 # within about 4.5 s end to end in a fresh process (2-vCPU host, Python
-# 3.11.7; the host's speed drifted by up to 1.5x between runs): trees 150
-# 3.6-4.2 s (160 took 4.7-5.2 s, most of it in scaling each route's P_k by
-# its content), coeffs 110 2.6-2.9 s (115 took 3.2-3.7 s, 130 5.7-7.0 s,
-# most of it expand_basis), bernoulli 240
-# 3.6-4.3 s (250 took 4.3-4.4 s), fn 800 3.6-3.9 s, positivity 180
-# 3.1-3.8 s (185 took 3.6-4.1 s), leading 0.40-0.56 s at
-# recursion.RECURSION_MAX, the largest k it can read (it checks the cached
-# content and primitive part, not a built P_k), lemma-2ni 2.1-2.8 s at
+# 3.11.7; the host's speed drifted by up to 1.5x between runs): trees 200
+# 3.3-4.0 s (210 took 4.4-5.3 s, most of it the tree family), coeffs 110
+# 2.6-2.9 s (115 took 3.2-3.7 s, 130 5.7-7.0 s, most of it expand_basis),
+# fn 800 3.6-3.9 s; bernoulli 1.6-2.0 s at zeta.BERNOULLI_EVEN_MAX, and
+# positivity 1.9-2.1 s and leading 0.40-0.56 s at recursion.RECURSION_MAX,
+# the largest k each can read (both read the content and primitive part,
+# so neither scales a coefficient); lemma-2ni 2.1-2.8 s at
 # recursion.BASIS_COEFFICIENTS_MAX, the largest n that
 # shifted_product_identity takes.  Each suite checks every k up to its
 # bound.  newton-girard and cycle-index keep 8: their random variable sets
 # have at most 8 variables, and symmetric.CYCLE_INDEX_MAX is 8.  "all" runs
 # every suite at the smaller of its max_k and the suite's bound, and has a
-# bound of its own: ALL_MAX_K 100 took 2.8-3.1 s (110 took 3.3-3.7 s).
-ALL_MAX_K = 100
+# bound of its own: ALL_MAX_K 150 took 3.4-3.8 s (160 took 4.0-5.0 s).
+ALL_MAX_K = 150
 SUITES: dict[str, _Suite] = {
     "newton-girard": _Suite(_suite_newton_girard, 8, 8),
     "cycle-index": _Suite(_suite_cycle_index, 8, 8),
-    "trees": _Suite(_suite_trees, 10, 150),
+    "trees": _Suite(_suite_trees, 10, 200),
     "coeffs": _Suite(_suite_coeffs, 12, 110),
-    "bernoulli": _Suite(_suite_bernoulli, 20, 240),
+    "bernoulli": _Suite(_suite_bernoulli, 20, zeta.BERNOULLI_EVEN_MAX),
     "fn": _Suite(_suite_fn, 10, 800),
-    "positivity": _Suite(_suite_positivity, 15, 180),
+    "positivity": _Suite(_suite_positivity, 15, recursion.RECURSION_MAX),
     "leading": _Suite(_suite_leading, 12, recursion.RECURSION_MAX),
     "lemma-2ni": _Suite(_suite_lemma_2ni, 6, recursion.BASIS_COEFFICIENTS_MAX),
 }

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .rationals import check_index, double_factorial_product, is_exact
-from .recursion import RECURSION_MAX, numerator_parts, zeta_numerator
+from .recursion import RECURSION_MAX, numerator_polynomial, zeta_numerator
 
 __all__ = [
     "elementary_zeta",
@@ -129,8 +129,7 @@ def newton_partial_closed(n: int, k: int) -> Fraction:
     check_index(n, 2, RECURSION_MAX, "n")
     check_index(k, 1, ELEMENTARY_ZETA_MAX)
     sign = 1 if n % 2 else -1
-    content, primitive = numerator_parts(n)
-    value = content * primitive.evaluate(k)
+    value = numerator_polynomial(n).evaluate(k)
     numer = math.prod(2 * k - 2 * i + 2 for i in range(1, n + 1))
     denom = 2 * math.factorial(2 * k + 1) * double_factorial_product(n - 1)
     return sign * value * Fraction(numer, denom)

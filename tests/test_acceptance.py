@@ -103,23 +103,18 @@ def test_criterion_3_bernoulli_oracle_agreement():
     _criterion("criterion 3: bernoulli oracle agreement k<=30", 5, body)
 
 
-# Every k up to TREE_SUM_MAX = 210 took 13-20 s of criterion 4's 30 s budget on
-# a 2-vCPU host whose speed drifts by up to 1.5x, most of it in scaling each
-# route's P_k by its content; up to 180 it takes 6-8 s.
-TREE_POLYNOMIAL_CHECKED = 180
-
-
+# Every k up to TREE_SUM_MAX = 210 took 3.1-4.2 s of criterion 4's 30 s
+# budget on a 2-vCPU host whose speed drifts by up to 1.5x, most of it the
+# tree family; the two routes' P_k are compared as (content, primitive) pairs.
 def test_criterion_4_tree_sum_equivalence():
-    assert TREE_POLYNOMIAL_CHECKED <= TREE_SUM_MAX
-
     def body():
-        for k in range(2, TREE_POLYNOMIAL_CHECKED + 1):
+        for k in range(2, TREE_SUM_MAX + 1):
             assert polynomial_via_trees(k) == numerator_polynomial(k)
         for k in range(1, 101):
             assert generalized_transform(k) * double_factorial_product(k) == zeta_numerator(k)
 
     _criterion(
-        f"criterion 4: tree polynomial k<={TREE_POLYNOMIAL_CHECKED}, tree numerator k<=100",
+        f"criterion 4: tree polynomial k<={TREE_SUM_MAX}, tree numerator k<=100",
         30,
         body,
     )

@@ -379,7 +379,8 @@ def test_failing_check_record(capsys, monkeypatch):
 
 
 def test_failing_positivity_record(capsys, monkeypatch):
-    # the nonpositive coefficients, joined, are the got side; none is expected
+    # the nonpositive entries of the primitive part, joined, are the got side;
+    # none is expected.  bad is 1/2 * (-1 + 6*x^2): its content is positive
     from evenzeta import recursion
     from evenzeta.polynomials import Polynomial
 
@@ -392,12 +393,12 @@ def test_failing_positivity_record(capsys, monkeypatch):
     assert suite["checks"][1] == {
         "name": "translated positivity k=2",
         "passed": False,
-        "witness": {"got": "-1/2, 0", "expected": ""},
+        "witness": {"got": "-1, 0", "expected": ""},
     }
     assert [check["passed"] for check in suite["checks"]] == [True, False, True]
     code, out, _ = run(capsys, "verify", "--suite", "positivity", "--max-k", "3")
     assert code == 1
-    assert "FAIL translated positivity k=2: {'got': '-1/2, 0', 'expected': ''}" in out.splitlines()
+    assert "FAIL translated positivity k=2: {'got': '-1, 0', 'expected': ''}" in out.splitlines()
 
 
 def test_verify_bad_bound(capsys):
@@ -499,7 +500,9 @@ SIGNED_RATIONALS = [
 # sha256 of the stdout in each format, by command.  The JSON digests were pinned
 # from the output of the code before Polynomial stored integral coefficients as
 # int, and before rational transforms ran on an integer fold; the text digests
-# from the code before each command returned its result and text lines
+# from the code before each command returned its result and text lines; the
+# untranslated and translated `pk --k 120` pairs from the code before
+# Polynomial held its content and primitive part
 GOLDEN_SHA256 = {
     "json": {
         "pk --k 30": "e2b99daf8e3dc1d9a6be40d95bde5ca649ab9d1adafee1c0cc9756615c7be908",
@@ -510,6 +513,10 @@ GOLDEN_SHA256 = {
         "ak --max 150": "4be3b7af36f45b520da16079200b9713dad1d358ddaa8d7e76c13c6680c45818",
         "pk --k 120 --translated --half-scale": (
             "19a85bcc81ba4632a6c442e42f649c93c3fa693a72958ae507239b4bd2500b99"
+        ),
+        "pk --k 120": "c0ca1a4c70063de2a63c66e7ef9c240f85f5bd68e866768eb933de18572dd2a1",
+        "pk --k 120 --translated": (
+            "c2c3c69e34d75afdfd8e339612a0248af8f6a55e324aaad2070995df7e7f526d"
         ),
         "transform --k 13": "5f4ca2438fa3dc56e71362ef3e6a4037dbbf1227b90b1b1b662bf8030b891ad7",
         "bernoulli --k 15 --method tree": (
@@ -533,6 +540,10 @@ GOLDEN_SHA256 = {
         "ak --max 150": "ffdc05f0be0a61ac77a25b837d9121c0592b226f92375d29312cc1c9a297adb0",
         "pk --k 120 --translated --half-scale": (
             "d8f75274ae26ed054c4a8f762232f5f65d65bda0fecc48e3d8286b0558dcf2a6"
+        ),
+        "pk --k 120": "e3fe877695927394aa0f6afc2f1255531d623a8440bd66a91f8c7a9d81295e11",
+        "pk --k 120 --translated": (
+            "66a17c0f52bc9b1ba40ea1bc5f9ee31a749aaf4b6450fe2c704fe2de8732d107"
         ),
         "transform --k 13": "6706619d7eaaf08c365ef8ddc42c271fae016d2e5517f960fa575b1ec8d5bfea",
         "bernoulli --k 15 --method tree": (
@@ -607,12 +618,12 @@ REFUSALS = {
     "transform --k 2 --sequence latin1.txt": (
         {"k": 2, "sequence": "latin1.txt"}, "latin1.txt: not UTF-8 text"
     ),
-    "verify --suite all --max-k 101": (
-        {"suite": "all", "max_k": 101}, "suite 'all' accepts max_k between 1 and 100, got 101"
+    "verify --suite all --max-k 151": (
+        {"suite": "all", "max_k": 151}, "suite 'all' accepts max_k between 1 and 150, got 151"
     ),
-    "verify --suite trees --max-k 151": (
-        {"suite": "trees", "max_k": 151},
-        "suite 'trees' accepts max_k between 1 and 150, got 151",
+    "verify --suite trees --max-k 201": (
+        {"suite": "trees", "max_k": 201},
+        "suite 'trees' accepts max_k between 1 and 200, got 201",
     ),
 }
 

@@ -15,7 +15,6 @@ from evenzeta.recursion import (
     BASIS_COEFFICIENTS_MAX,
     basis_coefficients,
     expand_basis,
-    numerator_parts,
     numerator_polynomial,
     shifted_product_identity,
     translated_polynomial,
@@ -37,24 +36,42 @@ SEQUENCE = [
 
 
 # Short references for the tests, sharing no code with the package's step
-# (recursion._entry) or shift (polynomials.taylor_shift).
+# (recursion._entry) or shift (polynomials.taylor_shift).  Polynomials are
+# ascending int lists here, added and multiplied by add and mul.
+
+
+def add(a, b):
+    """The sum of two ascending coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)]
+
+
+def mul(a, b):
+    """The product of two ascending coefficient lists, by schoolbook multiplication."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
 
 
 def factor_product(positions, k):
-    """prod_{n in positions} (2x - 2k + 2n+1), on Polynomial arithmetic."""
-    out = ONE
+    """prod_{n in positions} (2x - 2k + 2n+1), as an ascending int list."""
+    out = [1]
     for n in positions:
-        out = out * Polynomial((2 * n + 1 - 2 * k, 2))
+        out = mul(out, [2 * n + 1 - 2 * k, 2])
     return out
 
 
 def apply_step(f, k):
-    """The paper's k-th step operator, written out:
+    """The paper's k-th step operator on the ascending int list f, written out:
     [f(k) * prod_{i=1}^{k} (2x - 2k + 2i+1) - f(x) * (2k+1)!!] / (2x - 2k)."""
     odd = math.prod(range(3, 2 * k + 2, 2))  # (2k+1)!!
-    bracket = f.evaluate(k) * factor_product(range(1, k + 1), k) - odd * f
+    fk = sum(c * k**i for i, c in enumerate(f))
+    bracket = add([fk * c for c in factor_product(range(1, k + 1), k)], [-odd * c for c in f])
     quotient, acc = [], 0  # synthetic division by (x - k), from the top
-    for c in reversed(bracket.coeffs):
+    for c in reversed(bracket):
         acc = acc * k + c
         quotient.append(acc)
     assert quotient.pop() == 0  # the remainder
@@ -62,11 +79,11 @@ def apply_step(f, k):
 
 
 def expand_basis_reference(coeffs, k):
-    """sum_i c_i * prod_{j=1}^{i} (2x - 2(k-1) + 2j+1), on Polynomial arithmetic in x."""
-    out = Polynomial()
+    """sum_i c_i * prod_{j=1}^{i} (2x - 2(k-1) + 2j+1), on int lists in x."""
+    out = []
     for i, c in enumerate(coeffs):
-        out = out + c * factor_product(range(1, i + 1), k - 1)
-    return out
+        out = add(out, [c * a for a in factor_product(range(1, i + 1), k - 1)])
+    return Polynomial(out)
 
 
 def expand_step(s, k):
@@ -89,20 +106,22 @@ def halved_at_points(poly, a, b):
 
 
 def test_factor_product_examples():
-    assert factor_product((), 5) == ONE
-    assert factor_product((1,), 2) == Polynomial((-1, 2))
-    assert factor_product((1, 2), 3) == Polynomial((3, -8, 4))
+    assert factor_product((), 5) == [1]
+    assert factor_product((1,), 2) == [-1, 2]
+    assert factor_product((1, 2), 3) == [3, -8, 4]
+    assert add([1, 2], [3]) == [4, 2] and add([], [5, 0]) == [5, 0]
+    assert mul([-1, 2], [1, 2]) == [-1, 0, 4] and mul([1, 2], []) == []
 
 
 def test_apply_step_base_case():
-    assert apply_step(ONE, 1) == ONE
+    assert apply_step([1], 1) == ONE
 
 
 def test_apply_step_reproduces_published_translations():
     # the reference is checked against the paper's values before it checks the cache
-    p3 = apply_step(ONE, 2)
+    p3 = apply_step([1], 2)
     assert [p3.evaluate(Fraction(x + 3, 2)) for x in range(2)] == [7, 8]  # 7 + x
-    p4 = apply_step(p3, 3)
+    p4 = apply_step(p3.coeffs, 3)
     # 465 + 130x + 10x^2
     assert [p4.evaluate(Fraction(x + 5, 2)) for x in range(3)] == [465, 605, 765]
 
@@ -132,14 +151,14 @@ def test_cached_steps_match_apply_step():
     # the same pass; the reference writes the operator out, so a wrong
     # update shows here
     for k in range(1, 61):
-        assert apply_step(numerator_polynomial(k), k) == numerator_polynomial(k + 1)
+        assert apply_step(numerator_polynomial(k).coeffs, k) == numerator_polynomial(k + 1)
 
 
 def test_cold_cache_under_threads(monkeypatch):
     # the cache and its rising product grow under one lock: threads racing
     # on a cold cache must build the same polynomials as one caller did
     expected = {k: numerator_polynomial(k) for k in range(1, 41)}
-    monkeypatch.setattr(recursion, "_parts", [(1, ONE, 1), (1, ONE, 1)])
+    monkeypatch.setattr(recursion, "_parts", [(1, (1,), 1), (1, (1,), 1)])
     monkeypatch.setattr(recursion, "_rising", [1])
     got = {}
 
@@ -159,23 +178,26 @@ def test_cold_cache_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {k: expected[k] for k in ks}
-    assert [g * p for g, p, _ in recursion._parts] == [ONE] + [expected[k] for k in range(1, 41)]
+    built = [Polynomial.from_parts(g, p) for g, p, _ in recursion._parts]
+    assert built == [ONE] + [expected[k] for k in range(1, 41)]
     assert [g * v for g, _, v in recursion._parts[1:]] == [p.evaluate(k) for k, p in expected.items()]
 
 
 def test_zeta_numerator_matches_the_built_polynomial():
-    # zeta_numerator evaluates the primitive part and scales the value;
-    # numerator_polynomial scales every coefficient first
+    # zeta_numerator scales the cached value; Polynomial.evaluate runs Horner
+    # on the primitive part; the reference sums the full coefficients' terms
     for k in range(1, 121):
-        assert zeta_numerator(k) == numerator_polynomial(k).evaluate(k)
+        poly = numerator_polynomial(k)
+        assert zeta_numerator(k) == poly.evaluate(k)
+        assert zeta_numerator(k) == sum(c * k**i for i, c in enumerate(poly.coeffs))
 
 
 def test_cached_parts_are_content_times_primitive():
     numerator_polynomial(120)
     for content, primitive, _ in recursion._parts[1:121]:
         assert type(content) is int and content > 0
-        assert math.gcd(*primitive.coeffs) == 1
-        assert all(type(c) is int for c in primitive.coeffs)
+        assert type(primitive) is tuple and math.gcd(*primitive) == 1
+        assert all(type(c) is int for c in primitive)
 
 
 def test_cached_values_are_the_primitive_part_at_k():
@@ -183,20 +205,21 @@ def test_cached_values_are_the_primitive_part_at_k():
     # zeta_numerator both read it from the entry
     numerator_polynomial(120)
     for k, (_, primitive, value) in enumerate(recursion._parts[1:121], start=1):
-        assert type(value) is int and value == primitive.evaluate(k)
+        assert type(value) is int and value == sum(a * k**i for i, a in enumerate(primitive))
 
 
-def test_numerator_parts_read_the_cache():
+def test_numerator_polynomial_is_the_cached_pair():
     for k in (1, 2, 7, 60):
-        content, primitive = numerator_parts(k)
-        assert (content, primitive) == recursion._parts[k][:2]
-        assert primitive * content == numerator_polynomial(k)
+        poly = numerator_polynomial(k)
+        assert (poly.content, poly.primitive) == recursion._parts[k][:2]
+        content, primitive, _ = recursion._parts[k]
+        assert poly.coeffs == tuple(content * a for a in primitive)
 
 
 def test_odd_content_makes_the_step_raise(monkeypatch):
     # on a cold cache, a step whose g * c is odd would give P_2 a half-integer
     # coefficient: it raises and commits nothing
-    monkeypatch.setattr(recursion, "_parts", [(1, ONE, 1), (1, ONE, 1)])
+    monkeypatch.setattr(recursion, "_parts", [(1, (1,), 1), (1, (1,), 1)])
     monkeypatch.setattr(recursion, "_rising", [1])
     monkeypatch.setattr(recursion, "split_content", lambda q: (1, q))
     with pytest.raises(recursion.ConsistencyError, match="P_2 has a non-integer coefficient"):
@@ -205,7 +228,7 @@ def test_odd_content_makes_the_step_raise(monkeypatch):
 
 
 def test_value_that_is_not_positive_raises(monkeypatch):
-    monkeypatch.setattr(recursion, "_parts", [(1, ONE, 1), (1, ONE, -1)])
+    monkeypatch.setattr(recursion, "_parts", [(1, (1,), 1), (1, (1,), -1)])
     with pytest.raises(recursion.ConsistencyError, match="positive integer at k=1, got -1"):
         zeta_numerator(1)
 
@@ -214,7 +237,7 @@ def test_wrong_double_factorial_makes_the_step_raise(monkeypatch):
     # on a cold cache the bracket of step 5 does not vanish at x = 5: the step
     # raises and commits nothing, and the cache grows on correctly afterwards
     expected = [zeta_numerator(k) for k in range(1, 11)]
-    monkeypatch.setattr(recursion, "_parts", [(1, ONE, 1), (1, ONE, 1)])
+    monkeypatch.setattr(recursion, "_parts", [(1, (1,), 1), (1, (1,), 1)])
     monkeypatch.setattr(recursion, "_rising", [1])
     right = recursion.double_factorial_odd
     monkeypatch.setattr(
@@ -247,11 +270,11 @@ def test_translated_polynomial_is_the_full_shift(half_scale):
 @example(1, [1, 1, 1], 3, True)  # 2^2 does not divide every shifted coefficient
 @example(2**9 * 3, [5, -1, 2], 4, False)  # the content's twos outnumber 2^n
 def test_translated_polynomial_of_any_parts(content, coeffs, k, half_scale):
-    # integer shifting, cancelling twos and the exact Fraction fallback all
-    # agree with the full polynomial at the shifted points
+    # the integer shift, its content and a content that 2^n does not divide
+    # all agree with the full polynomial at the shifted points
     primitive = Polynomial(coeffs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "numerator_parts", lambda _: (content, primitive))
+        mp.setattr(recursion, "numerator_polynomial", lambda _: primitive * content)
         got = translated_polynomial(k, half_scale=half_scale)
     a2 = 1 if half_scale else 2
     assert got.degree == primitive.degree
@@ -262,10 +285,10 @@ def test_translated_polynomial_of_any_parts(content, coeffs, k, half_scale):
 
 def test_cache_holds_a_fraction_of_the_full_polynomials():
     # the content, shared by every coefficient of P_k, is stored once
-    def bits(poly):
-        return sum(abs(c).bit_length() for c in poly.coeffs)
+    def bits(coeffs):
+        return sum(abs(c).bit_length() for c in coeffs)
 
-    full = [bits(numerator_polynomial(k)) for k in range(1, 101)]
+    full = [bits(numerator_polynomial(k).coeffs) for k in range(1, 101)]
     cached = [g.bit_length() + bits(p) for g, p, _ in recursion._parts[1:101]]
     assert cached[-1] < full[-1] / 10
     assert sum(cached) < sum(full) / 10
@@ -305,10 +328,10 @@ def _subsets(k):
 def test_expand_step_matches_operator(k):
     # polynomial-identity oracle: assembled expansion == direct operator action
     for s in _subsets(k):
-        assembled = Polynomial()
+        assembled = []
         for weight, low in expand_step(s, k):
-            assembled = assembled + weight * factor_product(low, k)
-        assert assembled == apply_step(factor_product(s, k - 1), k)
+            assembled = add(assembled, [weight * a for a in factor_product(low, k)])
+        assert Polynomial(assembled) == apply_step(factor_product(s, k - 1), k)
 
 
 def test_basis_coefficients_seed():

@@ -75,6 +75,7 @@ VALUES = {
     "PlaneTree": (PlaneTree((1, 2, 2)), "levels"),
     "TreeData": (TreeData((1,), (2, 3), Fraction(5, 3)), "weight"),
     "SUITES entry": (verify.SUITES["trees"], "hard_max_k"),
+    "Polynomial": (Polynomial((1, Fraction(-2, 3))), "primitive"),
 }
 
 
