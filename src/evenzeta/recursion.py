@@ -48,7 +48,7 @@ import threading
 from fractions import Fraction
 from typing import Iterable
 
-from .polynomials import InexactDivisionError, Polynomial, split_content, taylor_shift
+from .polynomials import ZERO, InexactDivisionError, Polynomial, split_content, taylor_shift
 from .rationals import check_index, check_int, double_factorial_odd
 
 __all__ = [
@@ -219,6 +219,8 @@ def _nested_sum(coeffs: list[int], a: int, b: int) -> list[int]:
 def expand_basis(coeffs: Iterable[int], k: int) -> Polynomial:
     """Assemble nested-product basis coefficients back into a polynomial: the
     sum in u = x - (k-1), whose factors are 2u + 2j+1, shifted by taylor_shift.
+    The sum and the shift run on the primitive part of coeffs, and the content
+    of each multiplies into the result's content once.
 
     k is any int; coeffs holds ints, at most BASIS_COEFFICIENTS_MAX - 1 of them,
     as many as basis_coefficients returns.  Both are checked before any work.
@@ -228,7 +230,13 @@ def expand_basis(coeffs: Iterable[int], k: int) -> Polynomial:
     check_index(len(coeffs), 0, BASIS_COEFFICIENTS_MAX - 1, "len(coeffs)")
     for i, c in enumerate(coeffs):
         check_int(c, f"coeffs[{i}]")
-    return Polynomial(taylor_shift(_nested_sum(coeffs, 2, 1), 1, 1 - k))
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if not coeffs:
+        return ZERO
+    content, primitive = split_content(coeffs)
+    shifted, primitive = split_content(taylor_shift(_nested_sum(primitive, 2, 1), 1, 1 - k))
+    return Polynomial.from_parts(content * shifted, primitive)
 
 
 def shifted_product_identity(n: int) -> bool:

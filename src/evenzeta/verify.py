@@ -134,8 +134,9 @@ class _Suite(NamedTuple):
 # within about 4.5 s end to end in a fresh process (2-vCPU host, Python
 # 3.11.7; the host's speed drifted by up to 1.5x between runs): trees 200
 # 3.3-4.0 s (210 took 4.4-5.3 s, most of it the tree family), coeffs 110
-# 2.6-2.9 s (115 took 3.2-3.7 s, 130 5.7-7.0 s, most of it expand_basis),
-# fn 800 3.6-3.9 s; bernoulli 1.6-2.0 s at zeta.BERNOULLI_EVEN_MAX, and
+# 1.5-1.6 s (115 took 1.6-1.8 s and 130 2.5-2.9 s with the bound lifted; 110
+# is not yet raised to the rule), fn 800 3.6-3.9 s; bernoulli 1.6-2.0 s at
+# zeta.BERNOULLI_EVEN_MAX, and
 # positivity 1.9-2.1 s and leading 0.40-0.56 s at recursion.RECURSION_MAX,
 # the largest k each can read (both read the content and primitive part,
 # so neither scales a coefficient); lemma-2ni 2.1-2.8 s at

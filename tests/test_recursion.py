@@ -379,6 +379,7 @@ def test_expand_basis_refuses_bad_input(monkeypatch, coeffs, k, error, message):
 
     monkeypatch.setattr(recursion, "_nested_sum", no_arithmetic)
     monkeypatch.setattr(recursion, "taylor_shift", no_arithmetic)
+    monkeypatch.setattr(recursion, "split_content", no_arithmetic)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         expand_basis(coeffs, k)
 

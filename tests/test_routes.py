@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import evenzeta
 
 SRC = Path(evenzeta.__file__).parent
@@ -112,6 +114,22 @@ def test_every_all_name_is_bound():
 LIBRARY = ("polynomials", "rationals", "recursion", "symmetric", "trees", "zeta")
 
 
+def _fresh(code):
+    """What a fresh interpreter with the package on its path prints after code."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.strip())
+
+
+def _loaded(code):
+    """The evenzeta modules loaded in a fresh interpreter by `import evenzeta` and then code."""
+    return _fresh(
+        f"import sys, evenzeta; {code}; "
+        "print(sorted(m.removeprefix('evenzeta.') for m in sys.modules if m.startswith('evenzeta.')))"
+    )
+
+
 def test_package_publishes_every_module_name_once():
     # evenzeta.__all__ is the six modules' lists and nothing else: each name
     # is the module's own object, and no name is published twice
@@ -123,12 +141,38 @@ def test_package_publishes_every_module_name_once():
         published += module.__all__
     assert sorted(evenzeta.__all__) == sorted(published)
     assert len(set(published)) == len(published)
-    # the CLI and its suites stay out of `import evenzeta`
-    code = "import sys, evenzeta; print(sorted(m for m in sys.modules if m.startswith('evenzeta')))"
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(["evenzeta", *(f"evenzeta.{m}" for m in LIBRARY)])
+    # a fresh `import *` binds every name, and dir() lists each before it is read
+    star = "from evenzeta import *; print(sorted(n for n in globals() if not n.startswith('_')))"
+    assert _fresh(star) == sorted(published)
+    assert set(published) <= set(_fresh("import evenzeta; print(dir(evenzeta))"))
+    with pytest.raises(AttributeError, match="^module 'evenzeta' has no attribute 'no_such_name'$"):
+        evenzeta.no_such_name
+
+
+def test_a_name_loads_only_the_modules_before_its_own():
+    # `import evenzeta` loads no module; a name loads the modules up to its
+    # own in the search order (rationals, polynomials, recursion, trees, zeta,
+    # symmetric), so the recursion route alone compiles neither the tree route
+    # nor the zeta and symmetric-group modules.  The CLI loads every module.
+    assert _loaded("pass") == []
+    assert _loaded("evenzeta.zeta_numerator") == ["polynomials", "rationals", "recursion"]
+    assert not {"zeta", "symmetric"} & set(_loaded("evenzeta.generalized_transform"))
+    assert _loaded("import evenzeta.cli") == sorted(["cli", "verify", *LIBRARY])
+
+
+def test_library_modules_import_siblings_only_by_module():
+    # `import evenzeta` or `from . import x` in a library module would read
+    # the package while it loads and could re-enter its __getattr__, loading
+    # a sibling route; a sibling comes in only as `from .x import name`
+    for short in LIBRARY:
+        for node in ast.walk(_parse(short)):
+            if isinstance(node, ast.Import):
+                assert all(alias.name.split(".")[0] != "evenzeta" for alias in node.names), short
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:
+                    assert node.level == 1 and node.module, (short, ast.unparse(node))
+                else:
+                    assert node.module.split(".")[0] != "evenzeta", (short, ast.unparse(node))
 
 
 def _float_uses(module):
