@@ -23,6 +23,7 @@ from typing import Optional
 
 from . import trees, verify, zeta
 from .polynomials import polynomial_text
+from .rationals import no_int_str_limit
 from .recursion import RECURSION_MAX, numerator_polynomial, translated_polynomial, zeta_numerator
 
 __all__ = ["main"]
@@ -289,16 +290,8 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # A_75 and beyond pass the default 4300-digit int-to-str limit: lift it
-    # for this call only, so that a calling process keeps its own limit.
-    if not hasattr(sys, "set_int_max_str_digits"):
+    with no_int_str_limit():  # A_75 and beyond pass the default limit of 4300 digits
         return _run(argv)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _run(argv)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _run(argv: Optional[list[str]]) -> int:

@@ -4,8 +4,8 @@ Python's built-in ``int`` is the arbitrary-precision integer type and
 ``fractions.Fraction`` is the rational type: always reduced, denominator
 positive, zero stored as 0/1.  ``str(Fraction)`` already produces the
 canonical text form ("num/den", denominator omitted when 1), so this module
-only adds strict parsing, the exactness test for incoming values, and the odd
-double factorials of the zeta denominators.
+only adds strict parsing, the exactness test for incoming values, the odd
+double factorials of the zeta denominators and a lift of the int-to-str limit.
 
 No floating-point value appears anywhere on the computation path.
 """
@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -66,6 +68,19 @@ def check_index(k, lo: int, hi: int, name: str = "k") -> None:
     check_int(k, name)
     if not lo <= k <= hi:
         raise ValueError(f"{name}={k} outside {lo}..{hi}")
+
+
+@contextmanager
+def no_int_str_limit():
+    """Lift Python's int-to-str digit limit (3.11 has one) in the block; restore the caller's."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 @lru_cache(maxsize=None)

@@ -37,8 +37,9 @@ step's p(k) and what zeta_numerator scales by g_k; numerator_polynomial
 hands out the pair (g_k, p_k) as a Polynomial, whose form it already is.
 The cache's step (_entry) is the only implementation of the operator in
 the package.  translated_polynomial and expand_basis shift with
-polynomials.taylor_shift, the package's only affine substitution; the
-basis half runs on int lists too.
+polynomials.taylor_shift, the package's only affine substitution.  The basis
+half takes the same form: basis_coefficients caches its row c_0..c_{k-2} as the
+pair (content, primitive) of sum_i c_i t^i in a formal variable t.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Iterable
+from typing import Sequence
 
 from .polynomials import ZERO, InexactDivisionError, Polynomial, split_content, taylor_shift
 from .rationals import check_index, check_int, double_factorial_odd
@@ -71,7 +72,7 @@ __all__ = [
 # newton_partial_sum(260, 2000) took 0.70-0.76 s (bounds lifted, 300:
 # 1.3-1.6 s, 400: 4.3-4.5 s), 1.9-2.4 s on the same host when the tower was
 # rebuilt for each i < n.
-# BASIS_COEFFICIENTS_MAX bounds basis_coefficients (280: 1.7-1.8 s; 330: 3.4-3.5 s)
+# BASIS_COEFFICIENTS_MAX bounds basis_coefficients (280: 1.0-1.2 s; 330: 2.1-2.2 s)
 # and shifted_product_identity, the identity behind its recurrence; the
 # lemma-2ni suite, which checks every n up to it, binds it: 2.1-2.8 s at 280 (300: 4.0 s).
 RECURSION_MAX = 260
@@ -90,6 +91,8 @@ _parts: list[tuple[int, tuple[int, ...], int]] = [(1, (1,), 1), (1, (1,), 1)]
 # The rising product R_j = prod_{i=1}^{j} (2x - 2j + 2i+1) of the last step
 # taken, j = len(_parts) - 2, as ascending int coefficients (R_0 = 1).
 _rising: list[int] = [1]
+# basis_coefficients(j) as its pair (content, primitive) at j = 2, 3, ... (0, 1 unused)
+_basis: list[tuple[int, tuple[int, ...]]] = [(1, (1,))] * 3
 
 
 def _entry(k: int) -> tuple[int, tuple[int, ...], int]:
@@ -170,43 +173,42 @@ def translated_polynomial(k: int, *, half_scale: bool = False) -> Polynomial:
     return Polynomial.from_parts(Fraction(poly.content * c, 1 << poly.degree), primitive)
 
 
-def basis_coefficients(k: int) -> tuple[int, ...]:
-    """Coefficients (c_0..c_{k-2}) of the k-th polynomial in its nested-product basis.
-
-    The basis element for index i is the product of linear factors
-    prod_{j=1}^{i} (2x - 2(k-1) + 2j+1), the constant 1 for i = 0
-    (expand_basis assembles them).  Computed by the linear recurrence
+def basis_coefficients(k: int) -> Polynomial:
+    """Coefficients (c_0..c_{k-2}) of the k-th polynomial in its nested-product
+    basis as sum_i c_i * t^i in a formal variable t, the pair (content,
+    primitive); .coeffs gives the c_i.  expand_basis maps t^i to the basis
+    element prod_{j=1}^{i} (2x - 2(k-1) + 2j+1).  Computed by the recurrence
 
         c_{i,k+1} = ( prod_{j=i+1}^{k-1} (2j+3) ) * sum_{n=0}^{i} (2n+1)!! * S_n,
         S_n = sum_{m=n}^{k-2} c_{m,k} * 2^(m-n) * m!/n! = c_{n,k} + 2(n+1) * S_{n+1},
 
-    seeded with c_{0,2} = 1.  Each step is three passes over one list (S
-    backward, the prefix sums forward, the suffix products backward) on the
-    primitive part: the recurrence is linear, so each step splits off its
-    content, and the contents multiply back once, at the end.  The
-    coefficients are positive ints.  k is within 2..BASIS_COEFFICIENTS_MAX.
+    seeded with c_{0,2} = 1.  Each cached row grows the next from a copy of
+    its primitive part in three passes (S backward, prefix sums forward,
+    suffix products backward) and splits off the content: the recurrence is
+    linear.  The c_i are positive ints; k is within 2..BASIS_COEFFICIENTS_MAX.
     """
     check_index(k, 2, BASIS_COEFFICIENTS_MAX)
-    odd = [double_factorial_odd(n) for n in range(k - 1)]  # (2n+1)!!
-    content, s = 1, [1]
-    for cur in range(2, k):
-        s.append(0)  # S_{cur-1} = 0: the sum over m in n..cur-2 is empty
-        for n in range(cur - 2, -1, -1):
-            s[n] += 2 * (n + 1) * s[n + 1]
-        total = 0
-        for n in range(cur):
-            total += odd[n] * s[n]
-            s[n] = total
-        suffix = 1
-        for i in range(cur - 1, -1, -1):
-            s[i] *= suffix
-            suffix *= 2 * i + 3
-        divisor, s = split_content(s)
-        content *= divisor
-    return tuple(c * content for c in s)
+    with _cache_lock:
+        while len(_basis) <= k:
+            cur = len(_basis) - 1
+            content, row = _basis[cur]
+            s = [*row, 0]  # S_{cur-1} = 0: the sum over m in n..cur-2 is empty
+            for n in range(cur - 2, -1, -1):
+                s[n] += 2 * (n + 1) * s[n + 1]
+            total = 0
+            for n in range(cur):
+                total += double_factorial_odd(n) * s[n]
+                s[n] = total
+            suffix = 1
+            for i in range(cur - 1, -1, -1):
+                s[i] *= suffix
+                suffix *= 2 * i + 3
+            divisor, s = split_content(s)
+            _basis.append((content * divisor, tuple(s)))
+        return Polynomial.from_parts(*_basis[k])
 
 
-def _nested_sum(coeffs: list[int], a: int, b: int) -> list[int]:
+def _nested_sum(coeffs: Sequence[int], a: int, b: int) -> list[int]:
     """Ascending int coefficients in u of sum_i c_i * prod_{j=1}^{i} (a*u + 2j+b),
     by Horner's rule: c_0 + (a*u + 2+b) * (c_1 + (a*u + 4+b) * (c_2 + ...))."""
     acc: list[int] = []
@@ -216,27 +218,20 @@ def _nested_sum(coeffs: list[int], a: int, b: int) -> list[int]:
     return acc
 
 
-def expand_basis(coeffs: Iterable[int], k: int) -> Polynomial:
-    """Assemble nested-product basis coefficients back into a polynomial: the
-    sum in u = x - (k-1), whose factors are 2u + 2j+1, shifted by taylor_shift.
-    The sum and the shift run on the primitive part of coeffs, and the content
-    of each multiplies into the result's content once.
-
-    k is any int; coeffs holds ints, at most BASIS_COEFFICIENTS_MAX - 1 of them,
-    as many as basis_coefficients returns.  Both are checked before any work.
-    """
+def expand_basis(basis: Polynomial, k: int) -> Polynomial:
+    """Map t^i of basis (basis_coefficients' form) to the i-th nested product:
+    the sum in u = x - (k-1), whose factors are 2u + 2j+1, shifted by
+    taylor_shift, both on basis.primitive; the contents multiply once.  k is
+    any int, and basis a Polynomial of at most BASIS_COEFFICIENTS_MAX - 1
+    coefficients, both checked before any work."""
     check_int(k)
-    coeffs = list(coeffs)
-    check_index(len(coeffs), 0, BASIS_COEFFICIENTS_MAX - 1, "len(coeffs)")
-    for i, c in enumerate(coeffs):
-        check_int(c, f"coeffs[{i}]")
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    if not coeffs:
+    if not isinstance(basis, Polynomial):
+        raise TypeError(f"basis is a {type(basis).__name__}, not a Polynomial")
+    check_index(len(basis.primitive), 0, BASIS_COEFFICIENTS_MAX - 1, "len(basis.primitive)")
+    if not basis:
         return ZERO
-    content, primitive = split_content(coeffs)
-    shifted, primitive = split_content(taylor_shift(_nested_sum(primitive, 2, 1), 1, 1 - k))
-    return Polynomial.from_parts(content * shifted, primitive)
+    shifted, primitive = split_content(taylor_shift(_nested_sum(basis.primitive, 2, 1), 1, 1 - k))
+    return Polynomial.from_parts(basis.content * shifted, primitive)
 
 
 def shifted_product_identity(n: int) -> bool:

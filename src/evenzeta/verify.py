@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import recursion, symmetric, trees, zeta
-from .rationals import check_int
+from .rationals import check_int, no_int_str_limit
 
 __all__ = ["SUITES", "ALL_MAX_K", "run_suite", "suite_names"]
 
@@ -28,7 +28,8 @@ def _check(name: str, got, expected) -> dict:
     """A check record; a failure carries both sides as its witness."""
     if got == expected:
         return {"name": name, "passed": True}
-    witness = {"got": str(got), "expected": str(expected)}
+    with no_int_str_limit():  # run_suite may run outside the CLI, under the default limit
+        witness = {"got": str(got), "expected": str(expected)}
     return {"name": name, "passed": False, "witness": witness}
 
 
@@ -132,26 +133,22 @@ class _Suite(NamedTuple):
 
 # Each hard bound keeps `verify --suite NAME --max-k BOUND --format json`
 # within about 4.5 s end to end in a fresh process (2-vCPU host, Python
-# 3.11.7; the host's speed drifted by up to 1.5x between runs): trees 200
-# 3.3-4.0 s (210 took 4.4-5.3 s, most of it the tree family), coeffs 110
-# 1.5-1.6 s (115 took 1.6-1.8 s and 130 2.5-2.9 s with the bound lifted; 110
-# is not yet raised to the rule), fn 800 3.6-3.9 s; bernoulli 1.6-2.0 s at
-# zeta.BERNOULLI_EVEN_MAX, and
-# positivity 1.9-2.1 s and leading 0.40-0.56 s at recursion.RECURSION_MAX,
-# the largest k each can read (both read the content and primitive part,
-# so neither scales a coefficient); lemma-2ni 2.1-2.8 s at
-# recursion.BASIS_COEFFICIENTS_MAX, the largest n that
-# shifted_product_identity takes.  Each suite checks every k up to its
-# bound.  newton-girard and cycle-index keep 8: their random variable sets
-# have at most 8 variables, and symmetric.CYCLE_INDEX_MAX is 8.  "all" runs
-# every suite at the smaller of its max_k and the suite's bound, and has a
-# bound of its own: ALL_MAX_K 150 took 3.4-3.8 s (160 took 4.0-5.0 s).
-ALL_MAX_K = 150
+# 3.11.7, whose speed drifted by up to 1.5x between runs): trees 200 3.3-4.0 s
+# (210: 4.4-5.3 s, most of it the tree family), coeffs 240 3.2-4.1 s (250:
+# 4.5-4.8 s, most of it expand_basis), fn 800 3.6-3.9 s.  The others stop at
+# the largest k each can read: bernoulli 1.6-2.0 s at zeta.BERNOULLI_EVEN_MAX,
+# positivity 1.9-2.1 s and leading 0.40-0.56 s (content and primitive part, no
+# coefficient scaled) at recursion.RECURSION_MAX, and lemma-2ni 2.1-2.8 s at
+# recursion.BASIS_COEFFICIENTS_MAX.  Each suite checks every k up to its bound;
+# newton-girard and cycle-index keep 8, the most variables of their random sets
+# and symmetric.CYCLE_INDEX_MAX.  "all" runs every suite at the smaller of its
+# max_k and the suite's bound, within ALL_MAX_K: 160 took 3.1-4.3 s (170: 4.4-5.3 s).
+ALL_MAX_K = 160
 SUITES: dict[str, _Suite] = {
     "newton-girard": _Suite(_suite_newton_girard, 8, 8),
     "cycle-index": _Suite(_suite_cycle_index, 8, 8),
     "trees": _Suite(_suite_trees, 10, 200),
-    "coeffs": _Suite(_suite_coeffs, 12, 110),
+    "coeffs": _Suite(_suite_coeffs, 12, 240),
     "bernoulli": _Suite(_suite_bernoulli, 20, zeta.BERNOULLI_EVEN_MAX),
     "fn": _Suite(_suite_fn, 10, 800),
     "positivity": _Suite(_suite_positivity, 15, recursion.RECURSION_MAX),

@@ -401,6 +401,31 @@ def test_failing_positivity_record(capsys, monkeypatch):
     assert "FAIL translated positivity k=2: {'got': '-1, 0', 'expected': ''}" in out.splitlines()
 
 
+def test_run_suite_reports_a_witness_past_the_int_str_limit(monkeypatch):
+    # outside the CLI the default int-to-str limit holds: a failed check
+    # still carries both sides in full, and the limit is as it was after
+    from evenzeta import recursion
+    from evenzeta.rationals import no_int_str_limit
+
+    real = recursion.zeta_numerator
+    monkeypatch.setattr(recursion, "zeta_numerator", lambda k: real(k) + 1 if k == 200 else real(k))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        [report] = run_suite("leading", RECURSION_MAX)
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(saved)
+    failed = [check for check in report["checks"] if not check["passed"]]
+    assert report["passed"] is False
+    assert [check["name"] for check in failed] == ["leading coefficient k=201"]
+    poly = recursion.numerator_polynomial(201)
+    with no_int_str_limit():
+        got, expected = str(poly.content * poly.primitive[-1]), str((real(200) + 1) * 2**199)
+    assert failed[0]["witness"] == {"got": got, "expected": expected}
+    assert len(expected) > sys.int_info.default_max_str_digits
+
+
 def test_verify_bad_bound(capsys):
     bound = SUITES["trees"].hard_max_k
     code, _, err = run(capsys, "verify", "--suite", "trees", "--max-k", str(bound + 1))
@@ -618,8 +643,8 @@ REFUSALS = {
     "transform --k 2 --sequence latin1.txt": (
         {"k": 2, "sequence": "latin1.txt"}, "latin1.txt: not UTF-8 text"
     ),
-    "verify --suite all --max-k 151": (
-        {"suite": "all", "max_k": 151}, "suite 'all' accepts max_k between 1 and 150, got 151"
+    "verify --suite all --max-k 161": (
+        {"suite": "all", "max_k": 161}, "suite 'all' accepts max_k between 1 and 160, got 161"
     ),
     "verify --suite trees --max-k 201": (
         {"suite": "trees", "max_k": 201},

@@ -13,6 +13,7 @@ from evenzeta.rationals import (
     DOUBLE_FACTORIAL_PRODUCT_MAX,
     double_factorial_odd,
     double_factorial_product,
+    no_int_str_limit,
     parse_rational,
 )
 
@@ -142,3 +143,17 @@ def test_double_factorial_product_bound():
 def test_double_factorial_rejects_negative():
     with pytest.raises(ValueError):
         double_factorial_odd(-1)
+
+
+def test_no_int_str_limit_restores_the_callers_limit():
+    # lifted inside the block, restored after it, also when the block raises
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        with pytest.raises(ZeroDivisionError):
+            with no_int_str_limit():
+                assert len(str(10**6000)) == 6001
+                1 // 0
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)

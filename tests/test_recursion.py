@@ -86,6 +86,30 @@ def expand_basis_reference(coeffs, k):
     return Polynomial(out)
 
 
+def basis_coefficients_reference(k):
+    """The nested-product coefficients c_0..c_{k-2} of P_k as full ints, by the
+    recurrence of recursion.basis_coefficients run from c_{0,2} = 1 for this k
+    alone: three passes per step, each step's content split off and
+    multiplied back at the end."""
+    odd = [math.prod(range(3, 2 * n + 2, 2)) for n in range(k - 1)]  # (2n+1)!!
+    content, s = 1, [1]
+    for cur in range(2, k):
+        s.append(0)
+        for n in range(cur - 2, -1, -1):
+            s[n] += 2 * (n + 1) * s[n + 1]
+        total = 0
+        for n in range(cur):
+            total += odd[n] * s[n]
+            s[n] = total
+        suffix = 1
+        for i in range(cur - 1, -1, -1):
+            s[i] *= suffix
+            suffix *= 2 * i + 3
+        divisor = math.gcd(*s)
+        content, s = content * divisor, [c // divisor for c in s]
+    return tuple(c * content for c in s)
+
+
 def expand_step(s, k):
     """The replay step of the tree route on the positions s, as one
     (weight, sorted low positions) term per count j of smallest picks."""
@@ -335,40 +359,90 @@ def test_expand_step_matches_operator(k):
 
 
 def test_basis_coefficients_seed():
-    assert basis_coefficients(2) == (Fraction(1),)
+    assert basis_coefficients(2) == ONE
 
 
 @pytest.mark.parametrize("k", [3, 4, 7, 10])
 def test_basis_expansion_matches_recursion(k):
-    coeffs = basis_coefficients(k)
-    assert len(coeffs) == k - 1
-    assert expand_basis(coeffs, k) == numerator_polynomial(k)
+    basis = basis_coefficients(k)
+    assert basis.degree == k - 2
+    assert expand_basis(basis, k) == numerator_polynomial(k)
 
 
-@given(st.lists(st.integers(-(2**40), 2**40), max_size=10), st.integers(-20, 260))
+@pytest.mark.parametrize("k", [*range(2, 121), 200, 280])
+def test_basis_coefficients_match_reference(k):
+    # the cached rows, read as full coefficients, against the recurrence run
+    # from scratch for this k alone
+    assert basis_coefficients(k).coeffs == basis_coefficients_reference(k)
+
+
+def test_cold_basis_cache_in_any_order(monkeypatch):
+    # each step grows the cache under the lock from a copy of the last row:
+    # calls in descending order, and threads racing on a cold cache, must
+    # build the same pairs as one ascending caller did
+    expected = {k: basis_coefficients(k) for k in range(2, 41)}
+    cold = [(1, (1,))] * 3
+    monkeypatch.setattr(recursion, "_basis", list(cold))
+    assert {k: basis_coefficients(k) for k in range(40, 1, -1)} == expected
+    monkeypatch.setattr(recursion, "_basis", list(cold))
+    got = {}
+
+    def build(k):
+        got[k] = basis_coefficients(k)
+
+    ks = (40, 31, 22, 13)
+    threads = [threading.Thread(target=build, args=(k,)) for k in ks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {k: expected[k] for k in ks}
+    pairs = [(p.content, p.primitive) for p in expected.values()]
+    assert recursion._basis[2:] == pairs
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-(2**40), 2**40),
+            st.fractions(-(2**20), 2**20, max_denominator=2**20),
+        ),
+        max_size=10,
+    ),
+    st.integers(-20, 260),
+)
 @example([], 2)
 @example([0, 0], 5)
+@example([Fraction(1, 3), 0, Fraction(-5, 6)], 4)
 def test_expand_basis_matches_reference(coeffs, k):
     # the Horner sum in u = x - (k-1) and its Taylor shift against the
-    # product of linear factors in x
-    got = expand_basis(tuple(coeffs), k)
+    # product of linear factors in x; the map is linear, so Fraction
+    # coefficients scale only the content
+    got = expand_basis(Polynomial(coeffs), k)
     assert got == expand_basis_reference(coeffs, k)
-    assert all(type(c) is int for c in got.coeffs)
+    if all(type(c) is int for c in coeffs):
+        assert all(type(c) is int for c in got.coeffs)
 
 
 @pytest.mark.parametrize(
     "coeffs, k, error, message",
     [
-        ([1.5, 2], 3, TypeError, "coeffs[0]=1.5 is not an int"),
-        ([2, True], 3, TypeError, "coeffs[1]=True is not an int"),
-        ([1, Fraction(2)], 3, TypeError, "coeffs[1]=Fraction(2, 1) is not an int"),
-        ([1, 2], 3.0, TypeError, "k=3.0 is not an int"),
-        ([1, 2], True, TypeError, "k=True is not an int"),
+        ((1, 2), 3, TypeError, "basis is a tuple, not a Polynomial"),
+        ([1, 2], 3, TypeError, "basis is a list, not a Polynomial"),
+        (Fraction(2), 3, TypeError, "basis is a Fraction, not a Polynomial"),
+        (Polynomial([1, 2]), 3.0, TypeError, "k=3.0 is not an int"),
+        (Polynomial([1, 2]), True, TypeError, "k=True is not an int"),
         (
-            [1] * BASIS_COEFFICIENTS_MAX,
+            Polynomial([1] * BASIS_COEFFICIENTS_MAX),
             3,
             ValueError,
-            f"len(coeffs)={BASIS_COEFFICIENTS_MAX} outside 0..{BASIS_COEFFICIENTS_MAX - 1}",
+            f"len(basis.primitive)={BASIS_COEFFICIENTS_MAX} outside 0..{BASIS_COEFFICIENTS_MAX - 1}",
         ),
     ],
 )
@@ -385,10 +459,15 @@ def test_expand_basis_refuses_bad_input(monkeypatch, coeffs, k, error, message):
 
 
 def test_basis_coefficients_observed_integrality():
-    # the recurrence runs on ints, so every coefficient is a positive int
+    # the recurrence runs on ints, so every coefficient is a positive int,
+    # and each cached row is a positive content and a primitive part of
+    # positive ints with gcd 1
     for k in range(2, 41):
-        for c in basis_coefficients(k):
-            assert type(c) is int and c > 0
+        assert all(type(c) is int and c > 0 for c in basis_coefficients(k).coeffs)
+    for content, primitive in recursion._basis[2:41]:
+        assert type(content) is int and content > 0
+        assert type(primitive) is tuple and math.gcd(*primitive) == 1
+        assert all(type(c) is int and c > 0 for c in primitive)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
