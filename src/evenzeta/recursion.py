@@ -36,10 +36,11 @@ g_k, p_k as an int tuple and the value p_k(k), which is both the next
 step's p(k) and what zeta_numerator scales by g_k; numerator_polynomial
 hands out the pair (g_k, p_k) as a Polynomial, whose form it already is.
 The cache's step (_entry) is the only implementation of the operator in
-the package.  translated_polynomial and expand_basis shift with
-polynomials.taylor_shift, the package's only affine substitution.  The basis
-half takes the same form: basis_coefficients caches its row c_0..c_{k-2} as the
-pair (content, primitive) of sum_i c_i t^i in a formal variable t.
+the package.  translated_polynomial shifts with polynomials.taylor_shift, the
+package's only affine substitution.  The basis half takes the same form:
+basis_coefficients caches its row c_0..c_{k-2} as the pair (content,
+primitive) of sum_i c_i t^i in a formal variable t, and expand_basis sums the
+nested products in x by Horner's rule, with no shift.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
     "translated_polynomial",
     "basis_coefficients",
     "expand_basis",
-    "shifted_product_identity",
     "RECURSION_MAX",
     "BASIS_COEFFICIENTS_MAX",
 ]
@@ -72,11 +72,10 @@ __all__ = [
 # newton_partial_sum(260, 2000) took 0.70-0.76 s (bounds lifted, 300:
 # 1.3-1.6 s, 400: 4.3-4.5 s), 1.9-2.4 s on the same host when the tower was
 # rebuilt for each i < n.
-# BASIS_COEFFICIENTS_MAX bounds basis_coefficients (280: 1.0-1.2 s; 330: 2.1-2.2 s)
-# and shifted_product_identity, the identity behind its recurrence; the
-# lemma-2ni suite, which checks every n up to it, binds it: 2.1-2.8 s at 280 (300: 4.0 s).
+# BASIS_COEFFICIENTS_MAX bounds basis_coefficients, which alone binds it: one
+# cold call took 3.8-4.0 s at 360 (330: 2.7-2.8 s; 380: 4.5-5.0 s; 400: 5.8-6.0 s).
 RECURSION_MAX = 260
-BASIS_COEFFICIENTS_MAX = 280
+BASIS_COEFFICIENTS_MAX = 360
 
 
 class ConsistencyError(RuntimeError):
@@ -208,36 +207,26 @@ def basis_coefficients(k: int) -> Polynomial:
         return Polynomial.from_parts(*_basis[k])
 
 
-def _nested_sum(coeffs: Sequence[int], a: int, b: int) -> list[int]:
-    """Ascending int coefficients in u of sum_i c_i * prod_{j=1}^{i} (a*u + 2j+b),
-    by Horner's rule: c_0 + (a*u + 2+b) * (c_1 + (a*u + 4+b) * (c_2 + ...))."""
+def _nested_sum(coeffs: Sequence[int], b: int) -> list[int]:
+    """Ascending int coefficients in x of sum_i c_i * prod_{j=1}^{i} (2x + 2j+b),
+    by Horner's rule: c_0 + (2x + 2+b) * (c_1 + (2x + 4+b) * (c_2 + ...))."""
     acc: list[int] = []
     for i in range(len(coeffs) - 1, -1, -1):
-        acc = [a * lo + (2 * i + 2 + b) * hi for lo, hi in zip([0] + acc, acc + [0])]
+        acc = [2 * lo + (2 * i + 2 + b) * hi for lo, hi in zip([0] + acc, acc + [0])]
         acc[0] += coeffs[i]
     return acc
 
 
 def expand_basis(basis: Polynomial, k: int) -> Polynomial:
-    """Map t^i of basis (basis_coefficients' form) to the i-th nested product:
-    the sum in u = x - (k-1), whose factors are 2u + 2j+1, shifted by
-    taylor_shift, both on basis.primitive; the contents multiply once.  k is
-    any int, and basis a Polynomial of at most BASIS_COEFFICIENTS_MAX - 1
-    coefficients, both checked before any work."""
+    """Map t^i of basis (basis_coefficients' form) to the i-th nested product
+    prod_{j=1}^{i} (2x + 2j+3 - 2k), summed in x on basis.primitive; the
+    contents multiply once.  k is any int, and basis a Polynomial of at most
+    BASIS_COEFFICIENTS_MAX - 1 coefficients, both checked before any work."""
     check_int(k)
     if not isinstance(basis, Polynomial):
         raise TypeError(f"basis is a {type(basis).__name__}, not a Polynomial")
     check_index(len(basis.primitive), 0, BASIS_COEFFICIENTS_MAX - 1, "len(basis.primitive)")
     if not basis:
         return ZERO
-    shifted, primitive = split_content(taylor_shift(_nested_sum(basis.primitive, 2, 1), 1, 1 - k))
-    return Polynomial.from_parts(basis.content * shifted, primitive)
-
-
-def shifted_product_identity(n: int) -> bool:
-    """Coefficientwise check of prod_{i=1}^{n} (u + 2i+3) =
-    sum_{i=0}^{n} 2^(n-i) * (n!/i!) * prod_{j=1}^{i} (u + 2j+1),
-    for n within 0..BASIS_COEFFICIENTS_MAX."""
-    check_index(n, 0, BASIS_COEFFICIENTS_MAX, "n")
-    rhs = [2 ** (n - i) * math.factorial(n) // math.factorial(i) for i in range(n + 1)]
-    return _nested_sum([0] * n + [1], 1, 3) == _nested_sum(rhs, 1, 1)
+    content, primitive = split_content(_nested_sum(basis.primitive, 3 - 2 * k))
+    return Polynomial.from_parts(basis.content * content, primitive)

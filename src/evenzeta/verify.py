@@ -121,8 +121,16 @@ def _suite_leading(max_k: int) -> _Checks:
 
 
 def _suite_lemma_2ni(max_k: int) -> _Checks:
-    for n in range(0, max_k + 1):
-        yield f"shifted product identity n={n}", recursion.shifted_product_identity(n), True
+    # prod_{i=1}^{n} (u + 2i+3) = sum_{i=0}^{n} 2^(n-i) * n!/i! * B_i, B_i = prod_{j=1}^{i}
+    # (u + 2j+1), behind the basis recurrence, as int lists in u grown one step
+    # per n: lhs and B by one linear factor each, rhs to 2n * rhs + B_n
+    lhs = b = rhs = [1]
+    for n in range(max_k + 1):
+        if n:
+            lhs = [lo + (2 * n + 3) * hi for lo, hi in zip([0] + lhs, lhs + [0])]
+            b = [lo + (2 * n + 1) * hi for lo, hi in zip([0] + b, b + [0])]
+            rhs = [2 * n * r + c for r, c in zip(rhs + [0], b)]
+        yield f"shifted product identity n={n}", lhs, rhs
 
 
 class _Suite(NamedTuple):
@@ -134,21 +142,21 @@ class _Suite(NamedTuple):
 # Each hard bound keeps `verify --suite NAME --max-k BOUND --format json`
 # within about 4.5 s end to end in a fresh process (2-vCPU host, Python
 # 3.11.7, whose speed drifted by up to 1.5x between runs): trees 200 3.3-4.0 s
-# (210: 4.4-5.3 s, most of it the tree family), coeffs 240 3.2-4.1 s (250:
-# 4.5-4.8 s, most of it expand_basis), fn 800 3.6-3.9 s.  The others stop at
-# the largest k each can read: bernoulli 1.6-2.0 s at zeta.BERNOULLI_EVEN_MAX,
-# positivity 1.9-2.1 s and leading 0.40-0.56 s (content and primitive part, no
-# coefficient scaled) at recursion.RECURSION_MAX, and lemma-2ni 2.1-2.8 s at
-# recursion.BASIS_COEFFICIENTS_MAX.  Each suite checks every k up to its bound;
-# newton-girard and cycle-index keep 8, the most variables of their random sets
-# and symmetric.CYCLE_INDEX_MAX.  "all" runs every suite at the smaller of its
-# max_k and the suite's bound, within ALL_MAX_K: 160 took 3.1-4.3 s (170: 4.4-5.3 s).
+# (210: 4.4-5.3 s, most of it the tree family), fn 800 3.6-3.9 s.  The others stop
+# at the largest k each can read: bernoulli 1.6-2.0 s at zeta.BERNOULLI_EVEN_MAX;
+# coeffs 3.8-3.9 s, positivity 1.9-2.1 s and leading 0.40-0.56 s (content and
+# primitive part, no coefficient scaled) at recursion.RECURSION_MAX; lemma-2ni
+# 0.2 s at recursion.BASIS_COEFFICIENTS_MAX, every n the basis recurrence uses.
+# Each suite checks every k up to its bound; newton-girard and cycle-index keep 8,
+# the most variables of their random sets and symmetric.CYCLE_INDEX_MAX.  "all"
+# runs every suite at the smaller of its max_k and the suite's bound, within
+# ALL_MAX_K: 160 took 2.7-3.8 s (170: 4.6-4.7 s; 180: 5.7-6.1 s).
 ALL_MAX_K = 160
 SUITES: dict[str, _Suite] = {
     "newton-girard": _Suite(_suite_newton_girard, 8, 8),
     "cycle-index": _Suite(_suite_cycle_index, 8, 8),
     "trees": _Suite(_suite_trees, 10, 200),
-    "coeffs": _Suite(_suite_coeffs, 12, 240),
+    "coeffs": _Suite(_suite_coeffs, 12, recursion.RECURSION_MAX),
     "bernoulli": _Suite(_suite_bernoulli, 20, zeta.BERNOULLI_EVEN_MAX),
     "fn": _Suite(_suite_fn, 10, 800),
     "positivity": _Suite(_suite_positivity, 15, recursion.RECURSION_MAX),

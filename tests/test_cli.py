@@ -477,7 +477,8 @@ def test_command_bounds_nest_in_library_bounds():
     assert BASIS_COEFFICIENTS_MAX <= DOUBLE_FACTORIAL_PRODUCT_MAX
     assert max(PK_MAX, suite["positivity"]) <= RECURSION_MAX  # translated_polynomial
     assert suite["coeffs"] <= min(BASIS_COEFFICIENTS_MAX, RECURSION_MAX)  # and numerator_polynomial
-    assert suite["lemma-2ni"] <= BASIS_COEFFICIENTS_MAX  # shifted_product_identity
+    # lemma-2ni checks the identity behind basis_coefficients' recurrence at every n it uses
+    assert suite["lemma-2ni"] <= BASIS_COEFFICIENTS_MAX
     assert suite["fn"] <= ELEMENTARY_ZETA_MAX  # the Newton partial sums' k
     assert max(BERNOULLI_MAX["recursion"], suite["bernoulli"]) <= BERNOULLI_EVEN_MAX
     assert 2 * max(BERNOULLI_MAX["classical"], suite["bernoulli"]) <= BERNOULLI_CLASSICAL_MAX
@@ -548,6 +549,12 @@ GOLDEN_SHA256 = {
             "abdde435615b3e08a39e25e7d5b133f4d694c6e3eb22a81ae7b7f9db4b5c7a1e"
         ),
         "verify --suite all": "24c5c1ebb9400f62f7d2a665a8ac79c39f3412e613fec4ca4cf69ee09f6bcc1c",
+        "verify --suite lemma-2ni --max-k 280": (
+            "22b388870737066175b18dec2ce2fbff5650c258472d03886ad9222695928711"
+        ),
+        "verify --suite coeffs --max-k 120": (
+            "7ec1c2bb968e3993ca83bf17d59db27dd6c595e32ada66d7f06c76a559b40513"
+        ),
         "transform --k 13 --sequence signed.txt": (
             "c0064b0408a49dfe24152a6725c348912d13f5541209d11d1fe19a502984ea72"
         ),

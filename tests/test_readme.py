@@ -56,7 +56,7 @@ ROW_BOUNDS = {
     "the Newton partial sums' `n`": [
         RECURSION_MAX
     ],
-    "`basis_coefficients(k)`, `shifted_product_identity(n)`": [BASIS_COEFFICIENTS_MAX],
+    "`basis_coefficients(k)`": [BASIS_COEFFICIENTS_MAX],
     "`elementary_zeta(k)`, `bernoulli_from_zeta(k, c)`, the Newton partial sums' `k`": [
         ELEMENTARY_ZETA_MAX
     ],

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from evenzeta import recursion
+from evenzeta import recursion, verify
 from evenzeta.polynomials import ONE, InexactDivisionError, Polynomial
 from evenzeta.recursion import (
     BASIS_COEFFICIENTS_MAX,
     basis_coefficients,
     expand_basis,
     numerator_polynomial,
-    shifted_product_identity,
     translated_polynomial,
     zeta_numerator,
 )
@@ -108,6 +107,18 @@ def basis_coefficients_reference(k):
         divisor = math.gcd(*s)
         content, s = content * divisor, [c // divisor for c in s]
     return tuple(c * content for c in s)
+
+
+def shifted_product_identity_reference(n):
+    """sum_{i=0}^{n} 2^(n-i) * n!/i! * prod_{j=1}^{i} (u + 2j+1), the closed
+    form of prod_{i=1}^{n} (u + 2i+3) behind the recurrence of
+    recursion.basis_coefficients, as an ascending int list in u."""
+    out, b = [], [1]
+    for i in range(n + 1):
+        if i:
+            b = mul(b, [2 * i + 1, 1])
+        out = add(out, [2 ** (n - i) * math.factorial(n) // math.factorial(i) * c for c in b])
+    return out
 
 
 def expand_step(s, k):
@@ -421,9 +432,8 @@ def test_cold_basis_cache_in_any_order(monkeypatch):
 @example([0, 0], 5)
 @example([Fraction(1, 3), 0, Fraction(-5, 6)], 4)
 def test_expand_basis_matches_reference(coeffs, k):
-    # the Horner sum in u = x - (k-1) and its Taylor shift against the
-    # product of linear factors in x; the map is linear, so Fraction
-    # coefficients scale only the content
+    # the Horner sum in x against the product of linear factors in x; the
+    # map is linear, so Fraction coefficients scale only the content
     got = expand_basis(Polynomial(coeffs), k)
     assert got == expand_basis_reference(coeffs, k)
     if all(type(c) is int for c in coeffs):
@@ -452,7 +462,6 @@ def test_expand_basis_refuses_bad_input(monkeypatch, coeffs, k, error, message):
         raise AssertionError("expand_basis did arithmetic on a refused input")
 
     monkeypatch.setattr(recursion, "_nested_sum", no_arithmetic)
-    monkeypatch.setattr(recursion, "taylor_shift", no_arithmetic)
     monkeypatch.setattr(recursion, "split_content", no_arithmetic)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         expand_basis(coeffs, k)
@@ -470,9 +479,13 @@ def test_basis_coefficients_observed_integrality():
         assert all(type(c) is int and c > 0 for c in primitive)
 
 
-@pytest.mark.parametrize("n", range(0, 9))
+@pytest.mark.parametrize("n", range(0, 41))
 def test_shifted_product_identity(n):
-    assert shifted_product_identity(n)
+    # the lemma-2ni suite grows both sides one factor per n; at each n of a
+    # run to 40 both equal the closed form
+    name, lhs, rhs = list(verify._suite_lemma_2ni(40))[n]
+    assert name == f"shifted product identity n={n}"
+    assert lhs == rhs == shifted_product_identity_reference(n)
 
 
 def test_bounds():

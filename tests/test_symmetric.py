@@ -18,7 +18,6 @@ from evenzeta.recursion import (
     RECURSION_MAX,
     basis_coefficients,
     numerator_polynomial,
-    shifted_product_identity,
     translated_polynomial,
     zeta_numerator,
 )
@@ -214,7 +213,6 @@ INDEXED = {
     "zeta_numerator": (zeta_numerator, 1, RECURSION_MAX, "k"),
     "translated_polynomial": (translated_polynomial, 1, RECURSION_MAX, "k"),
     "basis_coefficients": (basis_coefficients, 2, BASIS_COEFFICIENTS_MAX, "k"),
-    "shifted_product_identity": (shifted_product_identity, 0, BASIS_COEFFICIENTS_MAX, "n"),
     "catalan": (catalan, 0, TRANSFORM_MAX - 1, "n"),
     "enumerate_trees": (lambda k: next(enumerate_trees(k)), 1, ENUMERATION_MAX, "k"),
     "polynomial_via_trees": (polynomial_via_trees, 2, TREE_SUM_MAX, "k"),
