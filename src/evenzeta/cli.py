@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from . import trees, verify, zeta
@@ -46,6 +46,13 @@ BERNOULLI_MAX = {
 }
 BERNOULLI_APPROX_MAX = 129
 TREES_LIST_MAX = 11
+
+# pi to 80 decimals, exactly: --approx rounds zeta(2k) = coefficient * pi^(2k)
+# to a float once, where float(pi) ** (2k) carries pi's rounding error 2k times
+_PI = Fraction(
+    "3.14159265358979323846264338327950288419716939937510"
+    "582097494459230781640628620899"
+)
 
 
 class _Refusal(Exception):
@@ -124,7 +131,7 @@ def _cmd_zeta_even(args):
     result = {"coefficient": str(coeff), "pi_power": power, "text": text}
     lines = [text]
     if args.approx:
-        result["approx"] = float(coeff) * math.pi**power
+        result["approx"] = float(coeff * _PI**power)
         lines.append(f"~= {result['approx']}")
     return result, lines
 

@@ -6,11 +6,13 @@ a positive int or reduced Fraction, and the ascending int coefficients
 (0, ()), of degree None rather than a numeric sentinel.  .coeffs is built
 when read: an integral coefficient as an ``int``, any other as a reduced
 ``Fraction``.  A float, bool or string raises TypeError.  Values are
-immutable, so they are safe to share between threads and to use as dict keys.
+immutable, so they are safe to share between threads and to use as dict keys;
+== and the hash are the pair's, so a constant equals no scalar.
 
-There is no polynomial division: the routes divide by (x - c) inside their
-own integer loops, and raise InexactDivisionError for a nonzero remainder,
-an internal consistency violation rather than something to truncate.
+There is no arithmetic: the routes add, multiply and divide by (x - c) on
+int lists inside their own loops, and raise InexactDivisionError for a
+nonzero remainder, an internal consistency violation rather than something
+to truncate.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "polynomial_text",
     "split_content",
     "taylor_shift",
-    "ONE",
     "ZERO",
 ]
 
@@ -91,40 +92,19 @@ class Polynomial:
         """Degree, or None for the zero polynomial."""
         return len(self.primitive) - 1 if self.primitive else None
 
-    def coefficient(self, i: int) -> Scalar:
-        return _scalar(self.content * self.primitive[i]) if 0 <= i < len(self.primitive) else 0
-
     def __bool__(self) -> bool:
         return bool(self.primitive)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.primitive == other.primitive and self.content == other.content
-        if is_exact(other):  # a bool is not a constant polynomial
-            return self == Polynomial((other,))
         return NotImplemented
 
     def __hash__(self):
-        # a constant equals its scalar, and ZERO equals 0, so each hashes as that number
-        if len(self.primitive) > 1:
-            return hash((self.content, self.primitive))
-        return hash(self.coefficient(0))
+        return hash((self.content, self.primitive))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
-
-    # -- scalar arithmetic -----------------------------------------------------
-
-    def __mul__(self, other) -> "Polynomial":
-        """A scalar multiple: the scalar's size goes to the content, its sign to the primitive."""
-        if not is_exact(other):  # a bool is not a scalar, and there is no polynomial product
-            return NotImplemented
-        if not other or not self:
-            return ZERO
-        primitive = self.primitive if other > 0 else tuple(-a for a in self.primitive)
-        return Polynomial.from_parts(self.content * abs(other), primitive)
-
-    __rmul__ = __mul__
 
     def evaluate(self, x0: Scalar) -> Scalar:
         """Exact value at x0: the content times Horner's rule on the primitive part."""
@@ -196,4 +176,3 @@ def polynomial_text(strings: list[str]) -> str:
 
 
 ZERO = Polynomial()
-ONE = Polynomial((1,))

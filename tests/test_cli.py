@@ -27,7 +27,12 @@ from evenzeta.recursion import (
 )
 from evenzeta.trees import ENUMERATION_MAX, SEQUENCE_DIGITS_MAX, TRANSFORM_MAX, TREE_SUM_MAX
 from evenzeta.verify import ALL_MAX_K, SUITES, run_suite
-from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX
+from evenzeta.zeta import (
+    BERNOULLI_CLASSICAL_MAX,
+    BERNOULLI_EVEN_MAX,
+    ELEMENTARY_ZETA_MAX,
+    zeta_even_rational,
+)
 
 PUBLISHED_SEQUENCE = [
     "1",
@@ -106,6 +111,34 @@ def test_zeta_even_approx(capsys):
     lines = out.splitlines()
     assert lines[0] == "1/6 * pi^2"
     assert lines[1].startswith("~= 1.644934")
+
+
+def machin_pi(digits):
+    """pi within 10^-digits, by Machin's formula on ints: 16 atan(1/5) - 4 atan(1/239)."""
+    one = 10 ** (digits + 10)
+
+    def atan_inverse(x):
+        total = term = one // x
+        n, sign = 1, 1
+        while term:
+            term //= x * x
+            n, sign = n + 2, -sign
+            total += sign * (term // n)
+        return total
+
+    return Fraction(16 * atan_inverse(5) - 4 * atan_inverse(239), one)
+
+
+def test_zeta_even_approx_rounds_the_exact_value_once(capsys):
+    # float(pi) ** (2k) carried pi's rounding error 2k times: --k 40 printed
+    # 0.9999999999999969, though zeta(2k) > 1
+    pi_ref = machin_pi(150)
+    pi_power = Fraction(1)  # pi_ref^(2k)
+    for k in range(1, ZETA_EVEN_MAX + 1):
+        pi_power *= pi_ref**2
+        code, out, _ = run(capsys, "zeta-even", "--k", str(k), "--approx")
+        expected = float(zeta_even_rational(k) * pi_power)
+        assert (code, out.splitlines()[1]) == (0, f"~= {expected}") and expected >= 1, k
 
 
 @pytest.mark.parametrize(
@@ -528,7 +561,9 @@ SIGNED_RATIONALS = [
 # int, and before rational transforms ran on an integer fold; the text digests
 # from the code before each command returned its result and text lines; the
 # untranslated and translated `pk --k 120` pairs from the code before
-# Polynomial held its content and primitive part
+# Polynomial held its content and primitive part; the `zeta-even --k 40
+# --approx` pair from the code that first rounded the exact value once (the
+# older pair pinned 0.9999999999999969, from float(pi) ** 80)
 GOLDEN_SHA256 = {
     "json": {
         "pk --k 30": "e2b99daf8e3dc1d9a6be40d95bde5ca649ab9d1adafee1c0cc9756615c7be908",
@@ -559,7 +594,7 @@ GOLDEN_SHA256 = {
             "c0064b0408a49dfe24152a6725c348912d13f5541209d11d1fe19a502984ea72"
         ),
         "zeta-even --k 40 --approx": (
-            "bf0226444ca48050dec19f8ead032a51594366bf3447771879a110acd3b8542a"
+            "e5942951f4daf9cc492aef62a8cf6be54e6d4229b7667b0ebd1ffd9ba787034f"
         ),
         "trees --k 9 --list": "ae4c43c12287758c297ecc976e93b6233f50a46b66e38ca414dc6f280d949d46",
     },
@@ -586,7 +621,7 @@ GOLDEN_SHA256 = {
             "1dc15597aefe4a7c271f1cb270435c3bc380dba539217a8e623105ba2fa05729"
         ),
         "zeta-even --k 40 --approx": (
-            "8c5d0bdb696d9fcd5ebf548dcbe2b284ec0f9705c510e613668a1d73b7309690"
+            "016872485ef95ff7712ac935c6ba481a411abec20a9807576bca09a17b061622"
         ),
         "trees --k 9 --list": "3962f54200b31d62b6acb16010b2a40e2a5d7084d21877cf87c7508221523d65",
     },

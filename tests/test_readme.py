@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+import evenzeta
 from evenzeta.cli import (
     AK_MAX,
     BERNOULLI_APPROX_MAX,
@@ -86,3 +87,18 @@ def test_readme_bounds_table_matches_constants():
     assert sorted(rows) == sorted(ROW_BOUNDS)
     for first, constants in ROW_BOUNDS.items():
         assert constants == [rows[first]] * len(constants), first
+
+
+def library_examples() -> list[list[str]]:
+    """The [code, comment] pairs of the `code  # comment` lines in README's Library block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    return [line.split("  # ", 1) for line in block.splitlines() if "  # " in line]
+
+
+def test_readme_library_comments_state_the_values():
+    examples = library_examples()
+    assert len(examples) == 7
+    for code, comment in examples:
+        value = eval(code, {"ez": evenzeta})
+        assert comment.startswith((str(value), repr(value))), (code, comment)

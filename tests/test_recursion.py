@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evenzeta import recursion, verify
-from evenzeta.polynomials import ONE, InexactDivisionError, Polynomial
+from evenzeta.polynomials import InexactDivisionError, Polynomial
 from evenzeta.recursion import (
     BASIS_COEFFICIENTS_MAX,
     basis_coefficients,
@@ -74,7 +74,7 @@ def apply_step(f, k):
         acc = acc * k + c
         quotient.append(acc)
     assert quotient.pop() == 0  # the remainder
-    return Polynomial(reversed(quotient)) * Fraction(1, 2)
+    return Polynomial(Fraction(c, 2) for c in reversed(quotient))
 
 
 def expand_basis_reference(coeffs, k):
@@ -149,7 +149,7 @@ def test_factor_product_examples():
 
 
 def test_apply_step_base_case():
-    assert apply_step([1], 1) == ONE
+    assert apply_step([1], 1) == Polynomial((1,))
 
 
 def test_apply_step_reproduces_published_translations():
@@ -162,8 +162,8 @@ def test_apply_step_reproduces_published_translations():
 
 
 def test_numerator_polynomial_values():
-    assert numerator_polynomial(1) == ONE
-    assert numerator_polynomial(2) == ONE
+    assert numerator_polynomial(1) == Polynomial((1,))
+    assert numerator_polynomial(2) == Polynomial((1,))
     assert translated_polynomial(5, half_scale=True) == Polynomial(
         (360045, 142695, 19845, 945)
     )
@@ -214,7 +214,7 @@ def test_cold_cache_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert got == {k: expected[k] for k in ks}
     built = [Polynomial.from_parts(g, p) for g, p, _ in recursion._parts]
-    assert built == [ONE] + [expected[k] for k in range(1, 41)]
+    assert built == [Polynomial((1,))] + [expected[k] for k in range(1, 41)]
     assert [g * v for g, _, v in recursion._parts[1:]] == [p.evaluate(k) for k, p in expected.items()]
 
 
@@ -307,13 +307,13 @@ def test_translated_polynomial_is_the_full_shift(half_scale):
 def test_translated_polynomial_of_any_parts(content, coeffs, k, half_scale):
     # the integer shift, its content and a content that 2^n does not divide
     # all agree with the full polynomial at the shifted points
-    primitive = Polynomial(coeffs)
+    full = Polynomial([content * c for c in coeffs])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "numerator_polynomial", lambda _: primitive * content)
+        mp.setattr(recursion, "numerator_polynomial", lambda _: full)
         got = translated_polynomial(k, half_scale=half_scale)
     a2 = 1 if half_scale else 2
-    assert got.degree == primitive.degree
-    assert halved_at_points(got, 2, 0) == halved_at_points(primitive * content, a2, 2 * k - 3)
+    assert got.degree == full.degree
+    assert halved_at_points(got, 2, 0) == halved_at_points(full, a2, 2 * k - 3)
     for c in got.coeffs:
         assert type(c) is int or c.denominator > 1
 
@@ -337,7 +337,7 @@ def test_degree_and_leading_coefficient():
 
 
 def test_translated_positivity():
-    assert translated_polynomial(2) == ONE
+    assert translated_polynomial(2) == Polynomial((1,))
     assert translated_polynomial(3) == Polynomial((7, 2))
     assert translated_polynomial(3, half_scale=True) == Polynomial((7, 1))
     for k in range(1, 16):
@@ -370,7 +370,7 @@ def test_expand_step_matches_operator(k):
 
 
 def test_basis_coefficients_seed():
-    assert basis_coefficients(2) == ONE
+    assert basis_coefficients(2) == Polynomial((1,))
 
 
 @pytest.mark.parametrize("k", [3, 4, 7, 10])

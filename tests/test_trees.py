@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evenzeta import trees, verify
-from evenzeta.polynomials import ONE, InexactDivisionError, Polynomial
+from evenzeta.polynomials import InexactDivisionError, Polynomial
 from evenzeta.rationals import double_factorial_product
 from evenzeta.recursion import numerator_polynomial, zeta_numerator
 from evenzeta.trees import (
@@ -174,7 +174,7 @@ def test_bound_message_counts_no_trees(call, lo, hi):
 
 
 def test_polynomial_via_trees_base_case():
-    assert polynomial_via_trees(2) == ONE
+    assert polynomial_via_trees(2) == Polynomial((1,))
 
 
 def test_cold_family_under_threads(monkeypatch):
