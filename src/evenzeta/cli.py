@@ -21,9 +21,9 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import trees, verify, zeta
+from . import plane_trees, trees, verify, zeta
 from .polynomials import polynomial_text
-from .rationals import no_int_str_limit
+from .rationals import no_int_str_limit, parse_rational
 from .recursion import RECURSION_MAX, numerator_polynomial, translated_polynomial, zeta_numerator
 
 __all__ = ["main"]
@@ -46,6 +46,11 @@ BERNOULLI_MAX = {
 }
 BERNOULLI_APPROX_MAX = 129
 TREES_LIST_MAX = 11
+# The transform's cost grows with the size of its values, so a sequence file
+# holds numerators and denominators of at most SEQUENCE_DIGITS_MAX digits:
+# `transform --k 240 --format json` over 240 such 6-digit values took 2.3-3.9 s
+# (7 digits: 4.0-4.8 s).
+SEQUENCE_DIGITS_MAX = 6
 
 # pi to 80 decimals, exactly: --approx rounds zeta(2k) = coefficient * pi^(2k)
 # to a float once, where float(pi) ** (2k) carries pi's rounding error 2k times
@@ -138,8 +143,8 @@ def _cmd_zeta_even(args):
 
 def _tree_rows(k: int):
     """Each k-vertex tree with its low and high values and its weight, as text."""
-    for tree in trees.enumerate_trees(k):
-        data = trees.tree_data(tree)
+    for tree in plane_trees.enumerate_trees(k):
+        data = plane_trees.tree_data(tree)
         low = [str(trees.ODD_NUMBERS[n - 1]) for n in data.low]
         high = [str(trees.ODD_NUMBERS[n - 1]) for n in data.high]
         yield tree, low, high, str(data.weight)
@@ -150,8 +155,8 @@ def _cmd_trees(args):
     if args.list:
         _within(args.k, TREES_LIST_MAX, qualifier=" with --list")
     else:
-        _within(args.k, trees.ENUMERATION_MAX)
-    count = trees.catalan(args.k - 1)
+        _within(args.k, plane_trees.ENUMERATION_MAX)
+    count = plane_trees.catalan(args.k - 1)
     if not args.list:
         return {"count": count}, [str(count)]
     rows = list(_tree_rows(args.k))
@@ -166,12 +171,57 @@ def _cmd_trees(args):
     return {"count": count, "trees": listing}, lines
 
 
+def read_sequence_file(path: str) -> trees.SequenceSpec:
+    """Load the values of a sequence file, one canonical rational per line.
+
+    Line n supplies the value at position n.  Blank or malformed lines,
+    zero values, values past SEQUENCE_DIGITS_MAX, lines longer than the
+    longest such value and lines past trees.TRANSFORM_MAX are rejected with
+    the offending line number; reading stops at the first one.  The text is
+    UTF-8, a leading byte-order mark is no part of line 1, and a file that
+    is not UTF-8 is rejected by its path.
+    """
+    width = 2 * SEQUENCE_DIGITS_MAX + 2  # "-" + digits + "/" + digits
+    values: list[Fraction] = []
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            while line := fh.readline(width + 1):
+                where = f"{path}:{len(values) + 1}"
+                if len(values) == trees.TRANSFORM_MAX:
+                    raise ValueError(f"{where}: more than {trees.TRANSFORM_MAX} values")
+                if len(line.rstrip("\n")) > width:
+                    raise ValueError(
+                        f"{where}: line longer than {width} characters, the longest"
+                        f" value of {SEQUENCE_DIGITS_MAX}-digit parts"
+                    )
+                text = line.strip()
+                if not text:
+                    raise ValueError(f"{where}: blank line in sequence file")
+                try:
+                    value = parse_rational(text)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from exc
+                if value == 0:
+                    raise ValueError(f"{where}: sequence value must be nonzero")
+                if max(abs(value.numerator), value.denominator) >= 10**SEQUENCE_DIGITS_MAX:
+                    raise ValueError(
+                        f"{where}: more than {SEQUENCE_DIGITS_MAX} digits"
+                        " in a numerator or denominator"
+                    )
+                values.append(value)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text") from exc
+    if not values:
+        raise ValueError(f"{path}: empty sequence file")
+    return trees.SequenceSpec(values)
+
+
 def _cmd_transform(args):
     _within(args.k, trees.TRANSFORM_MAX)
     try:
         seq = trees.ODD_NUMBERS
         if args.sequence is not None:
-            seq = trees.SequenceSpec.from_file(args.sequence)
+            seq = read_sequence_file(args.sequence)
         value = trees.generalized_transform(args.k, seq)
     except (OSError, ValueError) as exc:
         raise _Refusal(str(exc)) from exc
@@ -270,7 +320,7 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
 
     p = sub.add_parser("trees", help="plane trees with their low/high/weight data")
     p.add_argument("--k", type=int, required=True,
-                   help=f"vertex count, 1..{trees.ENUMERATION_MAX} "
+                   help=f"vertex count, 1..{plane_trees.ENUMERATION_MAX} "
                    f"(1..{TREES_LIST_MAX} with --list)")
     p.add_argument("--list", action="store_true", help="list every tree")
     add_common(p, _cmd_trees, "k", "list")
@@ -279,7 +329,7 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help=f"1..{trees.TRANSFORM_MAX}")
     p.add_argument("--sequence", metavar="FILE", default=None,
                    help=f"text file, one rational per line, at most {trees.TRANSFORM_MAX} lines "
-                   f"of at most {trees.SEQUENCE_DIGITS_MAX}-digit numerators and denominators "
+                   f"of at most {SEQUENCE_DIGITS_MAX}-digit numerators and denominators "
                    "(default: odd numbers)")
     add_common(p, _cmd_transform, "k", "sequence")
 
@@ -288,8 +338,9 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
     p.add_argument(
         "--max-k", dest="max_k", type=int, default=None,
         help="largest k checked, within the suite's bound: " + ", ".join(
-            f"{name} 1..{suite.hard_max_k}" for name, suite in verify.SUITES.items()
-        ) + f", all 1..{verify.ALL_MAX_K}",
+            f"{name} {suite.min_max_k}..{suite.hard_max_k}"
+            for name, suite in verify.SUITES.items()
+        ) + f", all {verify.ALL_MIN_MAX_K}..{verify.ALL_MAX_K}",
     )
     add_common(p, _cmd_verify, "suite", "max_k")
 

@@ -1,37 +1,17 @@
-"""Plane trees, their low/high/weight data, and the sequence transform.
+"""The tree route: the sequence transform and the tree polynomial.
 
-A plane tree on k vertices is encoded by its attachment-level sequence
-(l_2, ..., l_k): grow the tree one vertex at a time, always attaching the
-new vertex so that it becomes the last vertex of the preorder traversal,
-and record its level.  Validity means l_2 = 1 and 1 <= l_{t+1} <= l_t + 1,
-and the valid sequences for k vertices are counted by the Catalan number
-C_{k-1}.  Deleting the last preorder vertex truncates the sequence by one,
-which turns the deletion recursion for the low/high sets into a
-left-to-right replay.
+The paper's tree sum runs over the plane trees on k vertices, each with
+low and high sets of positions into a SequenceSpec of nonzero values
+R_1, R_2, ....  The default is the odd numbers 3, 5, 7, ... (R_n = 2n+1),
+on which the "shift by two" of a set of odd values is exactly the position
+shift n -> n+1; that is how the shift generalizes to arbitrary sequences.
+plane_trees replays one tree at a time, vertex by vertex; this module never
+walks a tree and imports nothing from there.
 
-Replay step, on sets of positions into the value sequence: let s1 be the
-shifted low set of the k-1 vertex tree and i the level of the new k-th
-vertex.  Then
-
-    low  = s1 + enough smallest positions of {1..k-2} - s1 to reach k-1-i members
-    high = s1 + the i-1 greatest positions of {2..k-1} - s1
-    weight *= product of the values over high
-
-The positions index a SequenceSpec of nonzero values R_1, R_2, ....  The
-default is the odd numbers 3, 5, 7, ... (R_n = 2n+1), on which the "shift
-by two" of a set of odd values is exactly the position shift n -> n+1; that
-is how the shift generalizes to arbitrary sequences.
-
-For the default odd sequence, summing weight * (value product over the
-shifted low set) over all k-vertex trees yields the zeta numerator;
-keeping the low sets as polynomial factors instead reproduces the k-th
-recursion polynomial term by term: one replay step (_replay_step), summed
-over its picks with the low positions as factors, is one operator step.
-
-Summed over a whole family, the replay regroups by first return.  The
-positions outside the low set (the holes) behave as a stack: each step
-ages every hole by one and pushes a new one, then drops some of the
-newest, and a history's weight is a constant times factors over the
+Summed over a whole family, plane_trees' replay regroups by first
+return.  The positions outside the low set (the holes) behave as a stack:
+each step ages every hole by one and pushes a new one, then drops some of
+the newest, and a history's weight is a constant times factors over the
 (hole, time) pairs, which nest like parentheses.  Splitting each history
 at its first return therefore gives the weighted Catalan convolution
 
@@ -65,49 +45,33 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 from .polynomials import InexactDivisionError, Polynomial, split_content, taylor_shift
-from .rationals import check_index, check_int, is_exact, parse_rational
+from .rationals import check_index, check_int, is_exact
 
 Value = Union[int, Fraction]
 
-# Largest k of each route.  ENUMERATION_MAX guards the Catalan growth of
-# tree streams; the other two keep one call within about 4.5 s end to end
-# in a fresh process (2-vCPU host, Python 3.11.7): `transform --k 240 --format
-# json` over 3-digit rationals 0.5-0.6 s, polynomial_via_trees(210) 1.9-2.5 s
-# (220 took 3.8-5.0 s on older code), nearly all of it the family G_0..G_209.
-# TRANSFORM_MAX also bounds the vertex count of tree_data, which reads the same
-# positions: a 240-vertex chain, star or comb over 3-digit rationals took
-# 0.21-0.23 s (a 1000-vertex comb over 1..999 took 8.0 s in process).
-# The cost grows with the size of the values too: SEQUENCE_DIGITS_MAX bounds
-# the digits of each numerator and denominator that SequenceSpec.from_file
-# reads, and `transform --k 240 --format json` over 240 such 6-digit values
-# took 2.3-3.9 s (7 digits: 4.0-4.8 s).
-ENUMERATION_MAX = 16
+# Largest k of each route.  Each keeps one call within about 4.5 s end to
+# end in a fresh process (2-vCPU host, Python 3.11.7): `transform --k 240
+# --format json` over 3-digit rationals 0.5-0.6 s, polynomial_via_trees(210)
+# 1.9-2.5 s (220 took 3.8-5.0 s on older code), nearly all of it the family
+# G_0..G_209.
 TRANSFORM_MAX = 240
-SEQUENCE_DIGITS_MAX = 6
 TREE_SUM_MAX = 210
 
 __all__ = [
     "SequenceSpec",
     "ODD_NUMBERS",
-    "PlaneTree",
-    "TreeData",
-    "catalan",
-    "enumerate_trees",
-    "tree_data",
     "polynomial_via_trees",
     "generalized_transform",
-    "ENUMERATION_MAX",
     "TRANSFORM_MAX",
-    "SEQUENCE_DIGITS_MAX",
     "TREE_SUM_MAX",
 ]
 
 
 class SequenceSpec(tuple):
-    """The values R_1, R_2, ... of the tree replay, position n at index n-1.
+    """The values R_1, R_2, ... of the tree sum, position n at index n-1.
 
     Every value is checked once, when the sequence is built: it must be a
     nonzero int or Fraction, so no float or bool enters the computation.
@@ -126,51 +90,6 @@ class SequenceSpec(tuple):
                 raise ValueError(f"sequence value at position {n} is zero")
         return super().__new__(cls, values)
 
-    @classmethod
-    def from_file(cls, path: str) -> "SequenceSpec":
-        """Load values from a text file, one canonical rational per line.
-
-        Line n supplies the value at position n.  Blank or malformed lines,
-        zero values, values past SEQUENCE_DIGITS_MAX, lines longer than
-        the longest such value and lines past TRANSFORM_MAX are rejected
-        with the offending line number; reading stops at the first one.
-        The text is UTF-8, a leading byte-order mark is no part of line 1,
-        and a file that is not UTF-8 is rejected by its path.
-        """
-        width = 2 * SEQUENCE_DIGITS_MAX + 2  # "-" + digits + "/" + digits
-        values: list[Fraction] = []
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
-                while line := fh.readline(width + 1):
-                    where = f"{path}:{len(values) + 1}"
-                    if len(values) == TRANSFORM_MAX:
-                        raise ValueError(f"{where}: more than {TRANSFORM_MAX} values")
-                    if len(line.rstrip("\n")) > width:
-                        raise ValueError(
-                            f"{where}: line longer than {width} characters, the longest"
-                            f" value of {SEQUENCE_DIGITS_MAX}-digit parts"
-                        )
-                    text = line.strip()
-                    if not text:
-                        raise ValueError(f"{where}: blank line in sequence file")
-                    try:
-                        value = parse_rational(text)
-                    except ValueError as exc:
-                        raise ValueError(f"{where}: {exc}") from exc
-                    if value == 0:
-                        raise ValueError(f"{where}: sequence value must be nonzero")
-                    if max(abs(value.numerator), value.denominator) >= 10**SEQUENCE_DIGITS_MAX:
-                        raise ValueError(
-                            f"{where}: more than {SEQUENCE_DIGITS_MAX} digits"
-                            " in a numerator or denominator"
-                        )
-                    values.append(value)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text") from exc
-        if not values:
-            raise ValueError(f"{path}: empty sequence file")
-        return cls(values)
-
     def values_upto(self, n: int) -> tuple[Value, ...]:
         """The values at positions 1..n, none for n <= 0; a shorter sequence
         raises ValueError."""
@@ -184,111 +103,6 @@ class SequenceSpec(tuple):
 
 # R_n = 2n+1 at positions 1..TRANSFORM_MAX, every position generalized_transform reads.
 ODD_NUMBERS = SequenceSpec(range(3, 2 * TRANSFORM_MAX + 2, 2))
-
-
-def catalan(n: int) -> int:
-    """C_n, the number of plane trees on n+1 vertices, for n within
-    0..TRANSFORM_MAX-1 (the all-ones transform counts the same trees)."""
-    check_index(n, 0, TRANSFORM_MAX - 1, "n")
-    return math.comb(2 * n, n) // (n + 1)
-
-
-class PlaneTree(tuple):
-    """A plane tree as the tuple of its attachment levels (empty for k=1), checked when built."""
-
-    __slots__ = ()
-
-    def __new__(cls, levels=()):
-        levels = tuple(levels)
-        for t, lv in enumerate(levels):
-            check_int(lv, f"levels[{t}]")
-            upper = levels[t - 1] + 1 if t > 0 else 1
-            if not 1 <= lv <= upper:
-                raise ValueError(
-                    f"invalid level sequence {levels}: entry {t} is {lv}, allowed 1..{upper}"
-                )
-        return super().__new__(cls, levels)
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self) + 1
-
-    def __str__(self):
-        return ",".join(map(str, self)) or "."
-
-
-class TreeData(NamedTuple):
-    """Low/high positions (sorted) and the accumulated weight of one plane tree."""
-
-    low: tuple[int, ...]
-    high: tuple[int, ...]
-    weight: Value
-
-
-def enumerate_trees(k: int) -> Iterator[PlaneTree]:
-    """All plane trees on k vertices, lazily, in lexicographic level order, for k
-    within 1..ENUMERATION_MAX (checked when the first tree is drawn)."""
-    check_index(k, 1, ENUMERATION_MAX)
-
-    def rec(prefix: list[int]) -> Iterator[PlaneTree]:
-        if len(prefix) == k - 1:
-            yield PlaneTree(prefix)
-            return
-        for lv in range(1, prefix[-1] + 2):
-            prefix.append(lv)
-            yield from rec(prefix)
-            prefix.pop()
-
-    if k == 1:
-        yield PlaneTree(())
-    else:
-        yield from rec([1])
-
-
-def _replay_step(s1: set[int], k: int, j: int) -> tuple[set[int], set[int]]:
-    """The low and high sets of one replay step, for the k-th step operator.
-
-    s1 is the shifted low set.  low is s1 plus the j smallest positions of
-    {1..k-1} outside s1; high is s1 plus the k-1-|s1|-j greatest positions
-    of {2..k} outside s1.  The pools {1..k} would give the same picks for
-    every j in 0..k-1-|s1|: position 1 is never among the greatest and
-    position k never among the smallest.
-    """
-    low_pool = [n for n in range(1, k) if n not in s1]
-    high_pool = [n for n in range(2, k + 1) if n not in s1]
-    high_count = k - 1 - len(s1) - j
-    low = s1 | set(low_pool[:j])
-    high = s1 | set(high_pool[len(high_pool) - high_count :] if high_count else [])
-    return low, high
-
-
-def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
-    """Replay the attachment history of one tree (reference implementation).
-
-    A k-vertex tree needs values at positions 1..k-1, and k is within
-    1..TRANSFORM_MAX, the positions the transform reads.  The first-return
-    recurrence sums the same replay over whole families; this per-tree
-    version is what it is validated against.
-    """
-    if not isinstance(tree, PlaneTree):
-        raise TypeError(f"tree is a {type(tree).__name__}, not a PlaneTree")
-    if not isinstance(seq, SequenceSpec):
-        raise TypeError(f"seq is a {type(seq).__name__}, not a SequenceSpec")
-    check_index(tree.vertex_count, 1, TRANSFORM_MAX, "vertex_count")
-    values = seq.values_upto(tree.vertex_count - 1)
-    low: set[int] = set()
-    high: set[int] = set()
-    weight: Value = 1
-    for t in range(3, tree.vertex_count + 1):
-        s1 = {n + 1 for n in low}
-        # vertex t at level i is step t-1 of the operator, with i-1 high picks
-        low, high = _replay_step(s1, t - 1, t - 1 - tree[t - 2] - len(s1))
-        weight = weight * math.prod(values[n - 1] for n in high)
-    return TreeData(low=tuple(sorted(low)), high=tuple(sorted(high)), weight=weight)
 
 
 def _first_return_weights(

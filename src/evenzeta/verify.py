@@ -14,10 +14,10 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from . import recursion, symmetric, trees, zeta
+from . import plane_trees, recursion, symmetric, trees, zeta
 from .rationals import check_int, no_int_str_limit
 
-__all__ = ["SUITES", "ALL_MAX_K", "run_suite", "suite_names"]
+__all__ = ["SUITES", "ALL_MIN_MAX_K", "ALL_MAX_K", "run_suite", "suite_names"]
 
 _SEED = 0x5EED
 
@@ -78,7 +78,7 @@ def _suite_trees(max_k: int) -> _Checks:
     for k in range(2, max_k + 1):
         # with every value 1 each tree weighs 1, so the transform counts the trees
         count = trees.generalized_transform(k, trees.SequenceSpec([1] * k))
-        yield f"tree count k={k}", count, trees.catalan(k - 1)
+        yield f"tree count k={k}", count, plane_trees.catalan(k - 1)
         poly = trees.polynomial_via_trees(k)
         yield f"polynomial via trees k={k}", poly, recursion.numerator_polynomial(k)
         transform = trees.generalized_transform(k)
@@ -137,6 +137,7 @@ class _Suite(NamedTuple):
     run: Callable[[int], _Checks]
     default_max_k: int
     hard_max_k: int
+    min_max_k: int = 1  # the first k the suite checks: a smaller max_k checks nothing
 
 
 # Each hard bound keeps `verify --suite NAME --max-k BOUND --format json`
@@ -150,19 +151,20 @@ class _Suite(NamedTuple):
 # Each suite checks every k up to its bound; newton-girard and cycle-index keep 8,
 # the most variables of their random sets and symmetric.CYCLE_INDEX_MAX.  "all"
 # runs every suite at the smaller of its max_k and the suite's bound, within
-# ALL_MAX_K: 160 took 2.7-3.8 s (170: 4.6-4.7 s; 180: 5.7-6.1 s).
+# ALL_MIN_MAX_K..ALL_MAX_K: 160 took 2.7-3.8 s (170: 4.6-4.7 s; 180: 5.7-6.1 s).
 ALL_MAX_K = 160
 SUITES: dict[str, _Suite] = {
     "newton-girard": _Suite(_suite_newton_girard, 8, 8),
     "cycle-index": _Suite(_suite_cycle_index, 8, 8),
-    "trees": _Suite(_suite_trees, 10, 200),
-    "coeffs": _Suite(_suite_coeffs, 12, recursion.RECURSION_MAX),
+    "trees": _Suite(_suite_trees, 10, 200, 2),
+    "coeffs": _Suite(_suite_coeffs, 12, recursion.RECURSION_MAX, 2),
     "bernoulli": _Suite(_suite_bernoulli, 20, zeta.BERNOULLI_EVEN_MAX),
     "fn": _Suite(_suite_fn, 10, 800),
     "positivity": _Suite(_suite_positivity, 15, recursion.RECURSION_MAX),
-    "leading": _Suite(_suite_leading, 12, recursion.RECURSION_MAX),
+    "leading": _Suite(_suite_leading, 12, recursion.RECURSION_MAX, 2),
     "lemma-2ni": _Suite(_suite_lemma_2ni, 6, recursion.BASIS_COEFFICIENTS_MAX),
 }
+ALL_MIN_MAX_K = max(suite.min_max_k for suite in SUITES.values())
 
 
 def suite_names() -> list[str]:
@@ -173,16 +175,17 @@ def run_suite(name: str, max_k: Optional[int] = None) -> list[dict]:
     """Run one named suite, or every suite when name is "all"; one report per suite.
 
     max_k overrides a suite's default bound; it must stay within the
-    documented hard bound.  With "all", max_k must stay within ALL_MAX_K and
-    applies to each suite capped at the suite's own hard bound.  A max_k
+    suite's min_max_k..hard_max_k, so that no suite reports an empty pass.
+    With "all", max_k must stay within ALL_MIN_MAX_K..ALL_MAX_K and applies
+    to each suite capped at the suite's own hard bound.  A max_k
     that is not an int, a bool included, raises TypeError.
     """
     if max_k is not None:
         check_int(max_k, "max_k")
     if name == "all":
-        if max_k is not None and not 1 <= max_k <= ALL_MAX_K:
+        if max_k is not None and not ALL_MIN_MAX_K <= max_k <= ALL_MAX_K:
             raise ValueError(
-                f"suite 'all' accepts max_k between 1 and {ALL_MAX_K}, got {max_k}"
+                f"suite 'all' accepts max_k between {ALL_MIN_MAX_K} and {ALL_MAX_K}, got {max_k}"
             )
         reports = []
         for key in SUITES:
@@ -193,9 +196,10 @@ def run_suite(name: str, max_k: Optional[int] = None) -> list[dict]:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
     suite = SUITES[name]
     k = suite.default_max_k if max_k is None else max_k
-    if not 1 <= k <= suite.hard_max_k:
+    if not suite.min_max_k <= k <= suite.hard_max_k:
         raise ValueError(
-            f"suite {name!r} accepts max_k between 1 and {suite.hard_max_k}, got {k}"
+            f"suite {name!r} accepts max_k between {suite.min_max_k} and {suite.hard_max_k},"
+            f" got {k}"
         )
     checks = [_check(*sides) for sides in suite.run(k)]
     passed = all(check["passed"] for check in checks)

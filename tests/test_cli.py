@@ -14,10 +14,13 @@ from evenzeta.cli import (
     BERNOULLI_APPROX_MAX,
     BERNOULLI_MAX,
     PK_MAX,
+    SEQUENCE_DIGITS_MAX,
     TREES_LIST_MAX,
     ZETA_EVEN_MAX,
     main,
+    read_sequence_file,
 )
+from evenzeta.plane_trees import ENUMERATION_MAX
 from evenzeta.polynomials import InexactDivisionError
 from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
 from evenzeta.recursion import (
@@ -25,8 +28,8 @@ from evenzeta.recursion import (
     RECURSION_MAX,
     ConsistencyError,
 )
-from evenzeta.trees import ENUMERATION_MAX, SEQUENCE_DIGITS_MAX, TRANSFORM_MAX, TREE_SUM_MAX
-from evenzeta.verify import ALL_MAX_K, SUITES, run_suite
+from evenzeta.trees import TRANSFORM_MAX, TREE_SUM_MAX, generalized_transform
+from evenzeta.verify import ALL_MAX_K, ALL_MIN_MAX_K, SUITES, run_suite
 from evenzeta.zeta import (
     BERNOULLI_CLASSICAL_MAX,
     BERNOULLI_EVEN_MAX,
@@ -273,6 +276,100 @@ def test_transform_bad_sequence_file_names_line(capsys, tmp_path):
     assert "seq.txt:2" in err
 
 
+def test_read_sequence_file(tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_text("3\n5\n7\n9\n", encoding="utf-8")
+    seq = read_sequence_file(str(path))
+    assert seq.values_upto(4) == (3, 5, 7, 9)
+    assert generalized_transform(3, seq) == generalized_transform(3)
+
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3\nfive\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.txt:2"):
+        read_sequence_file(str(bad))
+
+    zero = tmp_path / "zero.txt"
+    zero.write_text("3\n0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="zero.txt:2"):
+        read_sequence_file(str(zero))
+
+    # a full-width digit is not canonical base-10 text, and its line is named
+    wide = tmp_path / "wide.txt"
+    wide.write_text("3\n\uff15\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="wide.txt:2: not a rational literal"):
+        read_sequence_file(str(wide))
+
+    # a leading byte-order mark is no part of line 1
+    bom = tmp_path / "bom.txt"
+    bom.write_text("\ufeff3\n5\n7\n", encoding="utf-8")
+    assert read_sequence_file(str(bom)) == (3, 5, 7)
+
+    # text that is not UTF-8 is refused by the file's path
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"3\n5\xff\n")
+    with pytest.raises(ValueError, match=r"^.*latin\.txt: not UTF-8 text$"):
+        read_sequence_file(str(latin))
+
+    blank = tmp_path / "blank.txt"
+    blank.write_text("3\n\n5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"blank\.txt:2: blank line in sequence file$"):
+        read_sequence_file(str(blank))
+
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"empty\.txt: empty sequence file$"):
+        read_sequence_file(str(empty))
+
+
+class CountingFile:
+    """A file that records each line it hands out."""
+
+    def __init__(self, fh, lines):
+        self.fh, self.lines = fh, lines
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def readline(self, limit=-1):
+        line = self.fh.readline(limit)
+        self.lines.append(line)
+        return line
+
+
+def test_sequence_file_bounds(tmp_path, monkeypatch):
+    d = SEQUENCE_DIGITS_MAX
+    widest = f"-{'9' * d}/{'7' * d}"  # the longest line a value within the bound needs
+    path = tmp_path / "seq.txt"
+    path.write_text(f"{widest}\n" * TRANSFORM_MAX, encoding="utf-8")
+    assert read_sequence_file(str(path)) == (Fraction(widest),) * TRANSFORM_MAX
+
+    for line in (f"1{'0' * d}", f"1/1{'0' * d}", f"{'0' * d}1/{'0' * d}2"):
+        path.write_text(f"3\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"seq\.txt:2: (more than {d} digits|line longer)"):
+            read_sequence_file(str(path))
+
+    # reading stops at the bound: one line past the count, a bounded slice of a long line
+    lines = []
+    monkeypatch.setattr(
+        evenzeta.cli, "open", lambda *a, **kw: CountingFile(open(*a, **kw), lines), raising=False
+    )
+    path.write_text("3\n" * (TRANSFORM_MAX + 1000), encoding="utf-8")
+    past = rf"seq\.txt:{TRANSFORM_MAX + 1}: more than {TRANSFORM_MAX} values$"
+    with pytest.raises(ValueError, match=past):
+        read_sequence_file(str(path))
+    assert len(lines) == TRANSFORM_MAX + 1
+
+    lines.clear()
+    path.write_text("3\n" + "1" * 10**6 + "\n", encoding="utf-8")
+    longer = rf"seq\.txt:2: line longer than {len(widest)} characters, the longest value"
+    with pytest.raises(ValueError, match=longer):
+        read_sequence_file(str(path))
+    assert len(lines) == 2 and len(lines[1]) == len(widest) + 1
+
+
 def test_json_output_shape_and_determinism(capsys):
     code, out1, _ = run(capsys, "zeta-even", "--k", "4", "--format", "json")
     assert code == 0
@@ -460,18 +557,36 @@ def test_run_suite_reports_a_witness_past_the_int_str_limit(monkeypatch):
 
 
 def test_verify_bad_bound(capsys):
-    bound = SUITES["trees"].hard_max_k
-    code, _, err = run(capsys, "verify", "--suite", "trees", "--max-k", str(bound + 1))
-    assert code == 2
-    assert f"between 1 and {bound}" in err
-    assert f"trees 1..{bound}" in help_text(capsys, "verify")
+    # a suite whose first check is at k = 2 refuses --max-k 1 rather than
+    # report 0/0 passed
+    usage = help_text(capsys, "verify")
+    for name in ("trees", "coeffs", "leading", "bernoulli"):
+        low, high = SUITES[name].min_max_k, SUITES[name].hard_max_k
+        assert low == (1 if name == "bernoulli" else 2)
+        assert f"{name} {low}..{high}," in usage
+        for bad in (low - 1, high + 1):
+            code, _, err = run(capsys, "verify", "--suite", name, "--max-k", str(bad))
+            assert code == 2
+            assert err == (
+                f"error: suite '{name}' accepts max_k between {low} and {high}, got {bad}\n"
+            )
+
+
+def test_every_suite_checks_something_at_its_lower_bound():
+    for name, suite in SUITES.items():
+        [report] = run_suite(name, suite.min_max_k)
+        assert report["checks"] and report["passed"], name
 
 
 def test_verify_all_bound(capsys):
-    code, _, err = run(capsys, "verify", "--suite", "all", "--max-k", str(ALL_MAX_K + 1))
-    assert code == 2
-    assert f"between 1 and {ALL_MAX_K}" in err
-    assert f"all 1..{ALL_MAX_K}" in help_text(capsys, "verify")
+    assert ALL_MIN_MAX_K == max(suite.min_max_k for suite in SUITES.values()) == 2
+    for bad in (ALL_MIN_MAX_K - 1, ALL_MAX_K + 1):
+        argv = ("verify", "--suite", "all", "--max-k", str(bad), "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        detail = json.loads(out)["error_detail"]
+        assert detail == f"suite 'all' accepts max_k between 2 and {ALL_MAX_K}, got {bad}"
+    assert f"all 2..{ALL_MAX_K}" in help_text(capsys, "verify")
 
 
 @pytest.mark.parametrize("name", ["trees", "all"])
@@ -686,11 +801,11 @@ REFUSALS = {
         {"k": 2, "sequence": "latin1.txt"}, "latin1.txt: not UTF-8 text"
     ),
     "verify --suite all --max-k 161": (
-        {"suite": "all", "max_k": 161}, "suite 'all' accepts max_k between 1 and 160, got 161"
+        {"suite": "all", "max_k": 161}, "suite 'all' accepts max_k between 2 and 160, got 161"
     ),
     "verify --suite trees --max-k 201": (
         {"suite": "trees", "max_k": 201},
-        "suite 'trees' accepts max_k between 1 and 200, got 201",
+        "suite 'trees' accepts max_k between 2 and 200, got 201",
     ),
 }
 

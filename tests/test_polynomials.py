@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from evenzeta.plane_trees import PlaneTree, tree_data
 from evenzeta.polynomials import ZERO, Polynomial, split_content, taylor_shift
-from evenzeta.trees import PlaneTree, generalized_transform, tree_data
+from evenzeta.trees import generalized_transform
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 polys = st.lists(small_rationals, max_size=6).map(Polynomial)

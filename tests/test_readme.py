@@ -7,9 +7,11 @@ from evenzeta.cli import (
     BERNOULLI_APPROX_MAX,
     BERNOULLI_MAX,
     PK_MAX,
+    SEQUENCE_DIGITS_MAX,
     TREES_LIST_MAX,
     ZETA_EVEN_MAX,
 )
+from evenzeta.plane_trees import ENUMERATION_MAX
 from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
 from evenzeta.recursion import BASIS_COEFFICIENTS_MAX, RECURSION_MAX
 from evenzeta.symmetric import (
@@ -18,8 +20,8 @@ from evenzeta.symmetric import (
     NEWTON_GIRARD_MAX,
     VARIABLES_MAX,
 )
-from evenzeta.trees import ENUMERATION_MAX, SEQUENCE_DIGITS_MAX, TRANSFORM_MAX, TREE_SUM_MAX
-from evenzeta.verify import ALL_MAX_K, SUITES
+from evenzeta.trees import TRANSFORM_MAX, TREE_SUM_MAX
+from evenzeta.verify import ALL_MAX_K, ALL_MIN_MAX_K, SUITES
 from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -70,7 +72,8 @@ ROW_BOUNDS = {
 }
 
 
-def bounds_table() -> dict[str, int]:
+def bounds_table() -> dict[str, str]:
+    """README's bounds table: each row's bound cell by its first cell."""
     lines = README.read_text(encoding="utf-8").splitlines()
     start = lines.index("| command or function | bound | time at the bound |") + 2
     rows = {}
@@ -78,7 +81,7 @@ def bounds_table() -> dict[str, int]:
         if not line.startswith("|"):
             break
         first, bound = (cell.strip() for cell in line.strip("|").split(" | ")[:2])
-        rows[first] = int(re.match(r"\d+", bound).group())
+        rows[first] = bound
     return rows
 
 
@@ -86,7 +89,16 @@ def test_readme_bounds_table_matches_constants():
     rows = bounds_table()
     assert sorted(rows) == sorted(ROW_BOUNDS)
     for first, constants in ROW_BOUNDS.items():
-        assert constants == [rows[first]] * len(constants), first
+        bound = int(re.match(r"\d+", rows[first]).group())
+        assert constants == [bound] * len(constants), first
+    # a verify row states its lower bound as ", from N" where it is past 1
+    lows = {name: suite.min_max_k for name, suite in SUITES.items()}
+    lows["all"] = ALL_MIN_MAX_K
+    for name, low in lows.items():
+        first = f"`verify --suite {name} --max-k N`"
+        if first in rows:
+            stated = re.search(r", from (\d+)$", rows[first])
+            assert (int(stated.group(1)) if stated else 1) == low, name
 
 
 def library_examples() -> list[list[str]]:

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evenzeta import recursion, verify
+from evenzeta.plane_trees import _replay_step
 from evenzeta.polynomials import InexactDivisionError, Polynomial
 from evenzeta.recursion import (
     BASIS_COEFFICIENTS_MAX,
@@ -19,7 +20,6 @@ from evenzeta.recursion import (
     translated_polynomial,
     zeta_numerator,
 )
-from evenzeta.trees import _replay_step
 
 # the published opening of the integer sequence
 SEQUENCE = [

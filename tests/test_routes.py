@@ -52,19 +52,25 @@ def test_trees_imports_no_other_route():
     assert not imports & {"recursion", "zeta"}
 
 
-def test_recursion_imports_neither_trees_nor_sequences():
+def test_recursion_imports_neither_tree_module():
     imports = _package_imports("recursion")
     assert "polynomials" in imports
-    assert not imports & {"trees", "sequences"}
+    assert not imports & {"trees", "plane_trees"}
 
 
 REPLAY = {"tree_data", "_replay_step"}
 
 
-def test_replay_is_defined_only_in_trees():
-    assert REPLAY <= _top_level_definitions("trees")
+def test_replay_is_defined_only_in_plane_trees():
+    assert REPLAY <= _top_level_definitions("plane_trees")
     owners = {path.stem for path in SRC.glob("*.py") if REPLAY & _top_level_definitions(path.stem)}
-    assert owners == {"trees"}
+    assert owners == {"plane_trees"}
+    # the convolution can never call the replay that checks it, and the
+    # replay reads the route's values but no other route
+    assert "plane_trees" not in _package_imports("trees")
+    imports = _package_imports("plane_trees")
+    assert "trees" in imports
+    assert not imports & {"recursion", "zeta"}
 
 
 def _raised_strings(module):
@@ -111,7 +117,7 @@ def test_every_all_name_is_bound():
     assert {"rationals", "symmetric", "zeta"} <= checked
 
 
-LIBRARY = ("polynomials", "rationals", "recursion", "symmetric", "trees", "zeta")
+LIBRARY = ("plane_trees", "polynomials", "rationals", "recursion", "symmetric", "trees", "zeta")
 
 
 def _fresh(code):
@@ -131,7 +137,7 @@ def _loaded(code):
 
 
 def test_package_publishes_every_module_name_once():
-    # evenzeta.__all__ is the six modules' lists and nothing else: each name
+    # evenzeta.__all__ is the seven modules' lists and nothing else: each name
     # is the module's own object, and no name is published twice
     published = []
     for short in LIBRARY:
@@ -152,12 +158,26 @@ def test_package_publishes_every_module_name_once():
 def test_a_name_loads_only_the_modules_before_its_own():
     # `import evenzeta` loads no module; a name loads the modules up to its
     # own in the search order (rationals, polynomials, recursion, trees, zeta,
-    # symmetric), so the recursion route alone compiles neither the tree route
-    # nor the zeta and symmetric-group modules.  The CLI loads every module.
+    # plane_trees, symmetric), so the recursion route alone compiles neither
+    # tree module nor the zeta and symmetric-group modules, and the tree route
+    # leaves out its per-tree replay.  The CLI loads every module.
     assert _loaded("pass") == []
     assert _loaded("evenzeta.zeta_numerator") == ["polynomials", "rationals", "recursion"]
-    assert not {"zeta", "symmetric"} & set(_loaded("evenzeta.generalized_transform"))
+    route = ["polynomials", "rationals", "recursion", "trees"]
+    for name in ("generalized_transform", "polynomial_via_trees", "SequenceSpec"):
+        assert _loaded(f"evenzeta.{name}") == route, name
+    assert _loaded("evenzeta.tree_data") == sorted([*route, "zeta", "plane_trees"])
     assert _loaded("import evenzeta.cli") == sorted(["cli", "verify", *LIBRARY])
+
+
+def test_a_dunder_miss_loads_no_module():
+    # inspect.unwrap and doctest probe hasattr(module, "__wrapped__"); a miss
+    # on a dunder name other than __all__ is answered at once
+    for name in ("__wrapped__", "__no_such_name__"):
+        assert _loaded(f"assert not hasattr(evenzeta, {name!r})") == []
+    miss = "^module 'evenzeta' has no attribute '__wrapped__'$"
+    with pytest.raises(AttributeError, match=miss):
+        evenzeta.__wrapped__
 
 
 def test_library_modules_import_siblings_only_by_module():

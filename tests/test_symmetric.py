@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evenzeta import rationals, recursion, trees
+from evenzeta.plane_trees import ENUMERATION_MAX, PlaneTree, catalan, enumerate_trees, tree_data
 from evenzeta.rationals import (
     DOUBLE_FACTORIAL_PRODUCT_MAX,
     double_factorial_odd,
@@ -33,17 +34,7 @@ from evenzeta.symmetric import (
     newton_girard_check,
     power_sum,
 )
-from evenzeta.trees import (
-    ENUMERATION_MAX,
-    TRANSFORM_MAX,
-    TREE_SUM_MAX,
-    PlaneTree,
-    catalan,
-    enumerate_trees,
-    generalized_transform,
-    polynomial_via_trees,
-    tree_data,
-)
+from evenzeta.trees import TRANSFORM_MAX, TREE_SUM_MAX, generalized_transform, polynomial_via_trees
 from evenzeta.zeta import (
     BERNOULLI_CLASSICAL_MAX,
     BERNOULLI_EVEN_MAX,

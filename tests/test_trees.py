@@ -13,20 +13,21 @@ from evenzeta import trees, verify
 from evenzeta.polynomials import InexactDivisionError, Polynomial
 from evenzeta.rationals import double_factorial_product
 from evenzeta.recursion import numerator_polynomial, zeta_numerator
-from evenzeta.trees import (
+from evenzeta.plane_trees import (
     ENUMERATION_MAX,
-    ODD_NUMBERS,
-    SEQUENCE_DIGITS_MAX,
-    TRANSFORM_MAX,
-    TREE_SUM_MAX,
     PlaneTree,
-    SequenceSpec,
     TreeData,
     catalan,
     enumerate_trees,
+    tree_data,
+)
+from evenzeta.trees import (
+    ODD_NUMBERS,
+    TRANSFORM_MAX,
+    TREE_SUM_MAX,
+    SequenceSpec,
     generalized_transform,
     polynomial_via_trees,
-    tree_data,
 )
 from evenzeta.zeta import zeta_even_rational
 
@@ -451,97 +452,3 @@ def test_sequence_spec_rejects_inexact_values(seq, position):
 def test_odd_numbers_cover_every_position_the_route_reads():
     assert len(ODD_NUMBERS) == TRANSFORM_MAX
     assert all(ODD_NUMBERS[n - 1] == 2 * n + 1 for n in range(1, TRANSFORM_MAX + 1))
-
-
-def test_sequence_spec_from_file(tmp_path):
-    path = tmp_path / "seq.txt"
-    path.write_text("3\n5\n7\n9\n", encoding="utf-8")
-    seq = SequenceSpec.from_file(str(path))
-    assert seq.values_upto(4) == (3, 5, 7, 9)
-    assert generalized_transform(3, seq) == generalized_transform(3)
-
-    bad = tmp_path / "bad.txt"
-    bad.write_text("3\nfive\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="bad.txt:2"):
-        SequenceSpec.from_file(str(bad))
-
-    zero = tmp_path / "zero.txt"
-    zero.write_text("3\n0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="zero.txt:2"):
-        SequenceSpec.from_file(str(zero))
-
-    # a full-width digit is not canonical base-10 text, and its line is named
-    wide = tmp_path / "wide.txt"
-    wide.write_text("3\n\uff15\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="wide.txt:2: not a rational literal"):
-        SequenceSpec.from_file(str(wide))
-
-    # a leading byte-order mark is no part of line 1
-    bom = tmp_path / "bom.txt"
-    bom.write_text("\ufeff3\n5\n7\n", encoding="utf-8")
-    assert SequenceSpec.from_file(str(bom)) == (3, 5, 7)
-
-    # text that is not UTF-8 is refused by the file's path
-    latin = tmp_path / "latin.txt"
-    latin.write_bytes(b"3\n5\xff\n")
-    with pytest.raises(ValueError, match=r"^.*latin\.txt: not UTF-8 text$"):
-        SequenceSpec.from_file(str(latin))
-
-    blank = tmp_path / "blank.txt"
-    blank.write_text("3\n\n5\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"blank\.txt:2: blank line in sequence file$"):
-        SequenceSpec.from_file(str(blank))
-
-    empty = tmp_path / "empty.txt"
-    empty.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"empty\.txt: empty sequence file$"):
-        SequenceSpec.from_file(str(empty))
-
-
-class CountingFile:
-    """A file that records each line it hands out."""
-
-    def __init__(self, fh, lines):
-        self.fh, self.lines = fh, lines
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def readline(self, limit=-1):
-        line = self.fh.readline(limit)
-        self.lines.append(line)
-        return line
-
-
-def test_sequence_file_bounds(tmp_path, monkeypatch):
-    d = SEQUENCE_DIGITS_MAX
-    widest = f"-{'9' * d}/{'7' * d}"  # the longest line a value within the bound needs
-    path = tmp_path / "seq.txt"
-    path.write_text(f"{widest}\n" * TRANSFORM_MAX, encoding="utf-8")
-    assert SequenceSpec.from_file(str(path)) == (Fraction(widest),) * TRANSFORM_MAX
-
-    for line in (f"1{'0' * d}", f"1/1{'0' * d}", f"{'0' * d}1/{'0' * d}2"):
-        path.write_text(f"3\n{line}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"seq\.txt:2: (more than {d} digits|line longer)"):
-            SequenceSpec.from_file(str(path))
-
-    # reading stops at the bound: one line past the count, a bounded slice of a long line
-    lines = []
-    monkeypatch.setattr(
-        trees, "open", lambda *a, **kw: CountingFile(open(*a, **kw), lines), raising=False
-    )
-    path.write_text("3\n" * (TRANSFORM_MAX + 1000), encoding="utf-8")
-    past = rf"seq\.txt:{TRANSFORM_MAX + 1}: more than {TRANSFORM_MAX} values$"
-    with pytest.raises(ValueError, match=past):
-        SequenceSpec.from_file(str(path))
-    assert len(lines) == TRANSFORM_MAX + 1
-
-    lines.clear()
-    path.write_text("3\n" + "1" * 10**6 + "\n", encoding="utf-8")
-    longer = rf"seq\.txt:2: line longer than {len(widest)} characters, the longest value"
-    with pytest.raises(ValueError, match=longer):
-        SequenceSpec.from_file(str(path))
-    assert len(lines) == 2 and len(lines[1]) == len(widest) + 1
