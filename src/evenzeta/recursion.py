@@ -37,10 +37,7 @@ step's p(k) and what zeta_numerator scales by g_k; numerator_polynomial
 hands out the pair (g_k, p_k) as a Polynomial, whose form it already is.
 The cache's step (_entry) is the only implementation of the operator in
 the package.  translated_polynomial shifts with polynomials.taylor_shift, the
-package's only affine substitution.  The basis half takes the same form:
-basis_coefficients caches its row c_0..c_{k-2} as the pair (content,
-primitive) of sum_i c_i t^i in a formal variable t, and expand_basis sums the
-nested products in x by Horner's rule, with no shift.
+package's only affine substitution.
 """
 
 from __future__ import annotations
@@ -48,20 +45,16 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Sequence
 
-from .polynomials import ZERO, InexactDivisionError, Polynomial, split_content, taylor_shift
-from .rationals import check_index, check_int, double_factorial_odd
+from .polynomials import InexactDivisionError, Polynomial, split_content, taylor_shift
+from .rationals import check_index, double_factorial_odd
 
 __all__ = [
     "ConsistencyError",
     "numerator_polynomial",
     "zeta_numerator",
     "translated_polynomial",
-    "basis_coefficients",
-    "expand_basis",
     "RECURSION_MAX",
-    "BASIS_COEFFICIENTS_MAX",
 ]
 
 # Largest k of the recursion route: one cold call within about 4.5 s in a
@@ -72,10 +65,7 @@ __all__ = [
 # newton_partial_sum(260, 2000) took 0.70-0.76 s (bounds lifted, 300:
 # 1.3-1.6 s, 400: 4.3-4.5 s), 1.9-2.4 s on the same host when the tower was
 # rebuilt for each i < n.
-# BASIS_COEFFICIENTS_MAX bounds basis_coefficients, which alone binds it: one
-# cold call took 3.8-4.0 s at 360 (330: 2.7-2.8 s; 380: 4.5-5.0 s; 400: 5.8-6.0 s).
 RECURSION_MAX = 260
-BASIS_COEFFICIENTS_MAX = 360
 
 
 class ConsistencyError(RuntimeError):
@@ -90,8 +80,6 @@ _parts: list[tuple[int, tuple[int, ...], int]] = [(1, (1,), 1), (1, (1,), 1)]
 # The rising product R_j = prod_{i=1}^{j} (2x - 2j + 2i+1) of the last step
 # taken, j = len(_parts) - 2, as ascending int coefficients (R_0 = 1).
 _rising: list[int] = [1]
-# basis_coefficients(j) as its pair (content, primitive) at j = 2, 3, ... (0, 1 unused)
-_basis: list[tuple[int, tuple[int, ...]]] = [(1, (1,))] * 3
 
 
 def _entry(k: int) -> tuple[int, tuple[int, ...], int]:
@@ -170,63 +158,3 @@ def translated_polynomial(k: int, *, half_scale: bool = False) -> Polynomial:
     shifted = taylor_shift(poly.primitive, 1 if half_scale else 2, 2 * k - 3, 2)
     c, primitive = split_content(shifted)
     return Polynomial.from_parts(Fraction(poly.content * c, 1 << poly.degree), primitive)
-
-
-def basis_coefficients(k: int) -> Polynomial:
-    """Coefficients (c_0..c_{k-2}) of the k-th polynomial in its nested-product
-    basis as sum_i c_i * t^i in a formal variable t, the pair (content,
-    primitive); .coeffs gives the c_i.  expand_basis maps t^i to the basis
-    element prod_{j=1}^{i} (2x - 2(k-1) + 2j+1).  Computed by the recurrence
-
-        c_{i,k+1} = ( prod_{j=i+1}^{k-1} (2j+3) ) * sum_{n=0}^{i} (2n+1)!! * S_n,
-        S_n = sum_{m=n}^{k-2} c_{m,k} * 2^(m-n) * m!/n! = c_{n,k} + 2(n+1) * S_{n+1},
-
-    seeded with c_{0,2} = 1.  Each cached row grows the next from a copy of
-    its primitive part in three passes (S backward, prefix sums forward,
-    suffix products backward) and splits off the content: the recurrence is
-    linear.  The c_i are positive ints; k is within 2..BASIS_COEFFICIENTS_MAX.
-    """
-    check_index(k, 2, BASIS_COEFFICIENTS_MAX)
-    with _cache_lock:
-        while len(_basis) <= k:
-            cur = len(_basis) - 1
-            content, row = _basis[cur]
-            s = [*row, 0]  # S_{cur-1} = 0: the sum over m in n..cur-2 is empty
-            for n in range(cur - 2, -1, -1):
-                s[n] += 2 * (n + 1) * s[n + 1]
-            total = 0
-            for n in range(cur):
-                total += double_factorial_odd(n) * s[n]
-                s[n] = total
-            suffix = 1
-            for i in range(cur - 1, -1, -1):
-                s[i] *= suffix
-                suffix *= 2 * i + 3
-            divisor, s = split_content(s)
-            _basis.append((content * divisor, tuple(s)))
-        return Polynomial.from_parts(*_basis[k])
-
-
-def _nested_sum(coeffs: Sequence[int], b: int) -> list[int]:
-    """Ascending int coefficients in x of sum_i c_i * prod_{j=1}^{i} (2x + 2j+b),
-    by Horner's rule: c_0 + (2x + 2+b) * (c_1 + (2x + 4+b) * (c_2 + ...))."""
-    acc: list[int] = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        acc = [2 * lo + (2 * i + 2 + b) * hi for lo, hi in zip([0] + acc, acc + [0])]
-        acc[0] += coeffs[i]
-    return acc
-
-
-def expand_basis(basis: Polynomial, k: int) -> Polynomial:
-    """Map t^i of basis (basis_coefficients' form) to the i-th nested product
-    prod_{j=1}^{i} (2x + 2j+3 - 2k), summed in x on basis.primitive; the
-    contents multiply once.  k is any int, and basis a Polynomial of at most
-    BASIS_COEFFICIENTS_MAX - 1 coefficients, both checked before any work."""
-    check_int(k)
-    if not isinstance(basis, Polynomial):
-        raise TypeError(f"basis is a {type(basis).__name__}, not a Polynomial")
-    check_index(len(basis.primitive), 0, BASIS_COEFFICIENTS_MAX - 1, "len(basis.primitive)")
-    if not basis:
-        return ZERO
-    content, primitive = split_content(_nested_sum(basis.primitive, 3 - 2 * k))
-    return Polynomial.from_parts(basis.content * content, primitive)

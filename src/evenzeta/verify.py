@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from . import plane_trees, recursion, symmetric, trees, zeta
+from . import basis, plane_trees, recursion, symmetric, trees, zeta
 from .rationals import check_int, no_int_str_limit
 
 __all__ = ["SUITES", "ALL_MIN_MAX_K", "ALL_MAX_K", "run_suite", "suite_names"]
@@ -87,7 +87,7 @@ def _suite_trees(max_k: int) -> _Checks:
 
 def _suite_coeffs(max_k: int) -> _Checks:
     for k in range(2, max_k + 1):
-        expanded = recursion.expand_basis(recursion.basis_coefficients(k), k)
+        expanded = basis.expand_basis(basis.basis_coefficients(k), k)
         yield f"basis expansion k={k}", expanded, recursion.numerator_polynomial(k)
 
 
@@ -147,7 +147,7 @@ class _Suite(NamedTuple):
 # at the largest k each can read: bernoulli 1.6-2.0 s at zeta.BERNOULLI_EVEN_MAX;
 # coeffs 3.8-3.9 s, positivity 1.9-2.1 s and leading 0.40-0.56 s (content and
 # primitive part, no coefficient scaled) at recursion.RECURSION_MAX; lemma-2ni
-# 0.2 s at recursion.BASIS_COEFFICIENTS_MAX, every n the basis recurrence uses.
+# 0.2 s at basis.BASIS_COEFFICIENTS_MAX, every n the basis recurrence uses.
 # Each suite checks every k up to its bound; newton-girard and cycle-index keep 8,
 # the most variables of their random sets and symmetric.CYCLE_INDEX_MAX.  "all"
 # runs every suite at the smaller of its max_k and the suite's bound, within
@@ -162,7 +162,7 @@ SUITES: dict[str, _Suite] = {
     "fn": _Suite(_suite_fn, 10, 800),
     "positivity": _Suite(_suite_positivity, 15, recursion.RECURSION_MAX),
     "leading": _Suite(_suite_leading, 12, recursion.RECURSION_MAX, 2),
-    "lemma-2ni": _Suite(_suite_lemma_2ni, 6, recursion.BASIS_COEFFICIENTS_MAX),
+    "lemma-2ni": _Suite(_suite_lemma_2ni, 6, basis.BASIS_COEFFICIENTS_MAX),
 }
 ALL_MIN_MAX_K = max(suite.min_max_k for suite in SUITES.values())
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import evenzeta
+from evenzeta.basis import BASIS_COEFFICIENTS_MAX
 from evenzeta.cli import (
     AK_MAX,
     BERNOULLI_APPROX_MAX,
@@ -24,7 +25,6 @@ from evenzeta.plane_trees import ENUMERATION_MAX
 from evenzeta.polynomials import InexactDivisionError
 from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
 from evenzeta.recursion import (
-    BASIS_COEFFICIENTS_MAX,
     RECURSION_MAX,
     ConsistencyError,
 )

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import evenzeta
+from evenzeta.basis import BASIS_COEFFICIENTS_MAX
 from evenzeta.cli import (
     AK_MAX,
     BERNOULLI_APPROX_MAX,
@@ -13,7 +14,7 @@ from evenzeta.cli import (
 )
 from evenzeta.plane_trees import ENUMERATION_MAX
 from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
-from evenzeta.recursion import BASIS_COEFFICIENTS_MAX, RECURSION_MAX
+from evenzeta.recursion import RECURSION_MAX
 from evenzeta.symmetric import (
     CYCLE_INDEX_VARIABLES_MAX,
     INVERSE_SQUARES_MAX,

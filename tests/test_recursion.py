@@ -9,13 +9,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from evenzeta import recursion, verify
+from evenzeta import basis, recursion, verify
+from evenzeta.basis import BASIS_COEFFICIENTS_MAX, basis_coefficients, expand_basis
 from evenzeta.plane_trees import _replay_step
 from evenzeta.polynomials import InexactDivisionError, Polynomial
 from evenzeta.recursion import (
-    BASIS_COEFFICIENTS_MAX,
-    basis_coefficients,
-    expand_basis,
     numerator_polynomial,
     translated_polynomial,
     zeta_numerator,
@@ -87,7 +85,7 @@ def expand_basis_reference(coeffs, k):
 
 def basis_coefficients_reference(k):
     """The nested-product coefficients c_0..c_{k-2} of P_k as full ints, by the
-    recurrence of recursion.basis_coefficients run from c_{0,2} = 1 for this k
+    recurrence of basis.basis_coefficients run from c_{0,2} = 1 for this k
     alone: three passes per step, each step's content split off and
     multiplied back at the end."""
     odd = [math.prod(range(3, 2 * n + 2, 2)) for n in range(k - 1)]  # (2n+1)!!
@@ -112,7 +110,7 @@ def basis_coefficients_reference(k):
 def shifted_product_identity_reference(n):
     """sum_{i=0}^{n} 2^(n-i) * n!/i! * prod_{j=1}^{i} (u + 2j+1), the closed
     form of prod_{i=1}^{n} (u + 2i+3) behind the recurrence of
-    recursion.basis_coefficients, as an ascending int list in u."""
+    basis.basis_coefficients, as an ascending int list in u."""
     out, b = [], [1]
     for i in range(n + 1):
         if i:
@@ -393,9 +391,9 @@ def test_cold_basis_cache_in_any_order(monkeypatch):
     # build the same pairs as one ascending caller did
     expected = {k: basis_coefficients(k) for k in range(2, 41)}
     cold = [(1, (1,))] * 3
-    monkeypatch.setattr(recursion, "_basis", list(cold))
+    monkeypatch.setattr(basis, "_basis", list(cold))
     assert {k: basis_coefficients(k) for k in range(40, 1, -1)} == expected
-    monkeypatch.setattr(recursion, "_basis", list(cold))
+    monkeypatch.setattr(basis, "_basis", list(cold))
     got = {}
 
     def build(k):
@@ -415,7 +413,7 @@ def test_cold_basis_cache_in_any_order(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert got == {k: expected[k] for k in ks}
     pairs = [(p.content, p.primitive) for p in expected.values()]
-    assert recursion._basis[2:] == pairs
+    assert basis._basis[2:] == pairs
 
 
 @given(
@@ -461,8 +459,8 @@ def test_expand_basis_refuses_bad_input(monkeypatch, coeffs, k, error, message):
     def no_arithmetic(*args):
         raise AssertionError("expand_basis did arithmetic on a refused input")
 
-    monkeypatch.setattr(recursion, "_nested_sum", no_arithmetic)
-    monkeypatch.setattr(recursion, "split_content", no_arithmetic)
+    monkeypatch.setattr(basis, "_nested_sum", no_arithmetic)
+    monkeypatch.setattr(basis, "split_content", no_arithmetic)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         expand_basis(coeffs, k)
 
@@ -473,7 +471,7 @@ def test_basis_coefficients_observed_integrality():
     # positive ints with gcd 1
     for k in range(2, 41):
         assert all(type(c) is int and c > 0 for c in basis_coefficients(k).coeffs)
-    for content, primitive in recursion._basis[2:41]:
+    for content, primitive in basis._basis[2:41]:
         assert type(content) is int and content > 0
         assert type(primitive) is tuple and math.gcd(*primitive) == 1
         assert all(type(c) is int and c > 0 for c in primitive)

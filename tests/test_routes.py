@@ -73,6 +73,19 @@ def test_replay_is_defined_only_in_plane_trees():
     assert not imports & {"recursion", "zeta"}
 
 
+BASIS = {"basis_coefficients", "expand_basis", "_nested_sum"}
+
+
+def test_basis_is_defined_only_in_basis():
+    # the nested-product basis shares no code with the operator recursion:
+    # the coeffs suite compares two independent computations of P_k
+    assert BASIS <= _top_level_definitions("basis")
+    owners = {path.stem for path in SRC.glob("*.py") if BASIS & _top_level_definitions(path.stem)}
+    assert owners == {"basis"}
+    assert _package_imports("basis") == {"rationals", "polynomials"}
+    assert "basis" not in _package_imports("recursion") | _package_imports("zeta")
+
+
 def _raised_strings(module):
     """The string parts of every expression a module raises."""
     return [
@@ -117,7 +130,27 @@ def test_every_all_name_is_bound():
     assert {"rationals", "symmetric", "zeta"} <= checked
 
 
-LIBRARY = ("plane_trees", "polynomials", "rationals", "recursion", "symmetric", "trees", "zeta")
+def _defines_all(path):
+    """Whether a module assigns __all__ at its top level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    )
+
+
+def test_package_searches_every_library_module():
+    # a module left out of the search would have its names silently
+    # unpublished; the CLI and its suites are not library modules
+    published = {path.stem for path in SRC.glob("*.py") if _defines_all(path)}
+    assert "cli" in published and "verify" in published
+    assert set(evenzeta._MODULES) == published - {"cli", "verify"}
+    assert len(set(evenzeta._MODULES)) == len(evenzeta._MODULES)
+
+
+LIBRARY = evenzeta._MODULES
 
 
 def _fresh(code):
@@ -137,7 +170,7 @@ def _loaded(code):
 
 
 def test_package_publishes_every_module_name_once():
-    # evenzeta.__all__ is the seven modules' lists and nothing else: each name
+    # evenzeta.__all__ is the library modules' lists and nothing else: each name
     # is the module's own object, and no name is published twice
     published = []
     for short in LIBRARY:
@@ -158,15 +191,16 @@ def test_package_publishes_every_module_name_once():
 def test_a_name_loads_only_the_modules_before_its_own():
     # `import evenzeta` loads no module; a name loads the modules up to its
     # own in the search order (rationals, polynomials, recursion, trees, zeta,
-    # plane_trees, symmetric), so the recursion route alone compiles neither
-    # tree module nor the zeta and symmetric-group modules, and the tree route
-    # leaves out its per-tree replay.  The CLI loads every module.
+    # plane_trees, basis, symmetric), so the recursion route alone compiles
+    # neither tree module, nor the basis, zeta and symmetric-group modules, and
+    # the tree route leaves out its per-tree replay.  The CLI loads every module.
     assert _loaded("pass") == []
     assert _loaded("evenzeta.zeta_numerator") == ["polynomials", "rationals", "recursion"]
     route = ["polynomials", "rationals", "recursion", "trees"]
     for name in ("generalized_transform", "polynomial_via_trees", "SequenceSpec"):
         assert _loaded(f"evenzeta.{name}") == route, name
     assert _loaded("evenzeta.tree_data") == sorted([*route, "zeta", "plane_trees"])
+    assert _loaded("evenzeta.basis_coefficients") == sorted([*route, "zeta", "plane_trees", "basis"])
     assert _loaded("import evenzeta.cli") == sorted(["cli", "verify", *LIBRARY])
 
 
@@ -178,6 +212,19 @@ def test_a_dunder_miss_loads_no_module():
     miss = "^module 'evenzeta' has no attribute '__wrapped__'$"
     with pytest.raises(AttributeError, match=miss):
         evenzeta.__wrapped__
+
+
+def test_a_submodule_probe_loads_no_module():
+    # the import machinery probes hasattr(evenzeta, "verify") before it
+    # imports the submodule; a name of a submodule outside the search is
+    # answered at once, and the import itself still loads what verify reads
+    for name in ("verify", "cli"):
+        assert _loaded(f"assert not hasattr(evenzeta, {name!r})") == []
+    # a dotted name is no submodule probe: it misses after the search, and
+    # imports no submodule on the way
+    assert _loaded("assert not hasattr(evenzeta, 'verify.run_suite')") == sorted(LIBRARY)
+    code = "from evenzeta import verify; assert verify is sys.modules['evenzeta.verify']"
+    assert _loaded(code) == sorted(["verify", *LIBRARY])
 
 
 def test_library_modules_import_siblings_only_by_module():

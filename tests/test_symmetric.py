@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evenzeta import rationals, recursion, trees
+from evenzeta import basis, rationals, recursion, trees
+from evenzeta.basis import BASIS_COEFFICIENTS_MAX, basis_coefficients
 from evenzeta.plane_trees import ENUMERATION_MAX, PlaneTree, catalan, enumerate_trees, tree_data
 from evenzeta.rationals import (
     DOUBLE_FACTORIAL_PRODUCT_MAX,
@@ -15,9 +16,7 @@ from evenzeta.rationals import (
     double_factorial_product,
 )
 from evenzeta.recursion import (
-    BASIS_COEFFICIENTS_MAX,
     RECURSION_MAX,
-    basis_coefficients,
     numerator_polynomial,
     translated_polynomial,
     zeta_numerator,
@@ -178,7 +177,7 @@ def variables(n):
     return VariableSet(range(1, n + 1))
 
 
-# Every __all__ callable of rationals, recursion, zeta, trees and symmetric
+# Every __all__ callable of rationals, recursion, basis, zeta, trees and symmetric
 # that takes an index: id -> (call on that index, lo, hi, argument name).
 # expand_basis is not here: its k shifts the linear factors, and its cost
 # is the length of its first argument.
@@ -230,6 +229,7 @@ def _work_done():
     return (
         len(recursion._parts),
         tuple(recursion._rising),
+        len(basis._basis),
         len(trees._family),
         len(trees._odd_weights),
         bernoulli_classical.cache_info().currsize,
