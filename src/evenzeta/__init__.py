@@ -17,9 +17,11 @@ basis name loads every module but symmetric.  A dunder name other than
 __all__ loads nothing: the package does not have it, and neither does it
 have a submodule outside the search until that submodule is imported, so
 hasattr(evenzeta, "verify") loads nothing either.  Reading __all__ or
-dir() loads all eight.  The CLI and its verification suites (cli, verify)
-are not loaded here; importing evenzeta.cli loads every module, since its
-parser reads the bounds of plane_trees, trees, zeta and verify.
+dir() loads all eight.  Every bound sits in bounds, which rationals and so
+every module loads, and which publishes nothing, so the search leaves it
+out.  The CLI and its verification suites (cli, verify) are not loaded
+here; importing evenzeta.cli loads bounds and the recursion route, and
+each command loads the routes it runs.
 """
 
 from importlib import import_module

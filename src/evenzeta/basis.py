@@ -17,15 +17,11 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
+from .bounds import BASIS_COEFFICIENTS_MAX
 from .polynomials import ZERO, Polynomial, split_content
 from .rationals import check_index, check_int, double_factorial_odd
 
 __all__ = ["basis_coefficients", "expand_basis", "BASIS_COEFFICIENTS_MAX"]
-
-# BASIS_COEFFICIENTS_MAX bounds basis_coefficients, which alone binds it: one
-# cold call took 3.8-4.0 s at 360 (330: 2.7-2.8 s; 380: 4.5-5.0 s; 400: 5.8-6.0 s)
-# in a fresh process (2-vCPU host, Python 3.11.7; README has the ranges).
-BASIS_COEFFICIENTS_MAX = 360
 
 _cache_lock = threading.Lock()
 # basis_coefficients(j) as its pair (content, primitive) at j = 2, 3, ... (0, 1 unused)

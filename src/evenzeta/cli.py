@@ -11,6 +11,10 @@ error record instead of a traceback).
 Each command returns its JSON result and its text lines, or raises _Refusal
 for an input it refuses; _run alone prints one of the two forms and chooses
 the exit code.
+
+The parser reads every bound from `bounds`, and each command imports the
+route modules it calls in its own body, so a process loads only the routes
+its command runs.
 """
 
 from __future__ import annotations
@@ -21,36 +25,15 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import plane_trees, trees, verify, zeta
+from .bounds import (
+    AK_MAX, ALL_MAX_K, ALL_MIN_MAX_K, BERNOULLI_APPROX_MAX, BERNOULLI_MAX, ENUMERATION_MAX, PK_MAX,
+    SEQUENCE_DIGITS_MAX, SUITE_BOUNDS, TRANSFORM_MAX, TREES_LIST_MAX, ZETA_EVEN_MAX,
+)
 from .polynomials import polynomial_text
 from .rationals import no_int_str_limit, parse_rational
-from .recursion import RECURSION_MAX, numerator_polynomial, translated_polynomial, zeta_numerator
+from .recursion import numerator_polynomial, translated_polynomial, zeta_numerator
 
 __all__ = ["main"]
-
-# Largest k each command accepts.  Each bound keeps the command's slowest
-# form within about 4.5 s end to end (2-vCPU host, Python 3.11.7): ak
-# 3.4-3.5 s (k = 250 took 4.2 s), pk --translated --half-scale 3.5 s (k = 190
-# took 4.8-5.0 s); both are bound by decimal conversion.  zeta-even and
-# bernoulli 0.6 s (recursion) and 4.1 s (classical), trees --list --format
-# json 2.5 s (k = 12 took 10.7 s).  zeta-even and each bernoulli method reach
-# the bound of the library function they call.  `bernoulli --approx` stops at
-# 129 under every method: |B_260| is past the largest float.
-AK_MAX = 240
-PK_MAX = 180
-ZETA_EVEN_MAX = RECURSION_MAX
-BERNOULLI_MAX = {
-    "recursion": zeta.BERNOULLI_EVEN_MAX,
-    "tree": trees.TRANSFORM_MAX,
-    "classical": zeta.BERNOULLI_CLASSICAL_MAX // 2,
-}
-BERNOULLI_APPROX_MAX = 129
-TREES_LIST_MAX = 11
-# The transform's cost grows with the size of its values, so a sequence file
-# holds numerators and denominators of at most SEQUENCE_DIGITS_MAX digits:
-# `transform --k 240 --format json` over 240 such 6-digit values took 2.3-3.9 s
-# (7 digits: 4.0-4.8 s).
-SEQUENCE_DIGITS_MAX = 6
 
 # pi to 80 decimals, exactly: --approx rounds zeta(2k) = coefficient * pi^(2k)
 # to a float once, where float(pi) ** (2k) carries pi's rounding error 2k times
@@ -90,12 +73,14 @@ def _fail(args, inputs: dict, message: str, code: int) -> int:
 
 
 def _cmd_bernoulli(args):
+    from . import zeta
     _within(args.k, BERNOULLI_MAX[args.method], qualifier=f" for --method {args.method}")
     if args.approx:
         _within(args.k, BERNOULLI_APPROX_MAX, qualifier=" with --approx")
     if args.method == "classical":
         value = zeta.bernoulli_classical(2 * args.k)
     elif args.method == "tree":
+        from . import trees
         # the odd-sequence transform is 2*zeta(2k)/pi^(2k)
         value = zeta.bernoulli_from_zeta(args.k, trees.generalized_transform(args.k) / 2)
     else:
@@ -129,6 +114,7 @@ def _cmd_pk(args):
 
 
 def _cmd_zeta_even(args):
+    from . import zeta
     _within(args.k, ZETA_EVEN_MAX)
     coeff = zeta.zeta_even_rational(args.k)
     power = 2 * args.k
@@ -143,6 +129,7 @@ def _cmd_zeta_even(args):
 
 def _tree_rows(k: int):
     """Each k-vertex tree with its low and high values and its weight, as text."""
+    from . import plane_trees, trees
     for tree in plane_trees.enumerate_trees(k):
         data = plane_trees.tree_data(tree)
         low = [str(trees.ODD_NUMBERS[n - 1]) for n in data.low]
@@ -151,11 +138,12 @@ def _tree_rows(k: int):
 
 
 def _cmd_trees(args):
+    from . import plane_trees
     # the count is a closed form; the listing holds every tree's record
     if args.list:
         _within(args.k, TREES_LIST_MAX, qualifier=" with --list")
     else:
-        _within(args.k, plane_trees.ENUMERATION_MAX)
+        _within(args.k, ENUMERATION_MAX)
     count = plane_trees.catalan(args.k - 1)
     if not args.list:
         return {"count": count}, [str(count)]
@@ -171,24 +159,25 @@ def _cmd_trees(args):
     return {"count": count, "trees": listing}, lines
 
 
-def read_sequence_file(path: str) -> trees.SequenceSpec:
-    """Load the values of a sequence file, one canonical rational per line.
+def read_sequence_file(path: str):
+    """The trees.SequenceSpec of a sequence file, one canonical rational per line.
 
     Line n supplies the value at position n.  Blank or malformed lines,
     zero values, values past SEQUENCE_DIGITS_MAX, lines longer than the
-    longest such value and lines past trees.TRANSFORM_MAX are rejected with
+    longest such value and lines past TRANSFORM_MAX are rejected with
     the offending line number; reading stops at the first one.  The text is
     UTF-8, a leading byte-order mark is no part of line 1, and a file that
     is not UTF-8 is rejected by its path.
     """
+    from . import trees
     width = 2 * SEQUENCE_DIGITS_MAX + 2  # "-" + digits + "/" + digits
     values: list[Fraction] = []
     try:
         with open(path, encoding="utf-8-sig") as fh:
             while line := fh.readline(width + 1):
                 where = f"{path}:{len(values) + 1}"
-                if len(values) == trees.TRANSFORM_MAX:
-                    raise ValueError(f"{where}: more than {trees.TRANSFORM_MAX} values")
+                if len(values) == TRANSFORM_MAX:
+                    raise ValueError(f"{where}: more than {TRANSFORM_MAX} values")
                 if len(line.rstrip("\n")) > width:
                     raise ValueError(
                         f"{where}: line longer than {width} characters, the longest"
@@ -217,7 +206,8 @@ def read_sequence_file(path: str) -> trees.SequenceSpec:
 
 
 def _cmd_transform(args):
-    _within(args.k, trees.TRANSFORM_MAX)
+    from . import trees
+    _within(args.k, TRANSFORM_MAX)
     try:
         seq = trees.ODD_NUMBERS
         if args.sequence is not None:
@@ -242,6 +232,7 @@ def _verify_lines(reports):
 
 
 def _cmd_verify(args):
+    from . import verify
     try:
         reports = verify.run_suite(args.suite, args.max_k)
     except ValueError as exc:
@@ -320,27 +311,26 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
 
     p = sub.add_parser("trees", help="plane trees with their low/high/weight data")
     p.add_argument("--k", type=int, required=True,
-                   help=f"vertex count, 1..{plane_trees.ENUMERATION_MAX} "
+                   help=f"vertex count, 1..{ENUMERATION_MAX} "
                    f"(1..{TREES_LIST_MAX} with --list)")
     p.add_argument("--list", action="store_true", help="list every tree")
     add_common(p, _cmd_trees, "k", "list")
 
     p = sub.add_parser("transform", help="tree-sum transform of a value sequence")
-    p.add_argument("--k", type=int, required=True, help=f"1..{trees.TRANSFORM_MAX}")
+    p.add_argument("--k", type=int, required=True, help=f"1..{TRANSFORM_MAX}")
     p.add_argument("--sequence", metavar="FILE", default=None,
-                   help=f"text file, one rational per line, at most {trees.TRANSFORM_MAX} lines "
+                   help=f"text file, one rational per line, at most {TRANSFORM_MAX} lines "
                    f"of at most {SEQUENCE_DIGITS_MAX}-digit numerators and denominators "
                    "(default: odd numbers)")
     add_common(p, _cmd_transform, "k", "sequence")
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", choices=verify.suite_names(), default="all")
+    p.add_argument("--suite", choices=["all", *SUITE_BOUNDS], default="all")
     p.add_argument(
         "--max-k", dest="max_k", type=int, default=None,
         help="largest k checked, within the suite's bound: " + ", ".join(
-            f"{name} {suite.min_max_k}..{suite.hard_max_k}"
-            for name, suite in verify.SUITES.items()
-        ) + f", all {verify.ALL_MIN_MAX_K}..{verify.ALL_MAX_K}",
+            f"{name} {low}..{high}" for name, (low, high) in SUITE_BOUNDS.items()
+        ) + f", all {ALL_MIN_MAX_K}..{ALL_MAX_K}",
     )
     add_common(p, _cmd_verify, "suite", "max_k")
 

@@ -35,15 +35,9 @@ from __future__ import annotations
 import math
 from typing import Iterator, NamedTuple
 
+from .bounds import ENUMERATION_MAX, TRANSFORM_MAX
 from .rationals import check_index, check_int
-from .trees import ODD_NUMBERS, TRANSFORM_MAX, SequenceSpec, Value
-
-# ENUMERATION_MAX guards the Catalan growth of tree streams.  tree_data reads
-# the transform's positions, so TRANSFORM_MAX bounds its vertex count: a
-# 240-vertex chain, star or comb over 3-digit rationals took 0.21-0.23 s in a
-# fresh process (2-vCPU host, Python 3.11.7; a 1000-vertex comb over 1..999
-# took 8.0 s in process).
-ENUMERATION_MAX = 16
+from .trees import ODD_NUMBERS, SequenceSpec, Value
 
 __all__ = [
     "PlaneTree",

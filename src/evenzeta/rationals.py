@@ -20,6 +20,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
+from .bounds import DOUBLE_FACTORIAL_PRODUCT_MAX
+
 __all__ = [
     "parse_rational",
     "is_exact",
@@ -27,10 +29,6 @@ __all__ = [
     "double_factorial_product",
     "DOUBLE_FACTORIAL_PRODUCT_MAX",
 ]
-
-# Largest k of double_factorial_product: a cold k = 700 took 1.8-2.8 s in a fresh
-# process (2-vCPU host, Python 3.11.7), 750 took 2.0-2.4 s and 800 3.5-4.7 s.
-DOUBLE_FACTORIAL_PRODUCT_MAX = 700
 
 # ASCII digits only: \d and int() also take full-width and other Unicode digits
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")

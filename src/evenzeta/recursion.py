@@ -46,6 +46,7 @@ import math
 import threading
 from fractions import Fraction
 
+from .bounds import RECURSION_MAX
 from .polynomials import InexactDivisionError, Polynomial, split_content, taylor_shift
 from .rationals import check_index, double_factorial_odd
 
@@ -56,16 +57,6 @@ __all__ = [
     "translated_polynomial",
     "RECURSION_MAX",
 ]
-
-# Largest k of the recursion route: one cold call within about 4.5 s in a
-# fresh process (2-vCPU host, Python 3.11.7; README has the ranges).
-# RECURSION_MAX bounds the cache, and through it numerator_polynomial,
-# zeta_numerator, zeta.zeta_even_rational, translated_polynomial (0.26-0.33 s
-# at 260 with half_scale=True) and the n of zeta's Newton partial sums:
-# newton_partial_sum(260, 2000) took 0.70-0.76 s (bounds lifted, 300:
-# 1.3-1.6 s, 400: 4.3-4.5 s), 1.9-2.4 s on the same host when the tower was
-# rebuilt for each i < n.
-RECURSION_MAX = 260
 
 
 class ConsistencyError(RuntimeError):

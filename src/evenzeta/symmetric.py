@@ -20,6 +20,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from .bounds import (
+    CYCLE_INDEX_MAX, CYCLE_INDEX_VARIABLES_MAX, INVERSE_SQUARES_MAX, NEWTON_GIRARD_MAX,
+    VARIABLES_MAX,
+)
 from .rationals import check_index, is_exact
 
 __all__ = [
@@ -34,27 +38,6 @@ __all__ = [
     "NEWTON_GIRARD_MAX",
     "VARIABLES_MAX",
 ]
-
-# Largest k of cycle_index_elementary, the most variables a verify trial
-# draws.  Its cost does not set it: the sum runs over the partitions of k,
-# not the k! permutations (k = 30 on inverse_squares(30): 0.12-0.16 s).
-CYCLE_INDEX_MAX = 8
-# Largest n of VariableSet.inverse_squares: n = 700000 takes 3.4-4.3 s in a
-# fresh process (2-vCPU host, Python 3.11.7), 10**6 5.1 s.
-INVERSE_SQUARES_MAX = 700_000
-# Largest k of newton_girard_check by the same rule, and its largest N, the
-# variable count, as k <= N: k = N on inverse_squares(N) took 2.7-3.9 s at
-# N = 230, 2.7-4.5 s at 240 and 3.3-5.3 s at 250.
-NEWTON_GIRARD_MAX = 230
-# Largest N of elementary_symmetric and power_sum, whose k runs up to N;
-# power_sum at k = N on inverse_squares(N) binds it: 2.6-3.7 s at N = 600,
-# 3.3-4.6 s at 650, 3.6-6.0 s at 700 (elementary_symmetric at 800: 0.3-0.5 s).
-VARIABLES_MAX = 600
-# Largest N of cycle_index_elementary: k = 8 on inverse_squares(N) took
-# 1.9-2.8 s at N = 20000, 2.7-4.6 s at 25000 and 4.7-5.3 s at 30000.
-# INVERSE_SQUARES_MAX stays above every N bound: each is measured on
-# inverse_squares(N), and its own value is set by the cost of building the set.
-CYCLE_INDEX_VARIABLES_MAX = 20_000
 
 
 class VariableSet(tuple):

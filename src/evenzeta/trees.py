@@ -47,18 +47,11 @@ import threading
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .bounds import TRANSFORM_MAX, TREE_SUM_MAX
 from .polynomials import InexactDivisionError, Polynomial, split_content, taylor_shift
 from .rationals import check_index, check_int, is_exact
 
 Value = Union[int, Fraction]
-
-# Largest k of each route.  Each keeps one call within about 4.5 s end to
-# end in a fresh process (2-vCPU host, Python 3.11.7): `transform --k 240
-# --format json` over 3-digit rationals 0.5-0.6 s, polynomial_via_trees(210)
-# 1.9-2.5 s (220 took 3.8-5.0 s on older code), nearly all of it the family
-# G_0..G_209.
-TRANSFORM_MAX = 240
-TREE_SUM_MAX = 210
 
 __all__ = [
     "SequenceSpec",

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import basis, plane_trees, recursion, symmetric, trees, zeta
+from .bounds import ALL_MAX_K, ALL_MIN_MAX_K, SUITE_BOUNDS
 from .rationals import check_int, no_int_str_limit
 
 __all__ = ["SUITES", "ALL_MIN_MAX_K", "ALL_MAX_K", "run_suite", "suite_names"]
@@ -136,35 +137,25 @@ def _suite_lemma_2ni(max_k: int) -> _Checks:
 class _Suite(NamedTuple):
     run: Callable[[int], _Checks]
     default_max_k: int
+    min_max_k: int  # the first k the suite checks: a smaller max_k checks nothing
     hard_max_k: int
-    min_max_k: int = 1  # the first k the suite checks: a smaller max_k checks nothing
 
 
-# Each hard bound keeps `verify --suite NAME --max-k BOUND --format json`
-# within about 4.5 s end to end in a fresh process (2-vCPU host, Python
-# 3.11.7, whose speed drifted by up to 1.5x between runs): trees 200 3.3-4.0 s
-# (210: 4.4-5.3 s, most of it the tree family), fn 800 3.6-3.9 s.  The others stop
-# at the largest k each can read: bernoulli 1.6-2.0 s at zeta.BERNOULLI_EVEN_MAX;
-# coeffs 3.8-3.9 s, positivity 1.9-2.1 s and leading 0.40-0.56 s (content and
-# primitive part, no coefficient scaled) at recursion.RECURSION_MAX; lemma-2ni
-# 0.2 s at basis.BASIS_COEFFICIENTS_MAX, every n the basis recurrence uses.
-# Each suite checks every k up to its bound; newton-girard and cycle-index keep 8,
-# the most variables of their random sets and symmetric.CYCLE_INDEX_MAX.  "all"
-# runs every suite at the smaller of its max_k and the suite's bound, within
-# ALL_MIN_MAX_K..ALL_MAX_K: 160 took 2.7-3.8 s (170: 4.6-4.7 s; 180: 5.7-6.1 s).
-ALL_MAX_K = 160
-SUITES: dict[str, _Suite] = {
-    "newton-girard": _Suite(_suite_newton_girard, 8, 8),
-    "cycle-index": _Suite(_suite_cycle_index, 8, 8),
-    "trees": _Suite(_suite_trees, 10, 200, 2),
-    "coeffs": _Suite(_suite_coeffs, 12, recursion.RECURSION_MAX, 2),
-    "bernoulli": _Suite(_suite_bernoulli, 20, zeta.BERNOULLI_EVEN_MAX),
-    "fn": _Suite(_suite_fn, 10, 800),
-    "positivity": _Suite(_suite_positivity, 15, recursion.RECURSION_MAX),
-    "leading": _Suite(_suite_leading, 12, recursion.RECURSION_MAX, 2),
-    "lemma-2ni": _Suite(_suite_lemma_2ni, 6, basis.BASIS_COEFFICIENTS_MAX),
+# each suite's checks and default max_k; its bounds and run order are bounds.SUITE_BOUNDS's
+_RUNS = {
+    "newton-girard": (_suite_newton_girard, 8),
+    "cycle-index": (_suite_cycle_index, 8),
+    "trees": (_suite_trees, 10),
+    "coeffs": (_suite_coeffs, 12),
+    "bernoulli": (_suite_bernoulli, 20),
+    "fn": (_suite_fn, 10),
+    "positivity": (_suite_positivity, 15),
+    "leading": (_suite_leading, 12),
+    "lemma-2ni": (_suite_lemma_2ni, 6),
 }
-ALL_MIN_MAX_K = max(suite.min_max_k for suite in SUITES.values())
+SUITES: dict[str, _Suite] = {
+    name: _Suite(*_RUNS[name], *low_high) for name, low_high in SUITE_BOUNDS.items()
+}
 
 
 def suite_names() -> list[str]:

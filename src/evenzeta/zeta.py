@@ -16,8 +16,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .bounds import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX, RECURSION_MAX
 from .rationals import check_index, double_factorial_product, is_exact
-from .recursion import RECURSION_MAX, numerator_polynomial, zeta_numerator
+from .recursion import numerator_polynomial, zeta_numerator
 
 __all__ = [
     "elementary_zeta",
@@ -31,21 +32,6 @@ __all__ = [
     "BERNOULLI_CLASSICAL_MAX",
     "ELEMENTARY_ZETA_MAX",
 ]
-
-# Largest k of bernoulli_even: one call within about 4.5 s in a fresh process
-# (2-vCPU host, Python 3.11.7), 0.6 s at 260, so it reaches RECURSION_MAX.
-# The `verify` bernoulli suite runs it up to 240.
-BERNOULLI_EVEN_MAX = RECURSION_MAX
-
-# Largest n of the classical oracle, by the same rule: bernoulli_classical(700)
-# took 3.9-4.4 s cold (725 took 3.8-5.0 s, 750 4.0-5.4 s).  It may not go
-# below 700, the B_{2k} of `bernoulli --k 350 --method classical`.
-BERNOULLI_CLASSICAL_MAX = 700
-
-# Largest k of elementary_zeta, bernoulli_from_zeta and the Newton partial
-# sums, whose own cost is a factorial of about 2k (0.1 s at 2000).  Their n
-# is bounded by RECURSION_MAX: newton_partial_sum(260, 2000) took 0.70-0.76 s.
-ELEMENTARY_ZETA_MAX = 2000
 
 
 def elementary_zeta(k: int) -> Fraction:

@@ -9,33 +9,33 @@ from pathlib import Path
 import pytest
 
 import evenzeta
-from evenzeta.basis import BASIS_COEFFICIENTS_MAX
-from evenzeta.cli import (
+from evenzeta.bounds import (
     AK_MAX,
+    ALL_MAX_K,
+    ALL_MIN_MAX_K,
+    BASIS_COEFFICIENTS_MAX,
     BERNOULLI_APPROX_MAX,
-    BERNOULLI_MAX,
-    PK_MAX,
-    SEQUENCE_DIGITS_MAX,
-    TREES_LIST_MAX,
-    ZETA_EVEN_MAX,
-    main,
-    read_sequence_file,
-)
-from evenzeta.plane_trees import ENUMERATION_MAX
-from evenzeta.polynomials import InexactDivisionError
-from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
-from evenzeta.recursion import (
-    RECURSION_MAX,
-    ConsistencyError,
-)
-from evenzeta.trees import TRANSFORM_MAX, TREE_SUM_MAX, generalized_transform
-from evenzeta.verify import ALL_MAX_K, ALL_MIN_MAX_K, SUITES, run_suite
-from evenzeta.zeta import (
     BERNOULLI_CLASSICAL_MAX,
     BERNOULLI_EVEN_MAX,
+    BERNOULLI_MAX,
+    DOUBLE_FACTORIAL_PRODUCT_MAX,
     ELEMENTARY_ZETA_MAX,
-    zeta_even_rational,
+    ENUMERATION_MAX,
+    PK_MAX,
+    RECURSION_MAX,
+    SEQUENCE_DIGITS_MAX,
+    SUITE_BOUNDS,
+    TRANSFORM_MAX,
+    TREE_SUM_MAX,
+    TREES_LIST_MAX,
+    ZETA_EVEN_MAX,
 )
+from evenzeta.cli import main, read_sequence_file
+from evenzeta.polynomials import InexactDivisionError
+from evenzeta.recursion import ConsistencyError
+from evenzeta.trees import generalized_transform
+from evenzeta.verify import SUITES, run_suite
+from evenzeta.zeta import zeta_even_rational
 
 PUBLISHED_SEQUENCE = [
     "1",
@@ -616,7 +616,7 @@ def test_format_without_a_value_is_a_usage_error(capsys):
 def test_command_bounds_nest_in_library_bounds():
     # a command or suite bound past the library bound of a function it calls
     # at that k would turn a valid call into exit code 3
-    suite = {name: s.hard_max_k for name, s in SUITES.items()}
+    suite = {name: high for name, (_, high) in SUITE_BOUNDS.items()}
     # numerator_polynomial, zeta_numerator and zeta_even_rational
     assert max(AK_MAX, ZETA_EVEN_MAX, BERNOULLI_MAX["recursion"], suite["leading"]) <= RECURSION_MAX
     # and within the library: bernoulli_even -> zeta_even_rational -> double_factorial_product
@@ -758,6 +758,29 @@ def test_json_output_matches_golden_digest(capsys, monkeypatch, tmp_path, comman
     code, out, _ = run(capsys, *command.split(), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[fmt][command]
+
+
+# sha256 of the full help at 80 columns, by argv; pinned from the code before
+# the parser read its bounds from `bounds` alone
+HELP_SHA256 = {
+    "--help": "ddb44e31eb5ff54417d17108e1c44289972cad318ea709ffe0e6bddbb062ad7e",
+    "bernoulli --help": "84a3aec650f16d3d4c4059f66c2f8e9a1d613cd60240d0b001198b3d287f6445",
+    "ak --help": "ae6d4967c6964614fababb752aa6b8596a795b074823f7c1d3bfd614e59a58aa",
+    "pk --help": "4f04060bff15cbff927d4a9208bda00b17264430ad5c483434a1ae5680649857",
+    "zeta-even --help": "0b2ebe4a4d154174bbc91aacf9f09ca4e1c279532b03c1a08edf7b8bf453aeaf",
+    "trees --help": "f619fe8c9eb4d3c94516a2544f3031f6d96d7da52431e1de2ab2e120f12f93f1",
+    "transform --help": "979ce227e185cfdee0d307e0edb9ab84865a4745acb1a06ada0feeff597ba1bb",
+    "verify --help": "eeabd74d7a0e3ba060fd2d26e3f72ff2f7dca925d76f2def2e0a4c66e11ccbfd",
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP_SHA256))
+def test_help_matches_golden_digest(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SHA256[argv]
 
 
 # every refusal a command makes, with the inputs and error_detail of its record;

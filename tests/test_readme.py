@@ -2,28 +2,31 @@ import re
 from pathlib import Path
 
 import evenzeta
-from evenzeta.basis import BASIS_COEFFICIENTS_MAX
-from evenzeta.cli import (
+from evenzeta.bounds import (
     AK_MAX,
+    ALL_MAX_K,
+    ALL_MIN_MAX_K,
+    BASIS_COEFFICIENTS_MAX,
     BERNOULLI_APPROX_MAX,
+    BERNOULLI_CLASSICAL_MAX,
+    BERNOULLI_EVEN_MAX,
     BERNOULLI_MAX,
-    PK_MAX,
-    SEQUENCE_DIGITS_MAX,
-    TREES_LIST_MAX,
-    ZETA_EVEN_MAX,
-)
-from evenzeta.plane_trees import ENUMERATION_MAX
-from evenzeta.rationals import DOUBLE_FACTORIAL_PRODUCT_MAX
-from evenzeta.recursion import RECURSION_MAX
-from evenzeta.symmetric import (
     CYCLE_INDEX_VARIABLES_MAX,
+    DOUBLE_FACTORIAL_PRODUCT_MAX,
+    ELEMENTARY_ZETA_MAX,
+    ENUMERATION_MAX,
     INVERSE_SQUARES_MAX,
     NEWTON_GIRARD_MAX,
+    PK_MAX,
+    RECURSION_MAX,
+    SEQUENCE_DIGITS_MAX,
+    SUITE_BOUNDS,
+    TRANSFORM_MAX,
+    TREE_SUM_MAX,
+    TREES_LIST_MAX,
     VARIABLES_MAX,
+    ZETA_EVEN_MAX,
 )
-from evenzeta.trees import TRANSFORM_MAX, TREE_SUM_MAX
-from evenzeta.verify import ALL_MAX_K, ALL_MIN_MAX_K, SUITES
-from evenzeta.zeta import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,13 +45,13 @@ ROW_BOUNDS = {
     "`trees --k K`": [ENUMERATION_MAX],
     "`trees --k K --list`": [TREES_LIST_MAX],
     **{
-        f"`verify --suite {name} --max-k N`": [suite.hard_max_k]
-        for name, suite in SUITES.items()
+        f"`verify --suite {name} --max-k N`": [high]
+        for name, (_, high) in SUITE_BOUNDS.items()
         if name not in ("newton-girard", "cycle-index")
     },
     "`verify --suite newton-girard` or `cycle-index`": [
-        SUITES["newton-girard"].hard_max_k,
-        SUITES["cycle-index"].hard_max_k,
+        SUITE_BOUNDS["newton-girard"][1],
+        SUITE_BOUNDS["cycle-index"][1],
     ],
     "`verify --suite all --max-k N`": [ALL_MAX_K],
     "`polynomial_via_trees(k)`": [TREE_SUM_MAX],
@@ -93,7 +96,7 @@ def test_readme_bounds_table_matches_constants():
         bound = int(re.match(r"\d+", rows[first]).group())
         assert constants == [bound] * len(constants), first
     # a verify row states its lower bound as ", from N" where it is past 1
-    lows = {name: suite.min_max_k for name, suite in SUITES.items()}
+    lows = {name: low for name, (low, _) in SUITE_BOUNDS.items()}
     lows["all"] = ALL_MIN_MAX_K
     for name, low in lows.items():
         first = f"`verify --suite {name} --max-k N`"

@@ -82,7 +82,7 @@ def test_basis_is_defined_only_in_basis():
     assert BASIS <= _top_level_definitions("basis")
     owners = {path.stem for path in SRC.glob("*.py") if BASIS & _top_level_definitions(path.stem)}
     assert owners == {"basis"}
-    assert _package_imports("basis") == {"rationals", "polynomials"}
+    assert _package_imports("basis") == {"bounds", "rationals", "polynomials"}
     assert "basis" not in _package_imports("recursion") | _package_imports("zeta")
 
 
@@ -113,6 +113,45 @@ def test_index_check_is_defined_only_in_rationals():
     # evenbench's tracer wraps every __all__ function: a guard there would be
     # traced on every public call
     assert "check_index" not in importlib.import_module("evenzeta.rationals").__all__
+
+
+def _bound_assignments(module):
+    """The *_MAX and *_MAX_K names a module assigns at its top level."""
+    return {
+        target.id
+        for node in _parse(module).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith(("_MAX", "_MAX_K"))
+    }
+
+
+def test_every_bound_is_assigned_only_in_bounds():
+    # how far each entry point goes is decided in one module, which imports
+    # nothing, so the CLI's parser reads it without loading a route
+    owners = {path.stem for path in SRC.glob("*.py") if _bound_assignments(path.stem)}
+    assert owners == {"bounds"}
+    imports = (ast.Import, ast.ImportFrom)
+    assert not any(isinstance(node, imports) for node in ast.walk(_parse("bounds")))
+    # a module that publishes a bound publishes bounds' own value
+    bounds = importlib.import_module("evenzeta.bounds")
+    published = set()
+    for short in (*evenzeta._MODULES, "verify"):
+        module = importlib.import_module(f"evenzeta.{short}")
+        for name in module.__all__:
+            if name.endswith(("_MAX", "_MAX_K")):
+                assert getattr(module, name) is getattr(bounds, name), (short, name)
+                published.add(name)
+    # and the CLI reads each of the others, its commands' own bounds
+    commands = _bound_assignments("bounds") - published
+    assert "RECURSION_MAX" in published and "AK_MAX" in commands
+    cli = importlib.import_module("evenzeta.cli")
+    assert all(getattr(cli, name, None) is getattr(bounds, name) for name in commands), commands
+    # verify runs its suites in the table's order, within the table's bounds
+    suites = importlib.import_module("evenzeta.verify").SUITES
+    assert [(name, s.min_max_k, s.hard_max_k) for name, s in suites.items()] == [
+        (name, low, high) for name, (low, high) in bounds.SUITE_BOUNDS.items()
+    ]
 
 
 def test_every_all_name_is_bound():
@@ -191,17 +230,43 @@ def test_package_publishes_every_module_name_once():
 def test_a_name_loads_only_the_modules_before_its_own():
     # `import evenzeta` loads no module; a name loads the modules up to its
     # own in the search order (rationals, polynomials, recursion, trees, zeta,
-    # plane_trees, basis, symmetric), so the recursion route alone compiles
-    # neither tree module, nor the basis, zeta and symmetric-group modules, and
-    # the tree route leaves out its per-tree replay.  The CLI loads every module.
+    # plane_trees, basis, symmetric), and the bounds that rationals reads, so
+    # the recursion route alone compiles neither tree module, nor the basis,
+    # zeta and symmetric-group modules, and the tree route leaves out its
+    # per-tree replay.  The CLI itself loads only the recursion route.
     assert _loaded("pass") == []
-    assert _loaded("evenzeta.zeta_numerator") == ["polynomials", "rationals", "recursion"]
-    route = ["polynomials", "rationals", "recursion", "trees"]
+    recursion = ["bounds", "polynomials", "rationals", "recursion"]
+    assert _loaded("evenzeta.zeta_numerator") == recursion
+    route = [*recursion, "trees"]
     for name in ("generalized_transform", "polynomial_via_trees", "SequenceSpec"):
         assert _loaded(f"evenzeta.{name}") == route, name
     assert _loaded("evenzeta.tree_data") == sorted([*route, "zeta", "plane_trees"])
     assert _loaded("evenzeta.basis_coefficients") == sorted([*route, "zeta", "plane_trees", "basis"])
-    assert _loaded("import evenzeta.cli") == sorted(["cli", "verify", *LIBRARY])
+    assert _loaded("import evenzeta.cli") == sorted(["cli", *recursion])
+
+
+# the modules beyond the CLI's own (bounds, rationals, polynomials, recursion)
+# that a command loads: each imports the routes it calls when it runs
+COMMAND_MODULES = {
+    "ak --max 5": [],
+    "pk --k 5": [],
+    "zeta-even --k 5": ["zeta"],
+    "bernoulli --k 5 --method recursion": ["zeta"],
+    "bernoulli --k 5 --method classical": ["zeta"],
+    "transform --k 5": ["trees"],
+    "bernoulli --k 5 --method tree": ["trees", "zeta"],
+    "trees --k 5 --list": ["trees", "plane_trees"],
+    "verify --suite newton-girard": ["verify", *LIBRARY],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_a_command_loads_only_the_routes_it_runs(command):
+    argv = command.split()
+    run = f"import io, evenzeta.cli; sys.stdout = io.StringIO(); evenzeta.cli.main({argv})"
+    own = ["cli", "bounds", "polynomials", "rationals", "recursion"]
+    loaded = _loaded(f"{run}; sys.stdout = sys.__stdout__")
+    assert loaded == sorted({*own, *COMMAND_MODULES[command]})
 
 
 def test_a_dunder_miss_loads_no_module():
@@ -222,9 +287,10 @@ def test_a_submodule_probe_loads_no_module():
         assert _loaded(f"assert not hasattr(evenzeta, {name!r})") == []
     # a dotted name is no submodule probe: it misses after the search, and
     # imports no submodule on the way
-    assert _loaded("assert not hasattr(evenzeta, 'verify.run_suite')") == sorted(LIBRARY)
+    dotted = "assert not hasattr(evenzeta, 'verify.run_suite')"
+    assert _loaded(dotted) == sorted(["bounds", *LIBRARY])
     code = "from evenzeta import verify; assert verify is sys.modules['evenzeta.verify']"
-    assert _loaded(code) == sorted(["verify", *LIBRARY])
+    assert _loaded(code) == sorted(["bounds", "verify", *LIBRARY])
 
 
 def test_library_modules_import_siblings_only_by_module():
