@@ -29,9 +29,8 @@ from .bounds import (
     AK_MAX, ALL_MAX_K, ALL_MIN_MAX_K, BERNOULLI_APPROX_MAX, BERNOULLI_MAX, ENUMERATION_MAX, PK_MAX,
     SEQUENCE_DIGITS_MAX, SUITE_BOUNDS, TRANSFORM_MAX, TREES_LIST_MAX, ZETA_EVEN_MAX,
 )
-from .polynomials import polynomial_text
-from .rationals import no_int_str_limit, parse_rational
 from .recursion import numerator_polynomial, translated_polynomial, zeta_numerator
+from .text import no_int_str_limit, parse_rational, polynomial_text
 
 __all__ = ["main"]
 

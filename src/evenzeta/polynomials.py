@@ -8,6 +8,9 @@ when read: an integral coefficient as an ``int``, any other as a reduced
 ``Fraction``.  A float, bool or string raises TypeError.  Values are
 immutable, so they are safe to share between threads and to use as dict keys;
 == and the hash are the pair's, so a constant equals no scalar.
+str() gives the text form, "65 + 60*x + 40*x^2", through
+text.polynomial_text, which no route calls: text loads the first time a
+value is printed.
 
 There is no arithmetic: the routes add, multiply and divide by (x - c) on
 int lists inside their own loops, and raise InexactDivisionError for a
@@ -28,7 +31,6 @@ Scalar = Union[int, Fraction]
 __all__ = [
     "Polynomial",
     "InexactDivisionError",
-    "polynomial_text",
     "split_content",
     "taylor_shift",
     "ZERO",
@@ -118,6 +120,8 @@ class Polynomial:
     # -- canonical text / JSON forms -----------------------------------------
 
     def __str__(self) -> str:
+        from .text import polynomial_text
+
         return polynomial_text(self.coefficient_strings())
 
     def coefficient_strings(self) -> list[str]:
@@ -152,27 +156,6 @@ def split_content(coeffs: Sequence[int]) -> tuple[int, list[int]]:
     if content > 1:
         return content, [a // content for a in coeffs]
     return content, list(coeffs)
-
-
-def polynomial_text(strings: list[str]) -> str:
-    """The text form, e.g. "65 + 60*x + 40*x^2", from the ascending coefficient strings."""
-    parts: list[str] = []
-    for i, text in enumerate(strings):
-        if text == "0":
-            continue
-        negative = text.startswith("-")
-        mag = text[1:] if negative else text
-        if i == 0:
-            body = mag
-        elif mag == "1":
-            body = "x" if i == 1 else f"x^{i}"
-        else:
-            body = f"{mag}*x" if i == 1 else f"{mag}*x^{i}"
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts) or "0"
 
 
 ZERO = Polynomial()

@@ -4,8 +4,9 @@ Python's built-in ``int`` is the arbitrary-precision integer type and
 ``fractions.Fraction`` is the rational type: always reduced, denominator
 positive, zero stored as 0/1.  ``str(Fraction)`` already produces the
 canonical text form ("num/den", denominator omitted when 1), so this module
-only adds strict parsing, the exactness test for incoming values, the odd
-double factorials of the zeta denominators and a lift of the int-to-str limit.
+only adds the exactness test for incoming values, the index checks every
+bounded function makes before any work, and the odd double factorials of the
+zeta denominators.  Text in and out, parsing included, is in text.py.
 
 No floating-point value appears anywhere on the computation path.
 """
@@ -13,37 +14,18 @@ No floating-point value appears anywhere on the computation path.
 from __future__ import annotations
 
 import math
-import re
-import sys
 import threading
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
 from .bounds import DOUBLE_FACTORIAL_PRODUCT_MAX
 
 __all__ = [
-    "parse_rational",
     "is_exact",
     "double_factorial_odd",
     "double_factorial_product",
     "DOUBLE_FACTORIAL_PRODUCT_MAX",
 ]
-
-# ASCII digits only: \d and int() also take full-width and other Unicode digits
-_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse canonical rational text: an integer or "num/den" in base 10."""
-    m = _RATIONAL_RE.match(text.strip())
-    if m is None:
-        raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
-    if den == 0:
-        raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
 
 
 def is_exact(v) -> bool:
@@ -66,19 +48,6 @@ def check_index(k, lo: int, hi: int, name: str = "k") -> None:
     check_int(k, name)
     if not lo <= k <= hi:
         raise ValueError(f"{name}={k} outside {lo}..{hi}")
-
-
-@contextmanager
-def no_int_str_limit():
-    """Lift Python's int-to-str digit limit (3.11 has one) in the block; restore the caller's."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 @lru_cache(maxsize=None)

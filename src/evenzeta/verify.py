@@ -16,7 +16,8 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import basis, plane_trees, recursion, symmetric, trees, zeta
 from .bounds import ALL_MAX_K, ALL_MIN_MAX_K, SUITE_BOUNDS
-from .rationals import check_int, no_int_str_limit
+from .rationals import check_int
+from .text import no_int_str_limit
 
 __all__ = ["SUITES", "ALL_MIN_MAX_K", "ALL_MAX_K", "run_suite", "suite_names"]
 

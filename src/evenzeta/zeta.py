@@ -59,7 +59,7 @@ def bernoulli_from_zeta(k: int, coeff: Fraction) -> Fraction:
         raise TypeError(f"coeff={coeff!r} is not an int or a Fraction")
     check_index(k, 1, ELEMENTARY_ZETA_MAX)
     sign = 1 if k % 2 else -1
-    return sign * 2 * math.factorial(2 * k) * coeff / 2 ** (2 * k)
+    return Fraction(sign * 2 * math.factorial(2 * k) * coeff, 2 ** (2 * k))
 
 
 def bernoulli_even(k: int) -> Fraction:

@@ -535,7 +535,7 @@ def test_run_suite_reports_a_witness_past_the_int_str_limit(monkeypatch):
     # outside the CLI the default int-to-str limit holds: a failed check
     # still carries both sides in full, and the limit is as it was after
     from evenzeta import recursion
-    from evenzeta.rationals import no_int_str_limit
+    from evenzeta.text import no_int_str_limit
 
     real = recursion.zeta_numerator
     monkeypatch.setattr(recursion, "zeta_numerator", lambda k: real(k) + 1 if k == 200 else real(k))

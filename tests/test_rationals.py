@@ -13,9 +13,8 @@ from evenzeta.rationals import (
     DOUBLE_FACTORIAL_PRODUCT_MAX,
     double_factorial_odd,
     double_factorial_product,
-    no_int_str_limit,
-    parse_rational,
 )
+from evenzeta.text import no_int_str_limit, parse_rational
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50

@@ -180,16 +180,18 @@ def _defines_all(path):
     )
 
 
-def test_package_searches_every_library_module():
-    # a module left out of the search would have its names silently
-    # unpublished; the CLI and its suites are not library modules
+def test_package_table_lists_every_library_module():
+    # the package publishes a module's names from its table: a module left
+    # out, or a name missing from its row, would go silently unpublished;
+    # the CLI and its suites are not library modules
     published = {path.stem for path in SRC.glob("*.py") if _defines_all(path)}
     assert "cli" in published and "verify" in published
-    assert set(evenzeta._MODULES) == published - {"cli", "verify"}
-    assert len(set(evenzeta._MODULES)) == len(evenzeta._MODULES)
+    assert set(evenzeta._MODULES) == published - {"__init__", "cli", "verify"}
+    for short, names in evenzeta._MODULES.items():
+        assert list(names) == importlib.import_module(f"evenzeta.{short}").__all__, short
 
 
-LIBRARY = evenzeta._MODULES
+LIBRARY = tuple(evenzeta._MODULES)
 
 
 def _fresh(code):
@@ -227,25 +229,53 @@ def test_package_publishes_every_module_name_once():
         evenzeta.no_such_name
 
 
-def test_a_name_loads_only_the_modules_before_its_own():
-    # `import evenzeta` loads no module; a name loads the modules up to its
-    # own in the search order (rationals, polynomials, recursion, trees, zeta,
-    # plane_trees, basis, symmetric), and the bounds that rationals reads, so
-    # the recursion route alone compiles neither tree module, nor the basis,
-    # zeta and symmetric-group modules, and the tree route leaves out its
-    # per-tree replay.  The CLI itself loads only the recursion route.
+def test_a_name_loads_only_its_own_module():
+    # `import evenzeta` loads no module, and neither do __all__ and dir(); a
+    # name loads its own module and that module's imports, so the recursion
+    # route compiles neither tree module nor the text forms, and the tree
+    # route leaves out the recursion and its per-tree replay.  The CLI
+    # itself loads only the recursion route and the text forms.
     assert _loaded("pass") == []
-    recursion = ["bounds", "polynomials", "rationals", "recursion"]
+    assert _loaded("evenzeta.__all__, dir(evenzeta)") == []
+    scalars = ["bounds", "polynomials", "rationals"]
+    recursion = sorted([*scalars, "recursion"])
     assert _loaded("evenzeta.zeta_numerator") == recursion
-    route = [*recursion, "trees"]
+    route = sorted([*scalars, "trees"])
     for name in ("generalized_transform", "polynomial_via_trees", "SequenceSpec"):
         assert _loaded(f"evenzeta.{name}") == route, name
-    assert _loaded("evenzeta.tree_data") == sorted([*route, "zeta", "plane_trees"])
-    assert _loaded("evenzeta.basis_coefficients") == sorted([*route, "zeta", "plane_trees", "basis"])
-    assert _loaded("import evenzeta.cli") == sorted(["cli", *recursion])
+    assert _loaded("evenzeta.tree_data") == sorted([*route, "plane_trees"])
+    assert _loaded("evenzeta.basis_coefficients") == sorted([*scalars, "basis"])
+    assert _loaded("evenzeta.newton_girard_check") == ["bounds", "rationals", "symmetric"]
+    assert _loaded("evenzeta.parse_rational") == ["text"]
+    assert _loaded("import evenzeta.cli") == sorted(["cli", "text", *recursion])
 
 
-# the modules beyond the CLI's own (bounds, rationals, polynomials, recursion)
+def test_text_loads_only_when_a_value_is_printed():
+    # the routes read and write no text: a route's value loads text only when
+    # str() prints it
+    assert "text" not in _loaded("evenzeta.translated_polynomial(5)")
+    assert "text" in _loaded("str(evenzeta.numerator_polynomial(5))")
+
+
+def test_only_text_imports_re_and_no_library_module_loads_it():
+    # the regex and the text forms live in text.py, which imports no sibling;
+    # no library module imports it when it loads, so no route compiles it
+    def imports(nodes):
+        return {
+            alias.name if isinstance(node, ast.Import) else node.module
+            for node in nodes
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+
+    modules = [path.stem for path in SRC.glob("*.py")]
+    assert [module for module in modules if "re" in imports(ast.walk(_parse(module)))] == ["text"]
+    assert _package_imports("text") == set()
+    for short in LIBRARY:
+        assert "text" not in imports(_parse(short).body), short
+
+
+# the modules beyond the CLI's own (bounds, rationals, polynomials, recursion, text)
 # that a command loads: each imports the routes it calls when it runs
 COMMAND_MODULES = {
     "ak --max 5": [],
@@ -264,7 +294,7 @@ COMMAND_MODULES = {
 def test_a_command_loads_only_the_routes_it_runs(command):
     argv = command.split()
     run = f"import io, evenzeta.cli; sys.stdout = io.StringIO(); evenzeta.cli.main({argv})"
-    own = ["cli", "bounds", "polynomials", "rationals", "recursion"]
+    own = ["cli", "bounds", "polynomials", "rationals", "recursion", "text"]
     loaded = _loaded(f"{run}; sys.stdout = sys.__stdout__")
     assert loaded == sorted({*own, *COMMAND_MODULES[command]})
 
@@ -281,14 +311,10 @@ def test_a_dunder_miss_loads_no_module():
 
 def test_a_submodule_probe_loads_no_module():
     # the import machinery probes hasattr(evenzeta, "verify") before it
-    # imports the submodule; a name of a submodule outside the search is
+    # imports the submodule; a name outside the table, a dotted one too, is
     # answered at once, and the import itself still loads what verify reads
-    for name in ("verify", "cli"):
+    for name in ("verify", "cli", "verify.run_suite"):
         assert _loaded(f"assert not hasattr(evenzeta, {name!r})") == []
-    # a dotted name is no submodule probe: it misses after the search, and
-    # imports no submodule on the way
-    dotted = "assert not hasattr(evenzeta, 'verify.run_suite')"
-    assert _loaded(dotted) == sorted(["bounds", *LIBRARY])
     code = "from evenzeta import verify; assert verify is sys.modules['evenzeta.verify']"
     assert _loaded(code) == sorted(["bounds", "verify", *LIBRARY])
 

@@ -115,6 +115,28 @@ def test_bernoulli_from_zeta_rejects_inexact_coeff(bad):
         bernoulli_from_zeta(1, bad)
 
 
+@pytest.mark.parametrize(
+    "k,coeff,expected",
+    [(1, 1, Fraction(1)), (2, 3, Fraction(-9)), (1, Fraction(1, 6), Fraction(1, 6)),
+     (2, Fraction(1, 90), Fraction(-1, 30))],
+)
+def test_bernoulli_from_zeta_returns_a_fraction(k, coeff, expected):
+    # an int coefficient gives a Fraction too, never int / int's float
+    b = bernoulli_from_zeta(k, coeff)
+    assert type(b) is Fraction and b == expected
+
+
+@given(
+    st.integers(1, 40),
+    st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6)),
+)
+def test_bernoulli_from_zeta_is_exact_for_any_exact_coeff(k, coeff):
+    b = bernoulli_from_zeta(k, coeff)
+    sign = 1 if k % 2 else -1
+    assert type(b) is Fraction
+    assert b == sign * 2 * math.factorial(2 * k) * Fraction(coeff) / 4**k
+
+
 def test_bernoulli_even_matches_oracle():
     for k in range(1, 31):
         b = bernoulli_even(k)
