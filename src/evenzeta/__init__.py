@@ -18,8 +18,8 @@ dotted name, or a submodule outside the table such as verify until it is
 imported, so hasattr(evenzeta, "verify") loads nothing.  Every bound sits in
 bounds, which rationals and so every route loads, and which publishes
 nothing.  The CLI and its verification suites (cli, verify) are not loaded
-here; importing evenzeta.cli loads bounds, text and the recursion route,
-and each command loads the routes it runs.
+here; importing evenzeta.cli loads bounds and text, and each command loads
+the routes it runs.
 """
 
 from importlib import import_module
@@ -29,13 +29,12 @@ __version__ = "0.1.0"
 # Each library module's __all__, which a test holds equal to the module's own.
 _MODULES = {
     "rationals": (
-        "is_exact", "double_factorial_odd", "double_factorial_product",
+        "ConsistencyError", "double_factorial_odd", "double_factorial_product",
         "DOUBLE_FACTORIAL_PRODUCT_MAX",
     ),
-    "polynomials": ("Polynomial", "InexactDivisionError", "split_content", "taylor_shift", "ZERO"),
+    "polynomials": ("Polynomial", "split_content", "taylor_shift", "ZERO"),
     "recursion": (
-        "ConsistencyError", "numerator_polynomial", "zeta_numerator", "translated_polynomial",
-        "RECURSION_MAX",
+        "numerator_polynomial", "zeta_numerator", "translated_polynomial", "RECURSION_MAX",
     ),
     "trees": (
         "SequenceSpec", "ODD_NUMBERS", "polynomial_via_trees", "generalized_transform",

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .bounds import BASIS_COEFFICIENTS_MAX
 from .polynomials import ZERO, Polynomial, split_content
-from .rationals import check_index, check_int, double_factorial_odd
+from .rationals import check_index, check_int, check_type, double_factorial_odd
 
 __all__ = ["basis_coefficients", "expand_basis", "BASIS_COEFFICIENTS_MAX"]
 
@@ -79,8 +79,7 @@ def expand_basis(basis: Polynomial, k: int) -> Polynomial:
     contents multiply once.  k is any int, and basis a Polynomial of at most
     BASIS_COEFFICIENTS_MAX - 1 coefficients, both checked before any work."""
     check_int(k)
-    if not isinstance(basis, Polynomial):
-        raise TypeError(f"basis is a {type(basis).__name__}, not a Polynomial")
+    check_type(basis, Polynomial, "basis")
     check_index(len(basis.primitive), 0, BASIS_COEFFICIENTS_MAX - 1, "len(basis.primitive)")
     if not basis:
         return ZERO

@@ -13,8 +13,8 @@ for an input it refuses; _run alone prints one of the two forms and chooses
 the exit code.
 
 The parser reads every bound from `bounds`, and each command imports the
-route modules it calls in its own body, so a process loads only the routes
-its command runs.
+route modules it calls in its own body, so `import evenzeta.cli` loads only
+bounds and text, and a process loads only the routes its command runs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .bounds import (
     AK_MAX, ALL_MAX_K, ALL_MIN_MAX_K, BERNOULLI_APPROX_MAX, BERNOULLI_MAX, ENUMERATION_MAX, PK_MAX,
     SEQUENCE_DIGITS_MAX, SUITE_BOUNDS, TRANSFORM_MAX, TREES_LIST_MAX, ZETA_EVEN_MAX,
 )
-from .recursion import numerator_polynomial, translated_polynomial, zeta_numerator
 from .text import no_int_str_limit, parse_rational, polynomial_text
 
 __all__ = ["main"]
@@ -93,19 +92,21 @@ def _cmd_bernoulli(args):
 
 
 def _cmd_ak(args):
+    from . import recursion
     _within(args.max, AK_MAX, option="--max")
-    values = [str(zeta_numerator(k)) for k in range(1, args.max + 1)]
+    values = [str(recursion.zeta_numerator(k)) for k in range(1, args.max + 1)]
     return {"values": values}, values
 
 
 def _cmd_pk(args):
+    from . import recursion
     _within(args.k, PK_MAX)
     if args.half_scale and not args.translated:
         raise _Refusal("--half-scale requires --translated")
     if args.translated:
-        poly = translated_polynomial(args.k, half_scale=args.half_scale)
+        poly = recursion.translated_polynomial(args.k, half_scale=args.half_scale)
     else:
-        poly = numerator_polynomial(args.k)
+        poly = recursion.numerator_polynomial(args.k)
     # decimal conversion of the coefficients dominates at large k: do it once
     strings = poly.coefficient_strings()
     text = polynomial_text(strings)

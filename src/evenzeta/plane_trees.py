@@ -36,7 +36,7 @@ import math
 from typing import Iterator, NamedTuple
 
 from .bounds import ENUMERATION_MAX, TRANSFORM_MAX
-from .rationals import check_index, check_int
+from .rationals import check_index, check_int, check_type
 from .trees import ODD_NUMBERS, SequenceSpec, Value
 
 __all__ = [
@@ -137,10 +137,8 @@ def tree_data(tree: PlaneTree, seq: SequenceSpec = ODD_NUMBERS) -> TreeData:
     recurrence sums the same replay over whole families; this per-tree
     version is what it is validated against.
     """
-    if not isinstance(tree, PlaneTree):
-        raise TypeError(f"tree is a {type(tree).__name__}, not a PlaneTree")
-    if not isinstance(seq, SequenceSpec):
-        raise TypeError(f"seq is a {type(seq).__name__}, not a SequenceSpec")
+    check_type(tree, PlaneTree, "tree")
+    check_type(seq, SequenceSpec, "seq")
     check_index(tree.vertex_count, 1, TRANSFORM_MAX, "vertex_count")
     values = seq.values_upto(tree.vertex_count - 1)
     low: set[int] = set()

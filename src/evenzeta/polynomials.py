@@ -5,7 +5,8 @@ a positive int or reduced Fraction, and the ascending int coefficients
 (index i for x^i) with gcd 1, a nonzero last entry and every sign.  ZERO is
 (0, ()), of degree None rather than a numeric sentinel.  .coeffs is built
 when read: an integral coefficient as an ``int``, any other as a reduced
-``Fraction``.  A float, bool or string raises TypeError.  Values are
+``Fraction``.  A float, bool or string as a coefficient, a content or an
+evaluation point raises rationals.check_exact's TypeError.  Values are
 immutable, so they are safe to share between threads and to use as dict keys;
 == and the hash are the pair's, so a constant equals no scalar.
 str() gives the text form, "65 + 60*x + 40*x^2", through
@@ -13,9 +14,7 @@ text.polynomial_text, which no route calls: text loads the first time a
 value is printed.
 
 There is no arithmetic: the routes add, multiply and divide by (x - c) on
-int lists inside their own loops, and raise InexactDivisionError for a
-nonzero remainder, an internal consistency violation rather than something
-to truncate.
+int lists inside their own loops.
 """
 
 from __future__ import annotations
@@ -24,21 +23,16 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .rationals import is_exact
+from .rationals import check_exact
 
 Scalar = Union[int, Fraction]
 
 __all__ = [
     "Polynomial",
-    "InexactDivisionError",
     "split_content",
     "taylor_shift",
     "ZERO",
 ]
-
-
-class InexactDivisionError(ArithmeticError):
-    """Raised when an exact division leaves a nonzero remainder."""
 
 
 def _scalar(q: Scalar) -> Scalar:
@@ -52,8 +46,7 @@ class Polynomial:
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = list(coeffs)
         for c in cs:
-            if not is_exact(c):
-                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+            check_exact(c, "coefficient")
         while cs and cs[-1] == 0:
             cs.pop()
         den = math.lcm(*(c.denominator for c in cs))
@@ -66,7 +59,8 @@ class Polynomial:
         """content * primitive from a route's own pair, checked as the module
         docstring states; positivity rests on the content's check."""
         primitive = tuple(primitive)
-        if not (is_exact(content) and content > 0):
+        check_exact(content, "content")
+        if not content > 0:
             raise ValueError(f"content {content!r} is not a positive int or Fraction")
         ints = all(type(a) is int for a in primitive)
         if not (ints and primitive and primitive[-1] and math.gcd(*primitive) == 1):
@@ -110,8 +104,7 @@ class Polynomial:
 
     def evaluate(self, x0: Scalar) -> Scalar:
         """Exact value at x0: the content times Horner's rule on the primitive part."""
-        if not is_exact(x0):
-            raise TypeError(f"evaluation point {x0!r} is not an int or a Fraction")
+        check_exact(x0, "x0")
         acc = 0
         for a in reversed(self.primitive):
             acc = acc * x0 + a

@@ -4,9 +4,13 @@ Python's built-in ``int`` is the arbitrary-precision integer type and
 ``fractions.Fraction`` is the rational type: always reduced, denominator
 positive, zero stored as 0/1.  ``str(Fraction)`` already produces the
 canonical text form ("num/den", denominator omitted when 1), so this module
-only adds the exactness test for incoming values, the index checks every
-bounded function makes before any work, and the odd double factorials of the
-zeta denominators.  Text in and out, parsing included, is in text.py.
+only adds the package's refusals and the odd double factorials of the zeta
+denominators.  Text in and out, parsing included, is in text.py.
+
+Every wrong-typed argument is refused here with a TypeError naming it
+(check_exact, check_int, check_type; check_index adds the bound, with
+ValueError), and ConsistencyError, the library's one exception class,
+reports a broken internal invariant.
 
 No floating-point value appears anywhere on the computation path.
 """
@@ -21,16 +25,27 @@ from functools import lru_cache
 from .bounds import DOUBLE_FACTORIAL_PRODUCT_MAX
 
 __all__ = [
-    "is_exact",
+    "ConsistencyError",
     "double_factorial_odd",
     "double_factorial_product",
     "DOUBLE_FACTORIAL_PRODUCT_MAX",
 ]
 
 
-def is_exact(v) -> bool:
-    """True for an int or a Fraction; bools, floats and strings are not exact values."""
-    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+class ConsistencyError(RuntimeError):
+    """An internal invariant failed (e.g. a value that must be a positive integer is not)."""
+
+
+def check_exact(value, name: str) -> None:
+    """Refuse a value that is not an int or a Fraction; a bool is not one."""
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise TypeError(f"{name}={value!r} is not an int or a Fraction")
+
+
+def check_type(value, cls: type, name: str) -> None:
+    """Refuse an argument that is not a cls."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} is a {type(value).__name__}, not a {cls.__name__}")
 
 
 def check_int(k, name: str = "k") -> None:

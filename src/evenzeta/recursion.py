@@ -31,7 +31,7 @@ The step is one backward pass over the coefficients, from the top: it
 grows R_k = (2x - 2k + 3) * R_{k-1} by one linear factor, forms the
 bracket coefficient, and divides by (x - k) synthetically, which yields q
 from the top down, so the same pass evaluates q at k + 1 by Horner.  A
-nonzero remainder raises InexactDivisionError.  Each cache entry holds
+nonzero remainder raises ConsistencyError.  Each cache entry holds
 g_k, p_k as an int tuple and the value p_k(k), which is both the next
 step's p(k) and what zeta_numerator scales by g_k; numerator_polynomial
 hands out the pair (g_k, p_k) as a Polynomial, whose form it already is.
@@ -47,20 +47,15 @@ import threading
 from fractions import Fraction
 
 from .bounds import RECURSION_MAX
-from .polynomials import InexactDivisionError, Polynomial, split_content, taylor_shift
-from .rationals import check_index, double_factorial_odd
+from .polynomials import Polynomial, split_content, taylor_shift
+from .rationals import ConsistencyError, check_index, double_factorial_odd
 
 __all__ = [
-    "ConsistencyError",
     "numerator_polynomial",
     "zeta_numerator",
     "translated_polynomial",
     "RECURSION_MAX",
 ]
-
-
-class ConsistencyError(RuntimeError):
-    """An internal invariant failed (e.g. a value that must be a positive integer is not)."""
 
 
 _cache_lock = threading.Lock()
@@ -101,7 +96,7 @@ def _entry(k: int) -> tuple[int, tuple[int, ...], int]:
             rising[0] *= c
             acc = acc * j + a * rising[0] - b * p[0]
             if acc:
-                raise InexactDivisionError(
+                raise ConsistencyError(
                     f"remainder {acc} dividing by (x - {j}); expected exact division"
                 )
             divisor, q = split_content(q)

@@ -24,7 +24,7 @@ from .bounds import (
     CYCLE_INDEX_MAX, CYCLE_INDEX_VARIABLES_MAX, INVERSE_SQUARES_MAX, NEWTON_GIRARD_MAX,
     VARIABLES_MAX,
 )
-from .rationals import check_index, is_exact
+from .rationals import check_exact, check_index
 
 __all__ = [
     "VariableSet",
@@ -51,8 +51,7 @@ class VariableSet(tuple):
     def __new__(cls, values):
         values = tuple(values)
         for v in values:
-            if not is_exact(v):
-                raise TypeError(f"variable {v!r} is not an int or a Fraction")
+            check_exact(v, "variable")
         if not values:
             raise ValueError("a variable set needs at least one variable")
         return super().__new__(cls, map(Fraction, values))

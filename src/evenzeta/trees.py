@@ -48,8 +48,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .bounds import TRANSFORM_MAX, TREE_SUM_MAX
-from .polynomials import InexactDivisionError, Polynomial, split_content, taylor_shift
-from .rationals import check_index, check_int, is_exact
+from .polynomials import Polynomial, split_content, taylor_shift
+from .rationals import ConsistencyError, check_exact, check_index, check_int, check_type
 
 Value = Union[int, Fraction]
 
@@ -75,10 +75,7 @@ class SequenceSpec(tuple):
     def __new__(cls, values):
         values = tuple(values)
         for n, v in enumerate(values, start=1):
-            if not is_exact(v):
-                raise ValueError(
-                    f"sequence value at position {n} is {v!r}; only int and Fraction are exact"
-                )
+            check_exact(v, f"R_{n}")
             if v == 0:
                 raise ValueError(f"sequence value at position {n} is zero")
         return super().__new__(cls, values)
@@ -192,7 +189,7 @@ def polynomial_via_trees(k: int) -> Polynomial:
     # the content of P_k: an int, since the integer shift keeps g_{k-1} primitive
     content, rest = divmod(scale * gamma, gamma_den)
     if rest:
-        raise InexactDivisionError(f"P_{k} has a non-integer content")
+        raise ConsistencyError(f"P_{k} has a non-integer content")
     return Polynomial.from_parts(content, taylor_shift(g, 1, 1 - k))
 
 
@@ -211,8 +208,7 @@ def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
     the zeta numerator A_k.
     """
     check_index(k, 1, TRANSFORM_MAX)
-    if not isinstance(seq, SequenceSpec):
-        raise TypeError(f"seq is a {type(seq).__name__}, not a SequenceSpec")
+    check_type(seq, SequenceSpec, "seq")
     values = seq.values_upto(k)
     if seq is ODD_NUMBERS:
         with _cache_lock:

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
+# at module level: evenbench/run.py imports verify before it forks, so no timed child compiles these
 from . import basis, plane_trees, recursion, symmetric, trees, zeta
 from .bounds import ALL_MAX_K, ALL_MIN_MAX_K, SUITE_BOUNDS
 from .rationals import check_int
@@ -180,6 +181,7 @@ def run_suite(name: str, max_k: Optional[int] = None) -> list[dict]:
                 f"suite 'all' accepts max_k between {ALL_MIN_MAX_K} and {ALL_MAX_K}, got {max_k}"
             )
         reports = []
+        # one call per suite: evenbench's tracer records a verify.suite.<name> span per call
         for key in SUITES:
             capped = None if max_k is None else min(max_k, SUITES[key].hard_max_k)
             reports.extend(run_suite(key, capped))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bounds import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA_MAX, RECURSION_MAX
-from .rationals import check_index, double_factorial_product, is_exact
+from .rationals import check_exact, check_index, double_factorial_product
 from .recursion import numerator_polynomial, zeta_numerator
 
 __all__ = [
@@ -55,8 +55,7 @@ def bernoulli_from_zeta(k: int, coeff: Fraction) -> Fraction:
     """B_{2k} from coeff = zeta(2k)/pi^(2k), by whichever route it was computed:
     B_{2k} = (-1)^(k-1) * 2 * (2k)! * coeff / 2^(2k), for k within 1..ELEMENTARY_ZETA_MAX.
     coeff must be an int or a Fraction."""
-    if not is_exact(coeff):
-        raise TypeError(f"coeff={coeff!r} is not an int or a Fraction")
+    check_exact(coeff, "coeff")
     check_index(k, 1, ELEMENTARY_ZETA_MAX)
     sign = 1 if k % 2 else -1
     return Fraction(sign * 2 * math.factorial(2 * k) * coeff, 2 ** (2 * k))

@@ -31,8 +31,7 @@ from evenzeta.bounds import (
     ZETA_EVEN_MAX,
 )
 from evenzeta.cli import main, read_sequence_file
-from evenzeta.polynomials import InexactDivisionError
-from evenzeta.recursion import ConsistencyError
+from evenzeta.rationals import ConsistencyError
 from evenzeta.trees import generalized_transform
 from evenzeta.verify import SUITES, run_suite
 from evenzeta.zeta import zeta_even_rational
@@ -199,7 +198,7 @@ def test_bernoulli_approx_bound(capsys, k, code):
     assert "approximation, for k within 1..129" in help_text(capsys, "bernoulli")
 
 
-@pytest.mark.parametrize("error", [ConsistencyError, InexactDivisionError])
+@pytest.mark.parametrize("error", [ConsistencyError])
 def test_internal_error_exits_three(capsys, monkeypatch, error):
     from evenzeta import zeta as zeta_mod
 

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from evenzeta.plane_trees import PlaneTree, tree_data
 from evenzeta.polynomials import ZERO, Polynomial, split_content, taylor_shift
-from evenzeta.trees import generalized_transform
+from evenzeta.symmetric import VariableSet
+from evenzeta.trees import SequenceSpec, generalized_transform
+from evenzeta.zeta import bernoulli_from_zeta
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 polys = st.lists(small_rationals, max_size=6).map(Polynomial)
@@ -90,8 +92,8 @@ def test_a_polynomial_has_no_arithmetic(other):
         (0, (1,), "content 0 is not a positive"),
         (-2, (1,), "content -2 is not a positive"),
         (Fraction(-1, 2), (1,), r"content Fraction\(-1, 2\) is not a positive"),
-        (True, (1,), "content True is not a positive"),
-        (1.0, (1,), "content 1.0 is not a positive"),
+        (Fraction(0), (1,), r"content Fraction\(0, 1\) is not a positive"),
+        (Fraction(-3), (1,), r"content Fraction\(-3, 1\) is not a positive"),
         (1, (), r"primitive part \(\) is not ints"),
         (1, (1, 0), r"primitive part \(1, 0\) is not ints"),
         (1, (1, True), r"primitive part \(1, True\) is not ints"),
@@ -164,6 +166,18 @@ def test_stored_form_examples():
     assert Polynomial((Fraction(-1, 2), Fraction(2, 2))).coeffs == (Fraction(-1, 2), 1)
 
 
+# every input that must be an int or a Fraction, as a call on the value, by
+# the name that its refusal states
+EXACT_INPUTS = {
+    "coefficient": lambda v: Polynomial((1, v)),
+    "content": lambda v: Polynomial.from_parts(v, (1,)),
+    "x0": lambda v: Polynomial((1, 2)).evaluate(v),
+    "R_2": lambda v: SequenceSpec((3, v)),
+    "variable": lambda v: VariableSet((1, v)),
+    "coeff": lambda v: bernoulli_from_zeta(1, v),
+}
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -177,11 +191,23 @@ def test_stored_form_examples():
         lambda: generalized_transform(3, (3, 5, 7)),
         lambda: tree_data((1, 1)),
         lambda: tree_data(PlaneTree((1, 1)), [3, 5]),
+        # each exact-value input refuses a float, a bool and a string; the case
+        # binds the input's name and the value as its defaults
+        *(
+            pytest.param(
+                lambda name=name, value=value: EXACT_INPUTS[name](value), id=f"{name}={value!r}"
+            )
+            for name in EXACT_INPUTS
+            for value in (1.5, True, "1/3")
+        ),
     ],
 )
 def test_inexact_values_are_rejected(make):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError) as refused:
         make()
+    if make.__defaults__:  # an exact-value input names itself and the value, in these words
+        name, value = make.__defaults__
+        assert str(refused.value) == f"{name}={value!r} is not an int or a Fraction"
 
 
 @given(

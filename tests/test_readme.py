@@ -1,3 +1,5 @@
+import builtins
+import importlib
 import re
 from pathlib import Path
 
@@ -118,3 +120,36 @@ def test_readme_library_comments_state_the_values():
     for code, comment in examples:
         value = eval(code, {"ez": evenzeta})
         assert comment.startswith((str(value), repr(value))), (code, comment)
+
+
+def inline_code() -> list[str]:
+    """README's inline code spans, the fenced blocks left out."""
+    prose = re.sub(r"^ *```.*?^ *```", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    return re.findall(r"`([^`]+)`", prose)
+
+
+def resolves(name: str) -> bool:
+    """Whether a name README writes resolves: ez.<name> in the package,
+    evenzeta.<module>[.<name>] as a package attribute or in its module, and
+    <Name>Error in the package or in builtins."""
+    if name.startswith("ez."):
+        return hasattr(evenzeta, name[3:])
+    if not name.startswith("evenzeta."):
+        return hasattr(builtins, name) or hasattr(evenzeta, name)
+    module, _, attribute = name[9:].partition(".")
+    if not attribute and hasattr(evenzeta, module):
+        return True
+    try:
+        found = importlib.import_module(f"evenzeta.{module}")
+    except ModuleNotFoundError:
+        return False
+    return not attribute or hasattr(found, attribute)
+
+
+def test_readme_names_only_names_that_exist():
+    # a name that the code no longer has, such as a removed exception class,
+    # is a stale sentence in README
+    pattern = r"\bez\.\w+|\bevenzeta(?:\.\w+){1,2}|\b[A-Z]\w*Error\b"
+    names = {name for span in inline_code() for name in re.findall(pattern, span)}
+    assert {"ez.zeta_numerator", "evenzeta.cli", "ValueError"} <= names
+    assert [name for name in sorted(names) if not resolves(name)] == []

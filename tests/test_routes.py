@@ -97,6 +97,17 @@ def _raised_strings(module):
     ]
 
 
+def _raised_names(module):
+    """The names of the exceptions a module raises by name, as in raise TypeError(...)."""
+    names = []
+    for raised in ast.walk(_parse(module)):
+        if isinstance(raised, ast.Raise) and raised.exc is not None:
+            exc = raised.exc.func if isinstance(raised.exc, ast.Call) else raised.exc
+            if isinstance(exc, ast.Name):
+                names.append(exc.id)
+    return names
+
+
 def test_index_check_is_defined_only_in_rationals():
     # an index's type and bound errors are raised by rationals.check_index
     # alone, and no "must be >=" check is left anywhere
@@ -110,9 +121,24 @@ def test_index_check_is_defined_only_in_rationals():
     assert owners == {"rationals"}
     sources = {module: (SRC / f"{module}.py").read_text(encoding="utf-8") for module in modules}
     assert [module for module, text in sources.items() if "must be >=" in text] == []
+    # every wrong-typed argument is refused by a check in rationals, and the
+    # library's one exception class, for a broken invariant, is defined there
+    assert [module for module in modules if "TypeError" in _raised_names(module)] == ["rationals"]
+    classes = [
+        f"{short}.{name}"
+        for short in (*LIBRARY, "bounds", "verify")
+        for name, value in vars(importlib.import_module(f"evenzeta.{short}")).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+        and value.__module__ == f"evenzeta.{short}"
+    ]
+    assert classes == ["rationals.ConsistencyError"]
+    retired = ("is_exact", "InexactDivisionError")
+    assert [module for module, text in sources.items() if any(n in text for n in retired)] == []
+    assert not set(retired) & set(evenzeta.__all__)
     # evenbench's tracer wraps every __all__ function: a guard there would be
     # traced on every public call
-    assert "check_index" not in importlib.import_module("evenzeta.rationals").__all__
+    guards = {"check_exact", "check_int", "check_index", "check_type"}
+    assert not guards & set(importlib.import_module("evenzeta.rationals").__all__)
 
 
 def _bound_assignments(module):
@@ -234,7 +260,7 @@ def test_a_name_loads_only_its_own_module():
     # name loads its own module and that module's imports, so the recursion
     # route compiles neither tree module nor the text forms, and the tree
     # route leaves out the recursion and its per-tree replay.  The CLI
-    # itself loads only the recursion route and the text forms.
+    # itself loads only the bounds and the text forms.
     assert _loaded("pass") == []
     assert _loaded("evenzeta.__all__, dir(evenzeta)") == []
     scalars = ["bounds", "polynomials", "rationals"]
@@ -247,7 +273,8 @@ def test_a_name_loads_only_its_own_module():
     assert _loaded("evenzeta.basis_coefficients") == sorted([*scalars, "basis"])
     assert _loaded("evenzeta.newton_girard_check") == ["bounds", "rationals", "symmetric"]
     assert _loaded("evenzeta.parse_rational") == ["text"]
-    assert _loaded("import evenzeta.cli") == sorted(["cli", "text", *recursion])
+    assert _loaded("evenzeta.ConsistencyError") == ["bounds", "rationals"]
+    assert _loaded("import evenzeta.cli") == ["bounds", "cli", "text"]
 
 
 def test_text_loads_only_when_a_value_is_printed():
@@ -275,17 +302,19 @@ def test_only_text_imports_re_and_no_library_module_loads_it():
         assert "text" not in imports(_parse(short).body), short
 
 
-# the modules beyond the CLI's own (bounds, rationals, polynomials, recursion, text)
-# that a command loads: each imports the routes it calls when it runs
+# the modules beyond the CLI's own (bounds, text) that a command loads: each
+# imports the routes it calls when it runs
+RECURSION_ROUTE = ["rationals", "polynomials", "recursion"]
+TREE_ROUTE = ["rationals", "polynomials", "trees"]
 COMMAND_MODULES = {
-    "ak --max 5": [],
-    "pk --k 5": [],
-    "zeta-even --k 5": ["zeta"],
-    "bernoulli --k 5 --method recursion": ["zeta"],
-    "bernoulli --k 5 --method classical": ["zeta"],
-    "transform --k 5": ["trees"],
-    "bernoulli --k 5 --method tree": ["trees", "zeta"],
-    "trees --k 5 --list": ["trees", "plane_trees"],
+    "ak --max 5": RECURSION_ROUTE,
+    "pk --k 5": RECURSION_ROUTE,
+    "zeta-even --k 5": [*RECURSION_ROUTE, "zeta"],
+    "bernoulli --k 5 --method recursion": [*RECURSION_ROUTE, "zeta"],
+    "bernoulli --k 5 --method classical": [*RECURSION_ROUTE, "zeta"],
+    "transform --k 5": TREE_ROUTE,
+    "bernoulli --k 5 --method tree": [*RECURSION_ROUTE, "trees", "zeta"],
+    "trees --k 5 --list": [*TREE_ROUTE, "plane_trees"],
     "verify --suite newton-girard": ["verify", *LIBRARY],
 }
 
@@ -294,7 +323,7 @@ COMMAND_MODULES = {
 def test_a_command_loads_only_the_routes_it_runs(command):
     argv = command.split()
     run = f"import io, evenzeta.cli; sys.stdout = io.StringIO(); evenzeta.cli.main({argv})"
-    own = ["cli", "bounds", "polynomials", "rationals", "recursion", "text"]
+    own = ["cli", "bounds", "text"]
     loaded = _loaded(f"{run}; sys.stdout = sys.__stdout__")
     assert loaded == sorted({*own, *COMMAND_MODULES[command]})
 

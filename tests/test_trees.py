@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evenzeta import trees, verify
-from evenzeta.polynomials import InexactDivisionError, Polynomial
-from evenzeta.rationals import double_factorial_product
+from evenzeta.polynomials import Polynomial
+from evenzeta.rationals import ConsistencyError, double_factorial_product
 from evenzeta.recursion import numerator_polynomial, zeta_numerator
 from evenzeta.plane_trees import (
     ENUMERATION_MAX,
@@ -210,7 +211,7 @@ def test_cold_family_under_threads(monkeypatch):
 def test_content_that_is_not_an_integer_raises(monkeypatch):
     # on a cold cache, G_1 with content 1/7: S_2 = 1 leaves P_2 a content of 1/7
     monkeypatch.setattr(trees, "_family", [((1, 1), [1]), ((1, 7), [1])])
-    with pytest.raises(InexactDivisionError, match="P_2 has a non-integer content"):
+    with pytest.raises(ConsistencyError, match="P_2 has a non-integer content"):
         polynomial_via_trees(2)
 
 
@@ -444,8 +445,9 @@ def test_sequence_spec_errors():
     ],
 )
 def test_sequence_spec_rejects_inexact_values(seq, position):
-    # checked once, when the sequence is built
-    with pytest.raises(ValueError, match=f"^sequence value at position {position} is "):
+    # checked once, when the sequence is built, and named by its position
+    refusal = f"R_{position}={seq[position - 1]!r} is not an int or a Fraction"
+    with pytest.raises(TypeError, match=f"^{re.escape(refusal)}$"):
         SequenceSpec(seq)
 
 
