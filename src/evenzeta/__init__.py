@@ -7,10 +7,13 @@ numbers; the package computes each route exactly and cross-checks them.
 Every name in a library module's __all__ is importable from the package,
 and _MODULES below maps each library module to those names.  `import
 evenzeta` loads none of the modules: the first read of a name loads its own
-module, with that module's imports, and binds every name of that module, so
-a later read is a plain attribute.  A process that reads only the
-recursion's names loads bounds, rationals, polynomials and recursion; a
-tree-route name loads trees in place of recursion, and a name of the text
+module, with that module's imports.  The package binds a module's names as
+soon as the import system attaches that module to it, whoever imported it,
+so a later read is a plain attribute; after `import evenzeta.verify`, which
+loads every module, every name is.  A process that reads only the
+recursion's names loads bounds, rationals, polynomials and recursion; the
+transform's names load bounds, rationals and trees, the tree polynomial
+adds polynomials and tree_polynomial to those, and a name of the text
 forms (text) loads text alone.  __all__ and dir() read the table and load
 nothing.  A name outside the table raises AttributeError at once and loads
 nothing: a dunder such as the __wrapped__ that inspect.unwrap probes, a
@@ -22,7 +25,9 @@ here; importing evenzeta.cli loads bounds and text, and each command loads
 the routes it runs.
 """
 
+import sys
 from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -36,10 +41,8 @@ _MODULES = {
     "recursion": (
         "numerator_polynomial", "zeta_numerator", "translated_polynomial", "RECURSION_MAX",
     ),
-    "trees": (
-        "SequenceSpec", "ODD_NUMBERS", "polynomial_via_trees", "generalized_transform",
-        "TRANSFORM_MAX", "TREE_SUM_MAX",
-    ),
+    "trees": ("SequenceSpec", "ODD_NUMBERS", "generalized_transform", "TRANSFORM_MAX"),
+    "tree_polynomial": ("polynomial_via_trees", "TREE_SUM_MAX"),
     "zeta": (
         "elementary_zeta", "zeta_even_rational", "bernoulli_even", "bernoulli_from_zeta",
         "bernoulli_classical", "newton_partial_sum", "newton_partial_closed",
@@ -60,13 +63,25 @@ _OWNERS = {name: short for short, names in _MODULES.items() for name in names}
 __all__ = list(_OWNERS)
 
 
+class _Package(ModuleType):
+    """The package, which binds a library module's table names as the import
+    system attaches that module to it."""
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in _MODULES:
+            vars(self).update((public, getattr(value, public)) for public in _MODULES[name])
+
+
+sys.modules[__name__].__class__ = _Package
+
+
 def __getattr__(name):
     if name in _MODULES:
         return import_module(f"{__name__}.{name}")
     if name not in _OWNERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f"{__name__}.{_OWNERS[name]}")
-    globals().update((public, getattr(module, public)) for public in module.__all__)
+    import_module(f"{__name__}.{_OWNERS[name]}")
     return globals()[name]
 
 

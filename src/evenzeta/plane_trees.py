@@ -25,9 +25,9 @@ recursion polynomial term by term: one replay step (_replay_step), summed
 over its picks with the low positions as factors, is one operator step.
 
 This per-tree replay is the reference that the tree route's first-return
-convolution (trees.generalized_transform, trees.polynomial_via_trees) is
-checked against.  It reads the route's values and bound, and the route
-calls nothing here.
+convolution (trees.generalized_transform, tree_polynomial.polynomial_via_trees)
+is checked against.  It reads the route's values and bound from trees, and
+neither tree module calls anything here.
 """
 
 from __future__ import annotations

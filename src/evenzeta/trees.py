@@ -1,4 +1,4 @@
-"""The tree route: the sequence transform and the tree polynomial.
+"""The tree route: the sequence transform by first return.
 
 The paper's tree sum runs over the plane trees on k vertices, each with
 low and high sets of positions into a SequenceSpec of nonzero values
@@ -22,18 +22,10 @@ for the transform T_k: O(k^2) operations in place of C_{k-1} trees
 32 (1980): path weights that factor over nested steps give convolution
 and continued-fraction forms).  With every R_n = 1 it is the Catalan
 recurrence, so T_k counts the trees; for the odd sequence it is Euler's
-identity (n + 1/2) zeta(2n) = sum_{j=1}^{n-1} zeta(2j) zeta(2n-2j).  For
-the polynomial, the holes still open at the end carry linear factors in
-place of values, w_a = 2x - 2(k-1) + R_a.  In u = x - (k-1) they are
-w_a = 2u + R_a, free of k, so one family G_0, G_1, ... serves every k:
-
-    P_k(x) = S_k * G_{k-1}(x - (k-1)),   S_k = prod_{m=1}^{k-2} R_2...R_{m+1}
-
-(see polynomial_via_trees).  On the odd numbers every c_d is positive
-and so is every coefficient of every w_a, so each G_d has positive
-coefficients, and so does P_k(x + k - 1): a weaker form of the paper's
-positivity after the shift by k - 3/2, which the `positivity` suite
-checks on the recursion route.
+identity (n + 1/2) zeta(2n) = sum_{j=1}^{n-1} zeta(2j) zeta(2n-2j).  The
+weights over the odd numbers are cached here, and tree_polynomial, which
+builds P_k from the same convolution with linear factors for the holes
+left open, reads them through odd_weights.
 
 This is still the tree route, the same sum over the same trees, only
 regrouped.  It shares no code with the operator recursion or with the
@@ -47,19 +39,16 @@ import threading
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .bounds import TRANSFORM_MAX, TREE_SUM_MAX
-from .polynomials import Polynomial, split_content, taylor_shift
-from .rationals import ConsistencyError, check_exact, check_index, check_int, check_type
+from .bounds import TRANSFORM_MAX
+from .rationals import check_exact, check_index, check_int, check_type
 
 Value = Union[int, Fraction]
 
 __all__ = [
     "SequenceSpec",
     "ODD_NUMBERS",
-    "polynomial_via_trees",
     "generalized_transform",
     "TRANSFORM_MAX",
-    "TREE_SUM_MAX",
 ]
 
 
@@ -128,69 +117,16 @@ def _first_return_weights(
 
 _cache_lock = threading.Lock()
 # c_0, c_1, ... over ODD_NUMBERS, shared by generalized_transform's default
-# sequence and the polynomial family.
+# sequence and tree_polynomial's family
 _odd_weights: list[tuple[int, int]] = [(1, 1)]
-# G_d = gamma_d * g_d in u = x - (k-1) for d = 0, 1, ... (polynomial_via_trees):
-# the content gamma_d > 0 as an int pair in lowest terms, and the primitive
-# part g_d as ascending int coefficients.
-_family: list[tuple[tuple[int, int], list[int]]] = [((1, 1), [1])]
 
 
-def _grow_family(n: int) -> None:
-    """Extend the cache to G_0..G_{n-1}; the caller holds _cache_lock.
-
-    Horner in i keeps acc = alpha * a with a an int list.  Each step
-    acc * w_i + beta * g_i, with beta = c_{d-1-i} * gamma_i, divides out
-    the rational gcd of alpha and beta, so both multipliers are ints; the
-    content of a is taken once, at the end of the step.
-    """
-    values = ODD_NUMBERS.values_upto(n - 1)
-    c = _first_return_weights(values, _odd_weights)
-    for d in range(len(_family), n):
-        (alpha, alpha_den), a = c[d - 1], [1]  # acc = c_{d-1} * G_0
-        for i in range(1, d):
-            (beta, beta_den), ((gamma, gamma_den), g) = c[d - 1 - i], _family[i]
-            beta, beta_den = beta * gamma, beta_den * gamma_den
-            top, bottom = math.gcd(alpha, beta), math.lcm(alpha_den, beta_den)
-            s = alpha // top * (bottom // alpha_den)
-            t = beta // top * (bottom // beta_den)
-            alpha, alpha_den = top, bottom
-            # s * a * (R_i + 2u) + t * g_i, where a and g_i both have degree i-1
-            sr, s2 = s * values[i - 1], 2 * s
-            a = [sr * hi + s2 * lo + t * b for lo, hi, b in zip([0] + a, a + [0], g + [0])]
-        content, a = split_content(a)
-        alpha *= content
-        shared = math.gcd(alpha, alpha_den)
-        _family.append(((alpha // shared, alpha_den // shared), a))
-
-
-def polynomial_via_trees(k: int) -> Polynomial:
-    """The k-th recursion polynomial assembled as a tree sum.
-
-    The holes left open by the first-return decomposition carry the linear
-    factors w_a = 2x - 2(k-1) + R_a instead of values.  In u = x - (k-1)
-    they are w_a = 2u + R_a, free of k, so one family serves every k:
-
-        G_0 = 1,   G_d = sum_{i<d} c_{d-1-i} * G_i * prod_{j=i+1}^{d-1} w_j
-
-    (by Horner in i, on content times primitive part), and P_k(x) is
-    S_k * G_{k-1}(x - (k-1)) with S_k = prod_{m=1}^{k-2} R_2...R_{m+1}: the
-    pair of S_k times G_{k-1}'s content and its shifted primitive part.
-    """
-    check_index(k, 2, TREE_SUM_MAX)
+def odd_weights(n: int) -> list[tuple[int, int]]:
+    """The cache of c_0, c_1, ... over ODD_NUMBERS, grown to at least n
+    entries under its lock; it is only appended to, so the caller reads it
+    without the lock."""
     with _cache_lock:
-        _grow_family(k)
-        (gamma, gamma_den), g = _family[k - 1]
-    scale = 1
-    running = 1
-    for r in ODD_NUMBERS[1 : k - 1]:
-        running *= r
-        scale *= running
-    # the content of P_k: an int, since the integer shift keeps g_{k-1} primitive
-    content, rest = divmod(scale * gamma, gamma_den)
-    if rest:
-        raise ConsistencyError(f"P_{k} has a non-integer content")
-    return Polynomial.from_parts(content, taylor_shift(g, 1, 1 - k))
+        return _first_return_weights(ODD_NUMBERS.values_upto(n), _odd_weights)
 
 
 def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
@@ -209,11 +145,9 @@ def generalized_transform(k: int, seq: SequenceSpec = ODD_NUMBERS) -> Fraction:
     """
     check_index(k, 1, TRANSFORM_MAX)
     check_type(seq, SequenceSpec, "seq")
-    values = seq.values_upto(k)
     if seq is ODD_NUMBERS:
-        with _cache_lock:
-            c = _first_return_weights(values, _odd_weights)
+        c = odd_weights(k)
     else:
-        c = _first_return_weights(values)
-    (num, den), r = c[k - 1], values[0]
+        c = _first_return_weights(seq.values_upto(k))
+    (num, den), r = c[k - 1], seq[0]
     return Fraction(num * r.denominator**k, den * r.numerator**k)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
 # at module level: evenbench/run.py imports verify before it forks, so no timed child compiles these
-from . import basis, plane_trees, recursion, symmetric, trees, zeta
+from . import basis, plane_trees, recursion, symmetric, tree_polynomial, trees, zeta
 from .bounds import ALL_MAX_K, ALL_MIN_MAX_K, SUITE_BOUNDS
 from .rationals import check_int
 from .text import no_int_str_limit
@@ -82,7 +82,7 @@ def _suite_trees(max_k: int) -> _Checks:
         # with every value 1 each tree weighs 1, so the transform counts the trees
         count = trees.generalized_transform(k, trees.SequenceSpec([1] * k))
         yield f"tree count k={k}", count, plane_trees.catalan(k - 1)
-        poly = trees.polynomial_via_trees(k)
+        poly = tree_polynomial.polynomial_via_trees(k)
         yield f"polynomial via trees k={k}", poly, recursion.numerator_polynomial(k)
         transform = trees.generalized_transform(k)
         yield f"numerator via trees k={k}", transform, 2 * zeta.zeta_even_rational(k)

@@ -31,7 +31,7 @@ from evenzeta import (
 )
 from evenzeta.polynomials import Polynomial
 from evenzeta.symmetric import VariableSet
-from evenzeta.trees import TREE_SUM_MAX
+from evenzeta.tree_polynomial import TREE_SUM_MAX
 
 PUBLISHED_SEQUENCE = [
     1,

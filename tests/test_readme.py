@@ -153,3 +153,11 @@ def test_readme_names_only_names_that_exist():
     names = {name for span in inline_code() for name in re.findall(pattern, span)}
     assert {"ez.zeta_numerator", "evenzeta.cli", "ValueError"} <= names
     assert [name for name in sorted(names) if not resolves(name)] == []
+
+
+def test_readme_library_paragraph_names_every_library_module():
+    # the paragraph that says which modules the package publishes names
+    # them all: a module left out of it, or a stale one, is a wrong list
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"Every name in the `__all__` of (.+?) is importable from `evenzeta`", text)
+    assert set(re.findall(r"`(\w+)`", sentence.group(1))) == set(evenzeta._MODULES)

@@ -47,15 +47,20 @@ def _top_level_definitions(module):
 
 
 def test_trees_imports_no_other_route():
-    imports = _package_imports("trees")
-    assert "polynomials" in imports  # the scan sees the module's own imports
-    assert not imports & {"recursion", "zeta"}
+    # the transform runs on int pairs: a process that asks for it compiles
+    # neither the polynomials nor the tree polynomial
+    assert _package_imports("trees") == {"bounds", "rationals"}
+
+
+def test_tree_polynomial_imports_trees_and_polynomials_only():
+    # the family reads the transform's cached weights, and no other route
+    assert _package_imports("tree_polynomial") == {"bounds", "rationals", "polynomials", "trees"}
 
 
 def test_recursion_imports_neither_tree_module():
     imports = _package_imports("recursion")
     assert "polynomials" in imports
-    assert not imports & {"trees", "plane_trees"}
+    assert not imports & {"trees", "tree_polynomial", "plane_trees"}
 
 
 REPLAY = {"tree_data", "_replay_step"}
@@ -66,11 +71,12 @@ def test_replay_is_defined_only_in_plane_trees():
     owners = {path.stem for path in SRC.glob("*.py") if REPLAY & _top_level_definitions(path.stem)}
     assert owners == {"plane_trees"}
     # the convolution can never call the replay that checks it, and the
-    # replay reads the route's values but no other route
+    # replay reads the route's values from trees but no other route, the
+    # tree polynomial included
     assert "plane_trees" not in _package_imports("trees")
     imports = _package_imports("plane_trees")
     assert "trees" in imports
-    assert not imports & {"recursion", "zeta"}
+    assert not imports & {"recursion", "zeta", "tree_polynomial"}
 
 
 BASIS = {"basis_coefficients", "expand_basis", "_nested_sum"}
@@ -258,18 +264,21 @@ def test_package_publishes_every_module_name_once():
 def test_a_name_loads_only_its_own_module():
     # `import evenzeta` loads no module, and neither do __all__ and dir(); a
     # name loads its own module and that module's imports, so the recursion
-    # route compiles neither tree module nor the text forms, and the tree
-    # route leaves out the recursion and its per-tree replay.  The CLI
-    # itself loads only the bounds and the text forms.
+    # route compiles no tree module nor the text forms, the transform
+    # leaves out the polynomials, and the tree route leaves out the
+    # recursion and its per-tree replay.  The CLI itself loads only the
+    # bounds and the text forms.
     assert _loaded("pass") == []
     assert _loaded("evenzeta.__all__, dir(evenzeta)") == []
     scalars = ["bounds", "polynomials", "rationals"]
     recursion = sorted([*scalars, "recursion"])
     assert _loaded("evenzeta.zeta_numerator") == recursion
-    route = sorted([*scalars, "trees"])
-    for name in ("generalized_transform", "polynomial_via_trees", "SequenceSpec"):
-        assert _loaded(f"evenzeta.{name}") == route, name
-    assert _loaded("evenzeta.tree_data") == sorted([*route, "plane_trees"])
+    transform = ["bounds", "rationals", "trees"]
+    for name in ("generalized_transform", "SequenceSpec"):
+        assert _loaded(f"evenzeta.{name}") == transform, name
+    family = sorted([*transform, "polynomials", "tree_polynomial"])
+    assert _loaded("evenzeta.polynomial_via_trees") == family
+    assert _loaded("evenzeta.tree_data") == sorted([*transform, "plane_trees"])
     assert _loaded("evenzeta.basis_coefficients") == sorted([*scalars, "basis"])
     assert _loaded("evenzeta.newton_girard_check") == ["bounds", "rationals", "symmetric"]
     assert _loaded("evenzeta.parse_rational") == ["text"]
@@ -305,7 +314,7 @@ def test_only_text_imports_re_and_no_library_module_loads_it():
 # the modules beyond the CLI's own (bounds, text) that a command loads: each
 # imports the routes it calls when it runs
 RECURSION_ROUTE = ["rationals", "polynomials", "recursion"]
-TREE_ROUTE = ["rationals", "polynomials", "trees"]
+TREE_ROUTE = ["rationals", "trees"]
 COMMAND_MODULES = {
     "ak --max 5": RECURSION_ROUTE,
     "pk --k 5": RECURSION_ROUTE,
@@ -326,6 +335,28 @@ def test_a_command_loads_only_the_routes_it_runs(command):
     own = ["cli", "bounds", "text"]
     loaded = _loaded(f"{run}; sys.stdout = sys.__stdout__")
     assert loaded == sorted({*own, *COMMAND_MODULES[command]})
+
+
+def test_a_loaded_module_binds_its_names():
+    # the import system attaches each loaded module to the package, which
+    # binds that module's names then: a process that imported verify (as
+    # evenbench's parent does before it forks) reads every name as a plain
+    # attribute, with no __getattr__ call
+    unbound = _fresh(
+        "import evenzeta; assert not hasattr(evenzeta, 'verify'); import sys; "
+        "before = sorted(m for m in sys.modules if m.startswith('evenzeta.')); "
+        "import evenzeta.verify; "
+        "print([before, [n for n in evenzeta.__all__ if n not in vars(evenzeta)]])"
+    )
+    assert unbound == [[], []]
+    bound = _fresh(
+        "import evenzeta.recursion; "
+        "print(sorted(n for n in evenzeta.__all__ if n in vars(evenzeta)))"
+    )
+    table = evenzeta._MODULES
+    assert bound == sorted([*table["recursion"], *table["rationals"], *table["polynomials"]])
+    trees = {*table["trees"], *table["tree_polynomial"], *table["plane_trees"]}
+    assert not trees & set(bound)
 
 
 def test_a_dunder_miss_loads_no_module():

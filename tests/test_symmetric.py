@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evenzeta import basis, rationals, recursion, trees
+from evenzeta import basis, rationals, recursion, tree_polynomial, trees
 from evenzeta.basis import BASIS_COEFFICIENTS_MAX, basis_coefficients
 from evenzeta.plane_trees import ENUMERATION_MAX, PlaneTree, catalan, enumerate_trees, tree_data
 from evenzeta.rationals import (
@@ -33,7 +33,8 @@ from evenzeta.symmetric import (
     newton_girard_check,
     power_sum,
 )
-from evenzeta.trees import TRANSFORM_MAX, TREE_SUM_MAX, generalized_transform, polynomial_via_trees
+from evenzeta.tree_polynomial import TREE_SUM_MAX, polynomial_via_trees
+from evenzeta.trees import TRANSFORM_MAX, generalized_transform
 from evenzeta.zeta import (
     BERNOULLI_CLASSICAL_MAX,
     BERNOULLI_EVEN_MAX,
@@ -177,7 +178,7 @@ def variables(n):
     return VariableSet(range(1, n + 1))
 
 
-# Every __all__ callable of rationals, recursion, basis, zeta, trees and symmetric
+# Every __all__ callable of rationals, recursion, basis, zeta, the tree modules and symmetric
 # that takes an index: id -> (call on that index, lo, hi, argument name).
 # expand_basis is not here: its k shifts the linear factors, and its cost
 # is the length of its first argument.
@@ -230,7 +231,7 @@ def _work_done():
         len(recursion._parts),
         tuple(recursion._rising),
         len(basis._basis),
-        len(trees._family),
+        len(tree_polynomial._family),
         len(trees._odd_weights),
         bernoulli_classical.cache_info().currsize,
         double_factorial_odd.cache_info().currsize,

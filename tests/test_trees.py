@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evenzeta import trees, verify
+from evenzeta import tree_polynomial, trees, verify
 from evenzeta.polynomials import Polynomial
 from evenzeta.rationals import ConsistencyError, double_factorial_product
 from evenzeta.recursion import numerator_polynomial, zeta_numerator
@@ -22,14 +22,8 @@ from evenzeta.plane_trees import (
     enumerate_trees,
     tree_data,
 )
-from evenzeta.trees import (
-    ODD_NUMBERS,
-    TRANSFORM_MAX,
-    TREE_SUM_MAX,
-    SequenceSpec,
-    generalized_transform,
-    polynomial_via_trees,
-)
+from evenzeta.tree_polynomial import TREE_SUM_MAX, polynomial_via_trees
+from evenzeta.trees import ODD_NUMBERS, TRANSFORM_MAX, SequenceSpec, generalized_transform
 from evenzeta.zeta import zeta_even_rational
 
 
@@ -180,12 +174,13 @@ def test_polynomial_via_trees_base_case():
 
 
 def test_cold_family_under_threads(monkeypatch):
-    # the weights and the family grow under one lock: threads racing on a
-    # cold cache must build the same values as one caller did
+    # the weights grow under trees' lock and the family under its own, the
+    # family reading the weights through the one accessor: threads racing
+    # on cold caches must build the same values as one caller did
     expected = {k: (polynomial_via_trees(k), generalized_transform(k)) for k in range(2, 41)}
-    family, weights = trees._family[:40], trees._odd_weights[:40]
+    family, weights = tree_polynomial._family[:40], trees._odd_weights[:40]
     monkeypatch.setattr(trees, "_odd_weights", [(1, 1)])
-    monkeypatch.setattr(trees, "_family", [((1, 1), [1])])
+    monkeypatch.setattr(tree_polynomial, "_family", [((1, 1), [1])])
     got = {}
 
     def build(k):
@@ -204,13 +199,13 @@ def test_cold_family_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {k: expected[k] for k in ks}
-    assert trees._family == family
+    assert tree_polynomial._family == family
     assert trees._odd_weights == weights
 
 
 def test_content_that_is_not_an_integer_raises(monkeypatch):
     # on a cold cache, G_1 with content 1/7: S_2 = 1 leaves P_2 a content of 1/7
-    monkeypatch.setattr(trees, "_family", [((1, 1), [1]), ((1, 7), [1])])
+    monkeypatch.setattr(tree_polynomial, "_family", [((1, 1), [1]), ((1, 7), [1])])
     with pytest.raises(ConsistencyError, match="P_2 has a non-integer content"):
         polynomial_via_trees(2)
 
@@ -219,14 +214,14 @@ def test_cached_family_is_positive_content_times_primitive():
     # w_a = 2u + R_a and every c_d are positive, so each G_d is positive in
     # u = x - (k-1), and P_k(x + k - 1) has positive coefficients
     polynomial_via_trees(120)
-    for (gamma, gamma_den), g in trees._family[:120]:
+    for (gamma, gamma_den), g in tree_polynomial._family[:120]:
         assert gamma > 0 and gamma_den > 0 and math.gcd(gamma, gamma_den) == 1
         assert math.gcd(*g) == 1
         assert all(type(c) is int and c > 0 for c in g)
     # P_k(x + k - 1) = r * g_{k-1}(x) with r > 0, checked by Horner at
     # deg + 1 points, so its coefficients are positive as g_{k-1}'s are
     for k in range(2, 40):
-        p, (_, g) = polynomial_via_trees(k), trees._family[k - 1]
+        p, (_, g) = polynomial_via_trees(k), tree_polynomial._family[k - 1]
         r = Fraction(p.evaluate(k - 1), g[0])
         assert r > 0 and p.degree == len(g) - 1
         assert all(p.evaluate(x + k - 1) == r * Polynomial(g).evaluate(x) for x in range(len(g)))
