@@ -4,8 +4,9 @@ An operator recursion over exact rational polynomials, a weighted sum over
 plane trees, and the classical Bernoulli recursion all produce the same
 numbers; the package computes each route exactly and cross-checks them.
 
-Every name in a library module's __all__ is importable from the package,
-and _MODULES below maps each library module to those names.  `import
+_MODULES below maps each library module to its public names and is the only
+list of them: every name is importable from the package, and the package
+sets each module's __all__ from its row when it attaches the module.  `import
 evenzeta` loads none of the modules: the first read of a name loads its own
 module, with that module's imports.  The package binds a module's names as
 soon as the import system attaches that module to it, whoever imported it,
@@ -22,7 +23,7 @@ imported, so hasattr(evenzeta, "verify") loads nothing.  Every bound sits in
 bounds, which rationals and so every route loads, and which publishes
 nothing.  The CLI and its verification suites (cli, verify) are not loaded
 here; importing evenzeta.cli loads bounds and text, and each command loads
-the routes it runs.
+the routes it runs by reading their names from the package.
 """
 
 import sys
@@ -31,7 +32,7 @@ from types import ModuleType
 
 __version__ = "0.1.0"
 
-# Each library module's __all__, which a test holds equal to the module's own.
+# Each library module's public names: its __all__, set when the module is attached.
 _MODULES = {
     "rationals": (
         "ConsistencyError", "double_factorial_odd", "double_factorial_product",
@@ -64,12 +65,13 @@ __all__ = list(_OWNERS)
 
 
 class _Package(ModuleType):
-    """The package, which binds a library module's table names as the import
-    system attaches that module to it."""
+    """The package, which sets a library module's __all__ from its table row
+    and binds those names as the import system attaches that module to it."""
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
         if name in _MODULES:
+            value.__all__ = list(_MODULES[name])
             vars(self).update((public, getattr(value, public)) for public in _MODULES[name])
 
 

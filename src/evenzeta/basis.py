@@ -21,8 +21,6 @@ from .bounds import BASIS_COEFFICIENTS_MAX
 from .polynomials import ZERO, Polynomial, split_content
 from .rationals import check_index, check_int, check_type, double_factorial_odd
 
-__all__ = ["basis_coefficients", "expand_basis", "BASIS_COEFFICIENTS_MAX"]
-
 _cache_lock = threading.Lock()
 # basis_coefficients(j) as its pair (content, primitive) at j = 2, 3, ... (0, 1 unused)
 _basis: list[tuple[int, tuple[int, ...]]] = [(1, (1,))] * 3

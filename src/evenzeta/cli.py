@@ -12,9 +12,10 @@ Each command returns its JSON result and its text lines, or raises _Refusal
 for an input it refuses; _run alone prints one of the two forms and chooses
 the exit code.
 
-The parser reads every bound from `bounds`, and each command imports the
-route modules it calls in its own body, so `import evenzeta.cli` loads only
-bounds and text, and a process loads only the routes its command runs.
+The parser reads every bound from `bounds`, and each command reads the
+route names it calls from the package when it runs, so `import evenzeta.cli`
+loads only bounds and text, and a process loads only the routes its command
+runs: the package's table decides which module each name loads.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import json
 import sys
 from fractions import Fraction
 from typing import Optional
+
+import evenzeta as ez
 
 from .bounds import (
     AK_MAX, ALL_MAX_K, ALL_MIN_MAX_K, BERNOULLI_APPROX_MAX, BERNOULLI_MAX, ENUMERATION_MAX, PK_MAX,
@@ -71,18 +74,16 @@ def _fail(args, inputs: dict, message: str, code: int) -> int:
 
 
 def _cmd_bernoulli(args):
-    from . import zeta
     _within(args.k, BERNOULLI_MAX[args.method], qualifier=f" for --method {args.method}")
     if args.approx:
         _within(args.k, BERNOULLI_APPROX_MAX, qualifier=" with --approx")
     if args.method == "classical":
-        value = zeta.bernoulli_classical(2 * args.k)
+        value = ez.bernoulli_classical(2 * args.k)
     elif args.method == "tree":
-        from . import trees
         # the odd-sequence transform is 2*zeta(2k)/pi^(2k)
-        value = zeta.bernoulli_from_zeta(args.k, trees.generalized_transform(args.k) / 2)
+        value = ez.bernoulli_from_zeta(args.k, ez.generalized_transform(args.k) / 2)
     else:
-        value = zeta.bernoulli_even(args.k)
+        value = ez.bernoulli_even(args.k)
     result = {"value": str(value)}
     lines = [result["value"]]
     if args.approx:
@@ -92,21 +93,19 @@ def _cmd_bernoulli(args):
 
 
 def _cmd_ak(args):
-    from . import recursion
     _within(args.max, AK_MAX, option="--max")
-    values = [str(recursion.zeta_numerator(k)) for k in range(1, args.max + 1)]
+    values = [str(ez.zeta_numerator(k)) for k in range(1, args.max + 1)]
     return {"values": values}, values
 
 
 def _cmd_pk(args):
-    from . import recursion
     _within(args.k, PK_MAX)
     if args.half_scale and not args.translated:
         raise _Refusal("--half-scale requires --translated")
     if args.translated:
-        poly = recursion.translated_polynomial(args.k, half_scale=args.half_scale)
+        poly = ez.translated_polynomial(args.k, half_scale=args.half_scale)
     else:
-        poly = recursion.numerator_polynomial(args.k)
+        poly = ez.numerator_polynomial(args.k)
     # decimal conversion of the coefficients dominates at large k: do it once
     strings = poly.coefficient_strings()
     text = polynomial_text(strings)
@@ -114,9 +113,8 @@ def _cmd_pk(args):
 
 
 def _cmd_zeta_even(args):
-    from . import zeta
     _within(args.k, ZETA_EVEN_MAX)
-    coeff = zeta.zeta_even_rational(args.k)
+    coeff = ez.zeta_even_rational(args.k)
     power = 2 * args.k
     text = f"{coeff} * pi^{power}"
     result = {"coefficient": str(coeff), "pi_power": power, "text": text}
@@ -129,22 +127,20 @@ def _cmd_zeta_even(args):
 
 def _tree_rows(k: int):
     """Each k-vertex tree with its low and high values and its weight, as text."""
-    from . import plane_trees, trees
-    for tree in plane_trees.enumerate_trees(k):
-        data = plane_trees.tree_data(tree)
-        low = [str(trees.ODD_NUMBERS[n - 1]) for n in data.low]
-        high = [str(trees.ODD_NUMBERS[n - 1]) for n in data.high]
+    for tree in ez.enumerate_trees(k):
+        data = ez.tree_data(tree)
+        low = [str(ez.ODD_NUMBERS[n - 1]) for n in data.low]
+        high = [str(ez.ODD_NUMBERS[n - 1]) for n in data.high]
         yield tree, low, high, str(data.weight)
 
 
 def _cmd_trees(args):
-    from . import plane_trees
     # the count is a closed form; the listing holds every tree's record
     if args.list:
         _within(args.k, TREES_LIST_MAX, qualifier=" with --list")
     else:
         _within(args.k, ENUMERATION_MAX)
-    count = plane_trees.catalan(args.k - 1)
+    count = ez.catalan(args.k - 1)
     if not args.list:
         return {"count": count}, [str(count)]
     rows = list(_tree_rows(args.k))
@@ -160,7 +156,7 @@ def _cmd_trees(args):
 
 
 def read_sequence_file(path: str):
-    """The trees.SequenceSpec of a sequence file, one canonical rational per line.
+    """The SequenceSpec of a sequence file, one canonical rational per line.
 
     Line n supplies the value at position n.  Blank or malformed lines,
     zero values, values past SEQUENCE_DIGITS_MAX, lines longer than the
@@ -169,7 +165,6 @@ def read_sequence_file(path: str):
     UTF-8, a leading byte-order mark is no part of line 1, and a file that
     is not UTF-8 is rejected by its path.
     """
-    from . import trees
     width = 2 * SEQUENCE_DIGITS_MAX + 2  # "-" + digits + "/" + digits
     values: list[Fraction] = []
     try:
@@ -202,17 +197,16 @@ def read_sequence_file(path: str):
         raise ValueError(f"{path}: not UTF-8 text") from exc
     if not values:
         raise ValueError(f"{path}: empty sequence file")
-    return trees.SequenceSpec(values)
+    return ez.SequenceSpec(values)
 
 
 def _cmd_transform(args):
-    from . import trees
     _within(args.k, TRANSFORM_MAX)
     try:
-        seq = trees.ODD_NUMBERS
+        seq = ez.ODD_NUMBERS
         if args.sequence is not None:
             seq = read_sequence_file(args.sequence)
-        value = trees.generalized_transform(args.k, seq)
+        value = ez.generalized_transform(args.k, seq)
     except (OSError, ValueError) as exc:
         raise _Refusal(str(exc)) from exc
     return {"value": str(value)}, [str(value)]

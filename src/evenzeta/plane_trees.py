@@ -39,15 +39,6 @@ from .bounds import ENUMERATION_MAX, TRANSFORM_MAX
 from .rationals import check_index, check_int, check_type
 from .trees import ODD_NUMBERS, SequenceSpec, Value
 
-__all__ = [
-    "PlaneTree",
-    "TreeData",
-    "catalan",
-    "enumerate_trees",
-    "tree_data",
-    "ENUMERATION_MAX",
-]
-
 
 def catalan(n: int) -> int:
     """C_n, the number of plane trees on n+1 vertices, for n within

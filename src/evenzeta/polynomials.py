@@ -27,13 +27,6 @@ from .rationals import check_exact
 
 Scalar = Union[int, Fraction]
 
-__all__ = [
-    "Polynomial",
-    "split_content",
-    "taylor_shift",
-    "ZERO",
-]
-
 
 def _scalar(q: Scalar) -> Scalar:
     """An integral value as an int, any other as the Fraction itself."""

@@ -24,13 +24,6 @@ from functools import lru_cache
 
 from .bounds import DOUBLE_FACTORIAL_PRODUCT_MAX
 
-__all__ = [
-    "ConsistencyError",
-    "double_factorial_odd",
-    "double_factorial_product",
-    "DOUBLE_FACTORIAL_PRODUCT_MAX",
-]
-
 
 class ConsistencyError(RuntimeError):
     """An internal invariant failed (e.g. a value that must be a positive integer is not)."""

@@ -50,14 +50,6 @@ from .bounds import RECURSION_MAX
 from .polynomials import Polynomial, split_content, taylor_shift
 from .rationals import ConsistencyError, check_index, double_factorial_odd
 
-__all__ = [
-    "numerator_polynomial",
-    "zeta_numerator",
-    "translated_polynomial",
-    "RECURSION_MAX",
-]
-
-
 _cache_lock = threading.Lock()
 # P_j = g_j * p_j as the entry (g_j, p_j, p_j(j)) for j = 0 (unused), 1, 2,
 # ...: the content g_j > 0 (the gcd of P_j's coefficients), the primitive

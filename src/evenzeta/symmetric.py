@@ -26,19 +26,6 @@ from .bounds import (
 )
 from .rationals import check_exact, check_index
 
-__all__ = [
-    "VariableSet",
-    "elementary_symmetric",
-    "power_sum",
-    "cycle_index_elementary",
-    "newton_girard_check",
-    "CYCLE_INDEX_MAX",
-    "CYCLE_INDEX_VARIABLES_MAX",
-    "INVERSE_SQUARES_MAX",
-    "NEWTON_GIRARD_MAX",
-    "VARIABLES_MAX",
-]
-
 
 class VariableSet(tuple):
     """A finite tuple of rational variable values z_1..z_N, stored as Fractions.

@@ -14,8 +14,6 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-__all__ = ["parse_rational", "polynomial_text"]
-
 # ASCII digits only: \d and int() also take full-width and other Unicode digits
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 

@@ -30,8 +30,6 @@ from .polynomials import Polynomial, split_content, taylor_shift
 from .rationals import ConsistencyError, check_index
 from .trees import ODD_NUMBERS, odd_weights
 
-__all__ = ["polynomial_via_trees", "TREE_SUM_MAX"]
-
 _cache_lock = threading.Lock()
 # G_d = gamma_d * g_d in u = x - (k-1) for d = 0, 1, ... (polynomial_via_trees):
 # the content gamma_d > 0 as an int pair in lowest terms, and the primitive

@@ -44,13 +44,6 @@ from .rationals import check_exact, check_index, check_int, check_type
 
 Value = Union[int, Fraction]
 
-__all__ = [
-    "SequenceSpec",
-    "ODD_NUMBERS",
-    "generalized_transform",
-    "TRANSFORM_MAX",
-]
-
 
 class SequenceSpec(tuple):
     """The values R_1, R_2, ... of the tree sum, position n at index n-1.

@@ -20,19 +20,6 @@ from .bounds import BERNOULLI_CLASSICAL_MAX, BERNOULLI_EVEN_MAX, ELEMENTARY_ZETA
 from .rationals import check_exact, check_index, double_factorial_product
 from .recursion import numerator_polynomial, zeta_numerator
 
-__all__ = [
-    "elementary_zeta",
-    "zeta_even_rational",
-    "bernoulli_even",
-    "bernoulli_from_zeta",
-    "bernoulli_classical",
-    "newton_partial_sum",
-    "newton_partial_closed",
-    "BERNOULLI_EVEN_MAX",
-    "BERNOULLI_CLASSICAL_MAX",
-    "ELEMENTARY_ZETA_MAX",
-]
-
 
 def elementary_zeta(k: int) -> Fraction:
     """1/(2k+1)!, the coefficient of pi^(2k) in the inverse-square specialization

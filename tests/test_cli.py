@@ -200,12 +200,11 @@ def test_bernoulli_approx_bound(capsys, k, code):
 
 @pytest.mark.parametrize("error", [ConsistencyError])
 def test_internal_error_exits_three(capsys, monkeypatch, error):
-    from evenzeta import zeta as zeta_mod
-
     def broken(k):
         raise error("forced fault")
 
-    monkeypatch.setattr(zeta_mod, "zeta_even_rational", broken)
+    # the CLI reads each route name through the package
+    monkeypatch.setattr(evenzeta, "zeta_even_rational", broken)
     code, out, _ = run(capsys, "zeta-even", "--k", "3", "--format", "json")
     assert code == 3
     record = json.loads(out)

@@ -478,6 +478,22 @@ def test_basis_coefficients_observed_integrality():
         assert all(type(c) is int and c > 0 for c in primitive)
 
 
+def test_basis_gives_positivity_in_the_translated_frame():
+    # the paper's positivity through the basis: at x/2 + k - 3/2 the basis
+    # element prod_{j<=i} (2x - 2(k-1) + 2j+1) is prod_{j<=i} (x + 2j), so
+    # the content times sum_i c_i * prod_{j<=i} (x + 2j), a sum of positive
+    # terms, is the half-scale translated polynomial
+    for k in range(2, 61):
+        basis = basis_coefficients(k)
+        assert all(c > 0 for c in basis.primitive), k
+        frame = [basis.primitive[-1]]
+        for i in range(len(basis.primitive) - 2, -1, -1):  # Horner from the top
+            frame = add(mul(frame, [2 * (i + 1), 1]), [basis.primitive[i]])
+        assert Polynomial([basis.content * c for c in frame]) == translated_polynomial(
+            k, half_scale=True
+        ), k
+
+
 @pytest.mark.parametrize("n", range(0, 41))
 def test_shifted_product_identity(n):
     # the lemma-2ni suite grows both sides one factor per n; at each n of a

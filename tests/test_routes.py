@@ -201,26 +201,64 @@ def test_every_all_name_is_bound():
     assert {"rationals", "symmetric", "zeta"} <= checked
 
 
-def _defines_all(path):
+def _assigns_all(module):
     """Whether a module assigns __all__ at its top level."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
     return any(
         isinstance(target, ast.Name) and target.id == "__all__"
-        for node in tree.body
+        for node in _parse(module).body
         if isinstance(node, (ast.Assign, ast.AnnAssign))
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
     )
 
 
+# the package itself, its entry point, the bounds (which publish nothing) and
+# the CLI and its suites, which keep their own __all__
+NOT_LIBRARY = {"__init__", "__main__", "bounds", "cli", "verify"}
+
+
 def test_package_table_lists_every_library_module():
     # the package publishes a module's names from its table: a module left
-    # out, or a name missing from its row, would go silently unpublished;
-    # the CLI and its suites are not library modules
-    published = {path.stem for path in SRC.glob("*.py") if _defines_all(path)}
-    assert "cli" in published and "verify" in published
-    assert set(evenzeta._MODULES) == published - {"__init__", "cli", "verify"}
+    # out would go silently unpublished
+    library = {path.stem for path in SRC.glob("*.py")} - NOT_LIBRARY
+    assert set(evenzeta._MODULES) == library
     for short, names in evenzeta._MODULES.items():
-        assert list(names) == importlib.import_module(f"evenzeta.{short}").__all__, short
+        assert importlib.import_module(f"evenzeta.{short}").__all__ == list(names), short
+
+
+def test_only_the_package_table_lists_a_library_modules_names():
+    # the table is the one list: no library module writes its own copy, and
+    # the CLI and its suites keep theirs
+    assert [short for short in evenzeta._MODULES if _assigns_all(short)] == []
+    assert _assigns_all("cli") and _assigns_all("verify")
+
+
+def test_import_star_from_a_library_module_binds_its_row():
+    # the package sets __all__ as it attaches the module, before `import *` reads it
+    code = "; ".join(
+        f"ns = {{}}; exec('from evenzeta.{short} import *', ns); "
+        f"rows.append(sorted(n for n in ns if n != '__builtins__'))"
+        for short in evenzeta._MODULES
+    )
+    rows = _fresh(f"rows = []; {code}; print(rows)")
+    assert rows == [sorted(names) for names in evenzeta._MODULES.values()]
+
+
+def test_cli_reads_routes_through_the_package():
+    # the CLI imports bounds and text when it loads, and verify when that
+    # command runs; every other command reads its route names from the
+    # package, so the table alone decides which modules it loads
+    tree = _parse("cli")
+    top = {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
+    assert top == {"bounds", "text"}
+    nested = [
+        (function.name, ast.unparse(node))
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == [("_cmd_verify", "from . import verify")]
+    assert _package_imports("cli") == {"bounds", "text", "verify"}
 
 
 LIBRARY = tuple(evenzeta._MODULES)
