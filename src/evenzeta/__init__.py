@@ -22,8 +22,8 @@ dotted name, or a submodule outside the table such as verify until it is
 imported, so hasattr(evenzeta, "verify") loads nothing.  Every bound sits in
 bounds, which rationals and so every route loads, and which publishes
 nothing.  The CLI and its verification suites (cli, verify) are not loaded
-here; importing evenzeta.cli loads bounds and text, and each command loads
-the routes it runs by reading their names from the package.
+here; importing evenzeta.cli loads bounds and text, and each command and
+each suite reads the names of the routes it runs from the package.
 """
 
 import sys

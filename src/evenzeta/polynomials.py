@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .rationals import check_exact
+from .rationals import check_exact, check_int
 
 Scalar = Union[int, Fraction]
 
@@ -124,6 +124,14 @@ def taylor_shift(coeffs: Sequence[int], a: int, b: int, d: int = 1) -> list[int]
     by Horner's rule on int lists.  The zero polynomial, no coefficients,
     gives none.
     """
+    check_int(a, "a")
+    check_int(b, "b")
+    check_int(d, "d")
+    if d < 1:
+        raise ValueError(f"d={d} is not positive")
+    for i, c in enumerate(coeffs):
+        if type(c) is not int:  # names the entry only for a value check_int may refuse
+            check_int(c, f"coeffs[{i}]")
     acc: list[int] = []
     scale = 1  # D^(n-i)
     for c in reversed(coeffs):

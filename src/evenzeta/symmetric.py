@@ -24,7 +24,7 @@ from .bounds import (
     CYCLE_INDEX_MAX, CYCLE_INDEX_VARIABLES_MAX, INVERSE_SQUARES_MAX, NEWTON_GIRARD_MAX,
     VARIABLES_MAX,
 )
-from .rationals import check_exact, check_index
+from .rationals import check_exact, check_index, check_type
 
 
 class VariableSet(tuple):
@@ -67,6 +67,7 @@ def elementary_symmetric(vars: VariableSet, k: int) -> Fraction:
     """e_k over the variables, by the stable product recurrence on prod(1 + z_i t),
     for k within 0..N, the variable count, and N within 1..VARIABLES_MAX.
     """
+    check_type(vars, VariableSet, "vars")
     check_index(k, 0, len(vars))
     check_index(len(vars), 1, VARIABLES_MAX, "N")
     row = _elementary_row(vars, k)
@@ -96,6 +97,7 @@ def power_sum(vars: VariableSet, k: int) -> Fraction:
     """p_k = sum z_i^k for k within 1..max(N, CYCLE_INDEX_MAX), N the variable
     count: every p_k that the Newton-Girard and cycle-index sums read.  N is
     within 1..VARIABLES_MAX."""
+    check_type(vars, VariableSet, "vars")
     check_index(k, 1, max(len(vars), CYCLE_INDEX_MAX))
     check_index(len(vars), 1, VARIABLES_MAX, "N")
     den, (total,) = _power_sums(vars, range(k, k + 1))
@@ -122,6 +124,7 @@ def cycle_index_elementary(vars: VariableSet, k: int) -> Fraction:
     k is within 1..CYCLE_INDEX_MAX and N, the variable count, within
     1..CYCLE_INDEX_VARIABLES_MAX; elementary_symmetric gives e_k without the sum.
     """
+    check_type(vars, VariableSet, "vars")
     check_index(k, 1, CYCLE_INDEX_MAX)
     check_index(len(vars), 1, CYCLE_INDEX_VARIABLES_MAX, "N")
     den, sums = _power_sums(vars, range(k + 1))
@@ -144,6 +147,7 @@ def newton_girard_check(vars: VariableSet, k: int) -> tuple[Fraction, Fraction]:
     1..min(N, NEWTON_GIRARD_MAX), and N, the variable count, within
     1..NEWTON_GIRARD_MAX.
     """
+    check_type(vars, VariableSet, "vars")
     check_index(k, 1, min(len(vars), NEWTON_GIRARD_MAX))
     check_index(len(vars), 1, NEWTON_GIRARD_MAX, "N")
     e = _elementary_row(vars, k)

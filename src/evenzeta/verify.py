@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
-# at module level: evenbench/run.py imports verify before it forks, so no timed child compiles these
+import evenzeta as ez
+
+# only so that every route compiles when verify loads: evenbench/run.py imports verify
+# before it forks, so no timed child compiles one.  The suites read each name as ez.<name>
 from . import basis, plane_trees, recursion, symmetric, tree_polynomial, trees, zeta
 from .bounds import ALL_MAX_K, ALL_MIN_MAX_K, SUITE_BOUNDS
 from .rationals import check_int
@@ -46,7 +49,7 @@ def _trials(seed: int, label: str, sides: Callable, squares: tuple, max_k: int) 
     rng = random.Random(seed)
     for trial in range(50):
         size = rng.randint(1, 8)
-        vars = symmetric.VariableSet(
+        vars = ez.VariableSet(
             Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(size)
         )
         for k in range(1, min(size, max_k) + 1):
@@ -57,20 +60,20 @@ def _trials(seed: int, label: str, sides: Callable, squares: tuple, max_k: int) 
         else:
             yield f"{label} trial {trial}", True, True
     n, k = squares
-    inverse_squares = symmetric.VariableSet.inverse_squares(n)
+    inverse_squares = ez.VariableSet.inverse_squares(n)
     yield f"{label} inverse squares N={n} k={k}", *sides(inverse_squares, k)
 
 
-def _cycle_index_sides(vars: symmetric.VariableSet, k: int) -> tuple:
+def _cycle_index_sides(vars: ez.VariableSet, k: int) -> tuple:
     return (
-        symmetric.cycle_index_elementary(vars, k),
-        symmetric.elementary_symmetric(vars, k),
+        ez.cycle_index_elementary(vars, k),
+        ez.elementary_symmetric(vars, k),
     )
 
 
-# each looks its sides up when it runs, so a patched or traced function is the one checked
+# each reads its sides from ez when it runs, so a patched or traced function is the one checked
 def _suite_newton_girard(max_k: int) -> _Checks:
-    return _trials(_SEED, "newton-girard", symmetric.newton_girard_check, (12, 5), max_k)
+    return _trials(_SEED, "newton-girard", ez.newton_girard_check, (12, 5), max_k)
 
 
 def _suite_cycle_index(max_k: int) -> _Checks:
@@ -80,46 +83,46 @@ def _suite_cycle_index(max_k: int) -> _Checks:
 def _suite_trees(max_k: int) -> _Checks:
     for k in range(2, max_k + 1):
         # with every value 1 each tree weighs 1, so the transform counts the trees
-        count = trees.generalized_transform(k, trees.SequenceSpec([1] * k))
-        yield f"tree count k={k}", count, plane_trees.catalan(k - 1)
-        poly = tree_polynomial.polynomial_via_trees(k)
-        yield f"polynomial via trees k={k}", poly, recursion.numerator_polynomial(k)
-        transform = trees.generalized_transform(k)
-        yield f"numerator via trees k={k}", transform, 2 * zeta.zeta_even_rational(k)
+        count = ez.generalized_transform(k, ez.SequenceSpec([1] * k))
+        yield f"tree count k={k}", count, ez.catalan(k - 1)
+        poly = ez.polynomial_via_trees(k)
+        yield f"polynomial via trees k={k}", poly, ez.numerator_polynomial(k)
+        transform = ez.generalized_transform(k)
+        yield f"numerator via trees k={k}", transform, 2 * ez.zeta_even_rational(k)
 
 
 def _suite_coeffs(max_k: int) -> _Checks:
     for k in range(2, max_k + 1):
-        expanded = basis.expand_basis(basis.basis_coefficients(k), k)
-        yield f"basis expansion k={k}", expanded, recursion.numerator_polynomial(k)
+        expanded = ez.expand_basis(ez.basis_coefficients(k), k)
+        yield f"basis expansion k={k}", expanded, ez.numerator_polynomial(k)
 
 
 def _suite_bernoulli(max_k: int) -> _Checks:
     for k in range(1, max_k + 1):
-        yield f"bernoulli k={k}", zeta.bernoulli_even(k), zeta.bernoulli_classical(2 * k)
+        yield f"bernoulli k={k}", ez.bernoulli_even(k), ez.bernoulli_classical(2 * k)
 
 
 def _suite_fn(max_k: int) -> _Checks:
     for n in range(2, 9):
         for k in range(max(1, n - 1), max_k + 1):
-            partial_sum = zeta.newton_partial_sum(n, k)
-            yield f"partial sum n={n} k={k}", partial_sum, zeta.newton_partial_closed(n, k)
+            partial_sum = ez.newton_partial_sum(n, k)
+            yield f"partial sum n={n} k={k}", partial_sum, ez.newton_partial_closed(n, k)
     for n in range(2, 9):
-        closed = (1 if n % 2 else -1) * zeta.newton_partial_sum(n, n)
-        yield f"partial sum closes to zeta(2n) n={n}", closed, zeta.zeta_even_rational(n)
+        closed = (1 if n % 2 else -1) * ez.newton_partial_sum(n, n)
+        yield f"partial sum closes to zeta(2n) n={n}", closed, ez.zeta_even_rational(n)
 
 
 def _suite_positivity(max_k: int) -> _Checks:
     for k in range(1, max_k + 1):
-        primitive = recursion.translated_polynomial(k).primitive
+        primitive = ez.translated_polynomial(k).primitive
         yield f"translated positivity k={k}", ", ".join(str(a) for a in primitive if a <= 0), ""
 
 
 def _suite_leading(max_k: int) -> _Checks:
     for k in range(2, max_k + 1):
-        poly = recursion.numerator_polynomial(k)
+        poly = ez.numerator_polynomial(k)
         yield f"degree k={k}", poly.degree, k - 2
-        leading = recursion.zeta_numerator(k - 1) * 2 ** (k - 2)
+        leading = ez.zeta_numerator(k - 1) * 2 ** (k - 2)
         yield f"leading coefficient k={k}", poly.content * poly.primitive[-1], leading
 
 
@@ -136,15 +139,9 @@ def _suite_lemma_2ni(max_k: int) -> _Checks:
         yield f"shifted product identity n={n}", lhs, rhs
 
 
-class _Suite(NamedTuple):
-    run: Callable[[int], _Checks]
-    default_max_k: int
-    min_max_k: int  # the first k the suite checks: a smaller max_k checks nothing
-    hard_max_k: int
-
-
-# each suite's checks and default max_k; its bounds and run order are bounds.SUITE_BOUNDS's
-_RUNS = {
+# each suite's checks and default max_k, in the run order of bounds.SUITE_BOUNDS,
+# which alone holds each suite's (min_max_k, hard_max_k)
+SUITES: dict[str, tuple[Callable[[int], _Checks], int]] = {
     "newton-girard": (_suite_newton_girard, 8),
     "cycle-index": (_suite_cycle_index, 8),
     "trees": (_suite_trees, 10),
@@ -154,9 +151,6 @@ _RUNS = {
     "positivity": (_suite_positivity, 15),
     "leading": (_suite_leading, 12),
     "lemma-2ni": (_suite_lemma_2ni, 6),
-}
-SUITES: dict[str, _Suite] = {
-    name: _Suite(*_RUNS[name], *low_high) for name, low_high in SUITE_BOUNDS.items()
 }
 
 
@@ -182,19 +176,16 @@ def run_suite(name: str, max_k: Optional[int] = None) -> list[dict]:
             )
         reports = []
         # one call per suite: evenbench's tracer records a verify.suite.<name> span per call
-        for key in SUITES:
-            capped = None if max_k is None else min(max_k, SUITES[key].hard_max_k)
-            reports.extend(run_suite(key, capped))
+        for key, (_, high) in SUITE_BOUNDS.items():
+            reports.extend(run_suite(key, None if max_k is None else min(max_k, high)))
         return reports
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
-    suite = SUITES[name]
-    k = suite.default_max_k if max_k is None else max_k
-    if not suite.min_max_k <= k <= suite.hard_max_k:
-        raise ValueError(
-            f"suite {name!r} accepts max_k between {suite.min_max_k} and {suite.hard_max_k},"
-            f" got {k}"
-        )
-    checks = [_check(*sides) for sides in suite.run(k)]
+    run, default_max_k = SUITES[name]
+    low, high = SUITE_BOUNDS[name]  # the first k the suite checks: a smaller max_k checks nothing
+    k = default_max_k if max_k is None else max_k
+    if not low <= k <= high:
+        raise ValueError(f"suite {name!r} accepts max_k between {low} and {high}, got {k}")
+    checks = [_check(*sides) for sides in run(k)]
     passed = all(check["passed"] for check in checks)
     return [{"suite": name, "max_k": k, "passed": passed, "checks": checks}]

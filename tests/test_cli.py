@@ -33,7 +33,7 @@ from evenzeta.bounds import (
 from evenzeta.cli import main, read_sequence_file
 from evenzeta.rationals import ConsistencyError
 from evenzeta.trees import generalized_transform
-from evenzeta.verify import SUITES, run_suite
+from evenzeta.verify import run_suite
 from evenzeta.zeta import zeta_even_rational
 
 PUBLISHED_SEQUENCE = [
@@ -439,9 +439,9 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_failing_trial_record(capsys, monkeypatch):
-    from evenzeta import symmetric, verify
+    from evenzeta import verify
 
-    real = symmetric.newton_girard_check
+    real = evenzeta.newton_girard_check
     calls = []  # k of each call, in order
     failed = {}  # index of the one failing call, and its witness
 
@@ -453,7 +453,7 @@ def test_failing_trial_record(capsys, monkeypatch):
             failed.update(at=len(calls) - 1, witness={"got": str(lhs), "expected": str(rhs)})
         return lhs, rhs
 
-    monkeypatch.setattr(symmetric, "newton_girard_check", wrong_once)
+    monkeypatch.setattr(evenzeta, "newton_girard_check", wrong_once)
     [report] = verify.run_suite("newton-girard")
     at = failed["at"]
     trial = calls[: at + 1].count(1) - 1  # every trial starts at k=1
@@ -480,10 +480,8 @@ def test_failing_trial_record(capsys, monkeypatch):
 
 def test_failing_check_record(capsys, monkeypatch):
     # a two-sided identity that fails at one k: its record carries both sides
-    from evenzeta import zeta
-
-    real = zeta.bernoulli_even
-    monkeypatch.setattr(zeta, "bernoulli_even", lambda k: real(k) + 1 if k == 3 else real(k))
+    real = evenzeta.bernoulli_even
+    monkeypatch.setattr(evenzeta, "bernoulli_even", lambda k: real(k) + 1 if k == 3 else real(k))
     code, out, _ = run(capsys, "verify", "--suite", "bernoulli", "--max-k", "4", "--format", "json")
     assert code == 1
     failure = {"name": "bernoulli k=3", "passed": False, "witness": {"got": "43/42", "expected": "1/42"}}
@@ -509,12 +507,11 @@ def test_failing_check_record(capsys, monkeypatch):
 def test_failing_positivity_record(capsys, monkeypatch):
     # the nonpositive entries of the primitive part, joined, are the got side;
     # none is expected.  bad is 1/2 * (-1 + 6*x^2): its content is positive
-    from evenzeta import recursion
     from evenzeta.polynomials import Polynomial
 
-    real = recursion.translated_polynomial
+    real = evenzeta.translated_polynomial
     bad = Polynomial((Fraction(-1, 2), 0, 3))
-    monkeypatch.setattr(recursion, "translated_polynomial", lambda k: bad if k == 2 else real(k))
+    monkeypatch.setattr(evenzeta, "translated_polynomial", lambda k: bad if k == 2 else real(k))
     code, out, _ = run(capsys, "verify", "--suite", "positivity", "--max-k", "3", "--format", "json")
     assert code == 1
     [suite] = json.loads(out)["result"]["suites"]
@@ -532,11 +529,10 @@ def test_failing_positivity_record(capsys, monkeypatch):
 def test_run_suite_reports_a_witness_past_the_int_str_limit(monkeypatch):
     # outside the CLI the default int-to-str limit holds: a failed check
     # still carries both sides in full, and the limit is as it was after
-    from evenzeta import recursion
     from evenzeta.text import no_int_str_limit
 
-    real = recursion.zeta_numerator
-    monkeypatch.setattr(recursion, "zeta_numerator", lambda k: real(k) + 1 if k == 200 else real(k))
+    real = evenzeta.zeta_numerator
+    monkeypatch.setattr(evenzeta, "zeta_numerator", lambda k: real(k) + 1 if k == 200 else real(k))
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
@@ -547,7 +543,7 @@ def test_run_suite_reports_a_witness_past_the_int_str_limit(monkeypatch):
     failed = [check for check in report["checks"] if not check["passed"]]
     assert report["passed"] is False
     assert [check["name"] for check in failed] == ["leading coefficient k=201"]
-    poly = recursion.numerator_polynomial(201)
+    poly = evenzeta.numerator_polynomial(201)
     with no_int_str_limit():
         got, expected = str(poly.content * poly.primitive[-1]), str((real(200) + 1) * 2**199)
     assert failed[0]["witness"] == {"got": got, "expected": expected}
@@ -559,7 +555,7 @@ def test_verify_bad_bound(capsys):
     # report 0/0 passed
     usage = help_text(capsys, "verify")
     for name in ("trees", "coeffs", "leading", "bernoulli"):
-        low, high = SUITES[name].min_max_k, SUITES[name].hard_max_k
+        low, high = SUITE_BOUNDS[name]
         assert low == (1 if name == "bernoulli" else 2)
         assert f"{name} {low}..{high}," in usage
         for bad in (low - 1, high + 1):
@@ -571,13 +567,13 @@ def test_verify_bad_bound(capsys):
 
 
 def test_every_suite_checks_something_at_its_lower_bound():
-    for name, suite in SUITES.items():
-        [report] = run_suite(name, suite.min_max_k)
+    for name, (low, _) in SUITE_BOUNDS.items():
+        [report] = run_suite(name, low)
         assert report["checks"] and report["passed"], name
 
 
 def test_verify_all_bound(capsys):
-    assert ALL_MIN_MAX_K == max(suite.min_max_k for suite in SUITES.values()) == 2
+    assert ALL_MIN_MAX_K == max(low for low, _ in SUITE_BOUNDS.values()) == 2
     for bad in (ALL_MIN_MAX_K - 1, ALL_MAX_K + 1):
         argv = ("verify", "--suite", "all", "--max-k", str(bad), "--format", "json")
         code, out, _ = run(capsys, *argv)

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,25 @@ def test_taylor_shift_matches_naive(cs, a, b, d, x):
     assert len(shifted) == len(cs) and all(type(c) is int for c in shifted)
     n = len(cs) - 1
     assert naive_eval(shifted, x) == Fraction(d) ** n * naive_eval(cs, (a * x + b) / Fraction(d))
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (([1.5, 2], 2, 1), TypeError, "coeffs[0]=1.5 is not an int"),
+        (([1, True], 2, 1), TypeError, "coeffs[1]=True is not an int"),
+        (([1, Fraction(1, 2)], 2, 1), TypeError, "coeffs[1]=Fraction(1, 2) is not an int"),
+        (([1, 2], 2.0, 1), TypeError, "a=2.0 is not an int"),
+        (([1, 2], 1, True), TypeError, "b=True is not an int"),
+        (([1, 2], 1, 1, Fraction(2)), TypeError, "d=Fraction(2, 1) is not an int"),
+        (([1, 2], 1, 1, 0), ValueError, "d=0 is not positive"),
+        (([], 1, 1, -2), ValueError, "d=-2 is not positive"),
+    ],
+)
+def test_taylor_shift_refuses_what_it_cannot_shift(args, error, message):
+    # the shift's int coefficients hold only for int A, B, D and coefficients, D >= 1
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        taylor_shift(*args)
 
 
 def test_text_form():

@@ -103,6 +103,17 @@ def test_variable_set_needs_a_variable():
         VariableSet([])
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [elementary_symmetric, power_sum, cycle_index_elementary, newton_girard_check],
+    ids=lambda fn: fn.__name__,
+)
+def test_vars_must_be_a_variable_set(fn):
+    # a list would let a bool in as a variable: its type is refused before its k
+    with pytest.raises(TypeError, match="^vars is a list, not a VariableSet$"):
+        fn([True, 2], 99)
+
+
 def test_elementary_symmetric_bounds():
     vs = VariableSet([1, 2])
     with pytest.raises(ValueError):

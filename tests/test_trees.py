@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evenzeta import tree_polynomial, trees, verify
+from evenzeta import tree_polynomial, trees
 from evenzeta.polynomials import Polynomial
 from evenzeta.rationals import ConsistencyError, double_factorial_product
 from evenzeta.recursion import numerator_polynomial, zeta_numerator
@@ -70,7 +70,6 @@ def test_plane_tree_validation():
 VALUES = {
     "PlaneTree": (PlaneTree((1, 2, 2)), "levels"),
     "TreeData": (TreeData((1,), (2, 3), Fraction(5, 3)), "weight"),
-    "SUITES entry": (verify.SUITES["trees"], "hard_max_k"),
     "Polynomial": (Polynomial((1, Fraction(-2, 3))), "primitive"),
 }
 
