@@ -17,7 +17,7 @@ BASIS_COEFFICIENTS_MAX = 360  # the row recurrence of a cold basis_coefficients(
 # and tree_data read the same positions
 TRANSFORM_MAX = 240
 TREE_SUM_MAX = 210  # the family G_0..G_{k-1} that polynomial_via_trees(k) grows
-ENUMERATION_MAX = 16  # the Catalan growth of enumerate_trees' stream
+ENUMERATION_MAX = 13  # a drain of enumerate_trees' stream of C_{k-1} trees
 BERNOULLI_EVEN_MAX = RECURSION_MAX  # bernoulli_even(k) reads zeta_even_rational(k)
 # the classical recursion on Fractions; `bernoulli --k 350 --method classical` reads n = 700
 BERNOULLI_CLASSICAL_MAX = 700

@@ -29,7 +29,7 @@ from typing import Optional
 import evenzeta as ez
 
 from .bounds import (
-    AK_MAX, ALL_MAX_K, ALL_MIN_MAX_K, BERNOULLI_APPROX_MAX, BERNOULLI_MAX, ENUMERATION_MAX, PK_MAX,
+    AK_MAX, ALL_MAX_K, ALL_MIN_MAX_K, BERNOULLI_APPROX_MAX, BERNOULLI_MAX, PK_MAX,
     SEQUENCE_DIGITS_MAX, SUITE_BOUNDS, TRANSFORM_MAX, TREES_LIST_MAX, ZETA_EVEN_MAX,
 )
 from .text import no_int_str_limit, parse_rational, polynomial_text
@@ -135,11 +135,11 @@ def _tree_rows(k: int):
 
 
 def _cmd_trees(args):
-    # the count is a closed form; the listing holds every tree's record
+    # the count is catalan's closed form, within its bound; the listing holds every tree's record
     if args.list:
         _within(args.k, TREES_LIST_MAX, qualifier=" with --list")
     else:
-        _within(args.k, ENUMERATION_MAX)
+        _within(args.k, TRANSFORM_MAX)
     count = ez.catalan(args.k - 1)
     if not args.list:
         return {"count": count}, [str(count)]
@@ -305,7 +305,7 @@ def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
 
     p = sub.add_parser("trees", help="plane trees with their low/high/weight data")
     p.add_argument("--k", type=int, required=True,
-                   help=f"vertex count, 1..{ENUMERATION_MAX} "
+                   help=f"vertex count, 1..{TRANSFORM_MAX} "
                    f"(1..{TREES_LIST_MAX} with --list)")
     p.add_argument("--list", action="store_true", help="list every tree")
     add_common(p, _cmd_trees, "k", "list")
@@ -338,7 +338,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _run(argv: Optional[list[str]]) -> int:
     """Run one command and print its output in the requested format; return the exit code."""
-    argv = sys.argv[1:] if argv is None else argv
     # a usage error is a JSON record too when --format json can be read
     probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     probe.add_argument("--format")

@@ -116,7 +116,7 @@ def _replay_step(s1: set[int], k: int, j: int) -> tuple[set[int], set[int]]:
     high_pool = [n for n in range(2, k + 1) if n not in s1]
     high_count = k - 1 - len(s1) - j
     low = s1 | set(low_pool[:j])
-    high = s1 | set(high_pool[len(high_pool) - high_count :] if high_count else [])
+    high = s1 | set(high_pool[len(high_pool) - high_count :])
     return low, high
 
 

@@ -104,10 +104,8 @@ def power_sum(vars: VariableSet, k: int) -> Fraction:
     return Fraction(total, den**k)
 
 
-def _partitions(n: int, largest: int | None = None):
-    # descending partitions of n
-    if largest is None:
-        largest = n
+def _partitions(n: int, largest: int):
+    # descending partitions of n into parts of at most largest
     if n == 0:
         yield ()
         return
@@ -129,7 +127,7 @@ def cycle_index_elementary(vars: VariableSet, k: int) -> Fraction:
     check_index(len(vars), 1, CYCLE_INDEX_VARIABLES_MAX, "N")
     den, sums = _power_sums(vars, range(k + 1))
     total = 0
-    for parts in _partitions(k):
+    for parts in _partitions(k, k):
         mult = math.factorial(k)
         for j, m in Counter(parts).items():
             mult //= j**m * math.factorial(m)

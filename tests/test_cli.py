@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,7 @@ from evenzeta.rationals import ConsistencyError
 from evenzeta.trees import generalized_transform
 from evenzeta.verify import run_suite
 from evenzeta.zeta import zeta_even_rational
+from machin import pi_bracket
 
 PUBLISHED_SEQUENCE = [
     "1",
@@ -115,26 +117,10 @@ def test_zeta_even_approx(capsys):
     assert lines[1].startswith("~= 1.644934")
 
 
-def machin_pi(digits):
-    """pi within 10^-digits, by Machin's formula on ints: 16 atan(1/5) - 4 atan(1/239)."""
-    one = 10 ** (digits + 10)
-
-    def atan_inverse(x):
-        total = term = one // x
-        n, sign = 1, 1
-        while term:
-            term //= x * x
-            n, sign = n + 2, -sign
-            total += sign * (term // n)
-        return total
-
-    return Fraction(16 * atan_inverse(5) - 4 * atan_inverse(239), one)
-
-
 def test_zeta_even_approx_rounds_the_exact_value_once(capsys):
     # float(pi) ** (2k) carried pi's rounding error 2k times: --k 40 printed
     # 0.9999999999999969, though zeta(2k) > 1
-    pi_ref = machin_pi(150)
+    pi_ref = Fraction(pi_bracket(500)[0], 1 << 500)  # below pi by less than 2^-487
     pi_power = Fraction(1)  # pi_ref^(2k)
     for k in range(1, ZETA_EVEN_MAX + 1):
         pi_power *= pi_ref**2
@@ -626,7 +612,8 @@ def test_command_bounds_nest_in_library_bounds():
     assert 2 * max(BERNOULLI_MAX["classical"], suite["bernoulli"]) <= BERNOULLI_CLASSICAL_MAX
     assert BERNOULLI_MAX["tree"] <= min(TRANSFORM_MAX, ELEMENTARY_ZETA_MAX)  # bernoulli_from_zeta
     assert suite["trees"] <= TREE_SUM_MAX <= TRANSFORM_MAX
-    assert TREES_LIST_MAX <= ENUMERATION_MAX <= TRANSFORM_MAX  # catalan(k - 1)
+    # the listing drains enumerate_trees and replays each tree with tree_data
+    assert TREES_LIST_MAX <= ENUMERATION_MAX <= TRANSFORM_MAX
 
 
 def test_usage_error_exit_code():
@@ -645,10 +632,14 @@ def test_usage_error_json_record(capsys):
 
 
 def test_trees_bound(capsys):
-    code, _, err = run(capsys, "trees", "--k", "40")
+    # the count reads catalan(k - 1) alone, so it reaches catalan's bound, not the enumeration's
+    n = TRANSFORM_MAX - 1
+    count = math.comb(2 * n, n) // (n + 1)
+    assert run(capsys, "trees", "--k", str(TRANSFORM_MAX)) == (0, f"{count}\n", "")
+    code, _, err = run(capsys, "trees", "--k", str(TRANSFORM_MAX + 1))
     assert code == 2
-    assert f"1..{ENUMERATION_MAX}" in err
-    assert f"1..{ENUMERATION_MAX}" in help_text(capsys, "trees")
+    assert f"1..{TRANSFORM_MAX}" in err
+    assert f"1..{TRANSFORM_MAX} (1..{TREES_LIST_MAX} with --list)" in help_text(capsys, "trees")
 
 
 def test_trees_list_bound(capsys):
@@ -755,14 +746,15 @@ def test_json_output_matches_golden_digest(capsys, monkeypatch, tmp_path, comman
 
 
 # sha256 of the full help at 80 columns, by argv; pinned from the code before
-# the parser read its bounds from `bounds` alone
+# the parser read its bounds from `bounds` alone, and `trees --help` from the
+# code whose count first read catalan's bound, 1..240
 HELP_SHA256 = {
     "--help": "ddb44e31eb5ff54417d17108e1c44289972cad318ea709ffe0e6bddbb062ad7e",
     "bernoulli --help": "84a3aec650f16d3d4c4059f66c2f8e9a1d613cd60240d0b001198b3d287f6445",
     "ak --help": "ae6d4967c6964614fababb752aa6b8596a795b074823f7c1d3bfd614e59a58aa",
     "pk --help": "4f04060bff15cbff927d4a9208bda00b17264430ad5c483434a1ae5680649857",
     "zeta-even --help": "0b2ebe4a4d154174bbc91aacf9f09ca4e1c279532b03c1a08edf7b8bf453aeaf",
-    "trees --help": "f619fe8c9eb4d3c94516a2544f3031f6d96d7da52431e1de2ab2e120f12f93f1",
+    "trees --help": "5de3141acce538ccc9177d15c40457187a2cffb6b2457dc11e5ff87dd5eae086",
     "transform --help": "979ce227e185cfdee0d307e0edb9ab84865a4745acb1a06ada0feeff597ba1bb",
     "verify --help": "eeabd74d7a0e3ba060fd2d26e3f72ff2f7dca925d76f2def2e0a4c66e11ccbfd",
 }
@@ -801,7 +793,7 @@ REFUSALS = {
     "bernoulli --k 130 --approx": (
         {"k": 130, "method": "recursion"}, "--k must be within 1..129 with --approx"
     ),
-    "trees --k 17": ({"k": 17, "list": False}, "--k must be within 1..16"),
+    "trees --k 241": ({"k": 241, "list": False}, "--k must be within 1..240"),
     "trees --k 12 --list": ({"k": 12, "list": True}, "--k must be within 1..11 with --list"),
     "transform --k 241": ({"k": 241, "sequence": None}, "--k must be within 1..240"),
     "transform --k 3 --sequence missing.txt": (

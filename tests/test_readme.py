@@ -44,7 +44,7 @@ ROW_BOUNDS = {
     "`transform --sequence FILE`, on the digits of each numerator and denominator": [
         SEQUENCE_DIGITS_MAX
     ],
-    "`trees --k K`": [ENUMERATION_MAX],
+    "`trees --k K`": [TRANSFORM_MAX],
     "`trees --k K --list`": [TREES_LIST_MAX],
     **{
         f"`verify --suite {name} --max-k N`": [high]
@@ -58,6 +58,7 @@ ROW_BOUNDS = {
     "`verify --suite all --max-k N`": [ALL_MAX_K],
     "`polynomial_via_trees(k)`": [TREE_SUM_MAX],
     "`tree_data(tree, seq)`, on the tree's vertex count": [TRANSFORM_MAX],
+    "`enumerate_trees(k)`, drained": [ENUMERATION_MAX],
     "`catalan(n)`": [TRANSFORM_MAX - 1],
     "`double_factorial_product(k)`, `double_factorial_odd(i)`": [DOUBLE_FACTORIAL_PRODUCT_MAX],
     "`numerator_polynomial(k)`, `zeta_numerator(k)`, "

@@ -49,8 +49,8 @@ def test_enumeration_order_and_bounds():
     seqs = [t.levels for t in enumerate_trees(4)]
     assert seqs == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
     assert seqs == sorted(seqs)
-    with pytest.raises(ValueError, match=r"^k=17 outside 1\.\.16$"):
-        list(enumerate_trees(17))
+    with pytest.raises(ValueError, match=r"^k=14 outside 1\.\.13$"):
+        list(enumerate_trees(14))
 
 
 def test_plane_tree_validation():
@@ -326,6 +326,17 @@ def test_generalized_transform_default_values():
 @pytest.mark.parametrize("k", range(1, 11))
 def test_generalized_transform_equals_twice_zeta_coefficient(k):
     assert generalized_transform(k) == 2 * zeta_even_rational(k)
+
+
+def test_transform_at_nu_minus_half_is_an_even_zeta_value():
+    # Rayleigh's recurrence: on R_n = n + nu the transform is 4^k sigma_2k(nu),
+    # the sum of j^-2k over the zeros j of the Bessel function J_nu (Kishore,
+    # Proc. AMS 14, 1963).  At nu = -1/2 the zeros are (n - 1/2) pi, those of
+    # cos, and sigma_2k = (4^k - 1) zeta(2k) / pi^(2k): a sequence that is not
+    # the odd numbers, checked against the operator recursion
+    seq = SequenceSpec(Fraction(2 * n - 1, 2) for n in range(1, TRANSFORM_MAX + 1))
+    for k in [*range(1, 41), TRANSFORM_MAX]:
+        assert generalized_transform(k, seq) == 4**k * (4**k - 1) * zeta_even_rational(k), k
 
 
 def test_generalized_transform_all_ones_regression():

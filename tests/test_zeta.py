@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from evenzeta.cli import BERNOULLI_MAX
 from evenzeta.recursion import RECURSION_MAX
+from evenzeta.trees import TRANSFORM_MAX, generalized_transform
 from evenzeta.zeta import (
     BERNOULLI_CLASSICAL_MAX,
     BERNOULLI_EVEN_MAX,
@@ -20,6 +21,7 @@ from evenzeta.zeta import (
     newton_partial_sum,
     zeta_even_rational,
 )
+from machin import pi_bracket
 
 
 def zeta_from_classical(k):
@@ -97,6 +99,78 @@ def test_zeta_even_rational_small_values(k, coeff):
 def test_zeta_even_rational_sign_pattern():
     for k in range(1, 31):
         assert zeta_even_rational(k) > 0
+
+
+# -- zeta values against references that share no route code ---------------
+
+
+@pytest.fixture(scope="module")
+def zeta_values():
+    """zeta_even_rational(k) at index k, for every k up to RECURSION_MAX."""
+    return [None] + [zeta_even_rational(k) for k in range(1, RECURSION_MAX + 1)]
+
+
+def test_newton_girard_solve_gives_every_zeta_value(zeta_values):
+    # the paper's evaluation: the Newton-Girard identities on e_j = 1/(2j+1)!,
+    # the elementary symmetric functions of the 1/(n pi)^2, solved for
+    # u_k = (2k)! zeta(2k)/pi^(2k) one k at a time
+    u = [None]
+    for k in range(1, RECURSION_MAX + 1):
+        total = Fraction(k, 2 * k + 1) - sum(
+            (-1) ** (i - 1) * Fraction(math.comb(2 * k, 2 * i), 2 * k - 2 * i + 1) * u[i]
+            for i in range(1, k)
+        )
+        u.append(total if k % 2 else -total)
+        assert u[k] == math.factorial(2 * k) * zeta_values[k], k
+
+
+def fixed_power(x, e, bits, ceil):
+    """(x / 2^bits)^e * 2^bits by squaring, every product floored, or ceiled
+    if ceil, so the result is a lower, or upper, bound of the true power."""
+    def times(a, b):
+        return -(-a * b >> bits) if ceil else a * b >> bits
+
+    result = 1 << bits
+    while e:
+        if e & 1:
+            result = times(result, x)
+        x, e = times(x, x), e >> 1
+    return result
+
+
+def series_side(z, k):
+    """-1, 0 or 1 as z * pi^(2k) falls below, inside or above the interval
+
+        1 + 4^-k + 9^-k + 4/(16^k (2k-1)) < zeta(2k) < 1 + 4^-k + 9^-k + 3/(9^k (2k-1)),
+
+    whose tail bounds are the integrals of x^-2k from 4 and from 3.  pi is
+    bracketed at 7k + 96 bits and raised in fixed point, so a correct
+    z = zeta(2k)/pi^(2k) is always inside, and the bracket's error is far
+    below the interval's width, about 9^-k / k.
+    """
+    bits = 7 * k + 96
+    lo, hi = pi_bracket(bits)
+    # upper = up_num / up_den and lower = low_num / low_den, on integers
+    up_den, low_den = 36**k * (2 * k - 1), 144**k * (2 * k - 1)
+    up_num = (36**k + 9**k + 4**k) * (2 * k - 1) + 3 * 4**k
+    low_num = (144**k + 36**k + 16**k) * (2 * k - 1) + 4 * 9**k
+    p, q = z.numerator, z.denominator
+    if p * fixed_power(lo, 2 * k, bits, ceil=False) * up_den >= up_num * q << bits:
+        return 1
+    if p * fixed_power(hi, 2 * k, bits, ceil=True) * low_den <= low_num * q << bits:
+        return -1
+    return 0
+
+
+def test_every_route_lies_inside_the_series_interval(zeta_values):
+    # an analytic referee: it reads only an integer bracket of pi
+    values = [("recursion", k, zeta_values[k]) for k in range(1, RECURSION_MAX + 1)]
+    values += [("trees", k, generalized_transform(k) / 2) for k in range(1, TRANSFORM_MAX + 1)]
+    for route, k, z in values:
+        assert series_side(z, k) == 0, (route, k)
+        # one part in 4^k is past the interval on either side at every k
+        assert series_side(z * Fraction(4**k + 1, 4**k), k) == 1, (route, k)
+        assert series_side(z * Fraction(4**k - 1, 4**k), k) == -1, (route, k)
 
 
 # -- bernoulli numbers -------------------------------------------------------
