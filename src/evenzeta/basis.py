@@ -66,7 +66,8 @@ def _nested_sum(coeffs: Sequence[int], b: int) -> list[int]:
     by Horner's rule: c_0 + (2x + 2+b) * (c_1 + (2x + 4+b) * (c_2 + ...))."""
     acc: list[int] = []
     for i in range(len(coeffs) - 1, -1, -1):
-        acc = [2 * lo + (2 * i + 2 + b) * hi for lo, hi in zip([0] + acc, acc + [0])]
+        r = 2 * i + 2 + b  # the factor 2x + r
+        acc = [2 * lo + r * hi for lo, hi in zip([0] + acc, acc + [0])]
         acc[0] += coeffs[i]
     return acc
 

@@ -121,8 +121,9 @@ def taylor_shift(coeffs: Sequence[int], a: int, b: int, d: int = 1) -> list[int]
 
         D^n * p((A*x + B)/D) = sum_i c_i * D^(n-i) * (A*x + B)^i,
 
-    by Horner's rule on int lists.  The zero polynomial, no coefficients,
-    gives none.
+    by n synthetic-division passes by B over one list, the descending
+    c_i * D^(n-i), then A^i on the i-th ascending entry.  The zero
+    polynomial, no coefficients, gives none.
     """
     check_int(a, "a")
     check_int(b, "b")
@@ -132,14 +133,11 @@ def taylor_shift(coeffs: Sequence[int], a: int, b: int, d: int = 1) -> list[int]
     for i, c in enumerate(coeffs):
         if type(c) is not int:  # names the entry only for a value check_int may refuse
             check_int(c, f"coeffs[{i}]")
-    acc: list[int] = []
-    scale = 1  # D^(n-i)
-    for c in reversed(coeffs):
-        # acc * (A*x + B) + c_i * D^(n-i)
-        acc = [a * lo + b * hi for lo, hi in zip([0] + acc, acc + [0])]
-        acc[0] += c * scale
-        scale *= d
-    return acc
+    s = [c * d**i for i, c in enumerate(reversed(coeffs))]  # descending: c_i * D^(n-i)
+    for stop in range(len(s) - 1, 0, -1):  # s(y + B), one synthetic pass per degree
+        for t in range(1, stop + 1):
+            s[t] += b * s[t - 1]
+    return [c * a**i for i, c in enumerate(reversed(s))]  # y = A*x
 
 
 def split_content(coeffs: Sequence[int]) -> tuple[int, list[int]]:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from evenzeta.plane_trees import PlaneTree, tree_data
 from evenzeta.polynomials import ZERO, Polynomial, split_content, taylor_shift
+from evenzeta.recursion import numerator_polynomial
 from evenzeta.symmetric import VariableSet
 from evenzeta.trees import SequenceSpec, generalized_transform
 from evenzeta.zeta import bernoulli_from_zeta
@@ -211,6 +212,19 @@ def test_inexact_values_are_rejected(make):
         assert str(refused.value) == f"{name}={value!r} is not an int or a Fraction"
 
 
+def taylor_shift_reference(coeffs, a, b, d=1):
+    """D^n * p((A*x + B)/D) by Horner's rule from the top, a new list per
+    coefficient: the shift's earlier form, kept as its reference."""
+    acc = []
+    scale = 1  # D^(n-i)
+    for c in reversed(coeffs):
+        # acc * (A*x + B) + c_i * D^(n-i)
+        acc = [a * lo + b * hi for lo, hi in zip([0] + acc, acc + [0])]
+        acc[0] += c * scale
+        scale *= d
+    return acc
+
+
 @given(
     st.lists(st.integers(-(10**6), 10**6), max_size=8),
     st.integers(-9, 9),
@@ -223,8 +237,21 @@ def test_inexact_values_are_rejected(make):
 def test_taylor_shift_matches_naive(cs, a, b, d, x):
     shifted = taylor_shift(cs, a, b, d)
     assert len(shifted) == len(cs) and all(type(c) is int for c in shifted)
+    assert shifted == taylor_shift_reference(cs, a, b, d)
     n = len(cs) - 1
     assert naive_eval(shifted, x) == Fraction(d) ** n * naive_eval(cs, (a * x + b) / Fraction(d))
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_taylor_shift_matches_reference_at_full_size(a):
+    # translated_polynomial's shift at k = 260, from a tuple and from a list,
+    # neither of which the shift may write to
+    primitive = numerator_polynomial(260).primitive
+    coeffs = list(primitive)
+    expected = taylor_shift_reference(primitive, a, 517, 2)
+    assert taylor_shift(primitive, a, 517, 2) == expected
+    assert taylor_shift(coeffs, a, 517, 2) == expected
+    assert coeffs == list(primitive)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evenzeta import tree_polynomial, trees
@@ -391,6 +391,48 @@ def test_generalized_transform_matches_reference_fold(k, values):
     # the band above the per-tree replay's k <= 7
     seq = SequenceSpec(values)
     assert generalized_transform(k, seq) == folded_transform(k, seq)
+
+
+def progression_step(f, k, alpha, beta):
+    """The operator's k-th step over R(t) = alpha*t + beta on the ascending
+    Fraction list f, written out:
+    [f(k) * prod_{i=1}^{k} R(x - k + i) - f(x) * prod_{i=1}^{k} R(i)] / (alpha*(x - k))."""
+    fk = sum(c * k**i for i, c in enumerate(f))
+    rising = [Fraction(1)]
+    for i in range(1, k + 1):  # times R(x - k + i) = alpha*x + alpha*(i - k) + beta
+        r = alpha * (i - k) + beta
+        rising = [r * lo + alpha * hi for lo, hi in zip(rising + [0], [0] + rising)]
+    tower = math.prod(alpha * i + beta for i in range(1, k + 1))
+    bracket = [fk * c - tower * (f[i] if i < len(f) else 0) for i, c in enumerate(rising)]
+    quotient, acc = [], 0  # synthetic division by (x - k), from the top
+    for c in reversed(bracket):
+        acc = acc * k + c
+        quotient.append(acc)
+    assert quotient.pop() == 0  # the remainder
+    return [c / alpha for c in reversed(quotient)]
+
+
+progression_terms = st.fractions(min_value=-10, max_value=10, max_denominator=10)
+
+
+@settings(deadline=None)
+@given(
+    k=st.integers(1, 8),
+    alpha=progression_terms.filter(lambda v: v != 0),
+    beta=progression_terms,
+)
+@example(k=8, alpha=Fraction(2), beta=Fraction(1))  # the odd numbers
+def test_operator_over_a_progression_equals_the_transform(k, alpha, beta):
+    # on R(t) = alpha*t + beta, the operator recursion from P_1 = 1 and the
+    # tree route agree: T_k = P_k(k) / prod_{i<=k} prod_{j<=i} R(j)
+    values = [alpha * n + beta for n in range(1, k + 1)]
+    assume(all(values))
+    f = [Fraction(1)]
+    for j in range(1, k):
+        f = progression_step(f, j, alpha, beta)
+    seq = SequenceSpec(values)
+    pk_at_k = sum(c * k**i for i, c in enumerate(f))
+    assert generalized_transform(k, seq) == pk_at_k / value_tower(k, seq)
 
 
 @pytest.mark.parametrize("k", range(1, 10))
